@@ -43,6 +43,7 @@ from .engine import (
     Trace,
     detect_livelock,
     execute,
+    explicit_scheduling,
     initial_configuration,
     step,
 )
@@ -126,6 +127,7 @@ __all__ = [
     "enumerate_schedulings",
     "equivalence_class",
     "execute",
+    "explicit_scheduling",
     "initial_configuration",
     "load_family",
     "load_graph",

@@ -13,6 +13,7 @@ hand-built snapshots; the Algorithm classes wire them to the engine.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Iterable
 
 from .coverfree import ReductionSchedule, reduction_schedule
@@ -53,10 +54,20 @@ def mex(values: Iterable[int]) -> int:
 
 
 def _view(state):
-    """Payload behind a register state, or None for an unwritten register."""
-    if state is None:
-        return None
-    return state[1] if state[0] == "R" else state[2]
+    """Payload behind a register state, or None for an unwritten register.
+
+    The payload is the last entry of both ``("R", payload)`` and
+    ``("T", output, payload)``.
+    """
+    return None if state is None else state[-1]
+
+
+def _pair_palette(delta: int, drop_special: bool = False) -> frozenset[tuple[int, int]]:
+    """The pairs (a, b) with a + b <= delta, without (delta, 0) if ``drop_special``."""
+    pal = {(a, b) for a in range(delta + 1) for b in range(delta + 1) if a + b <= delta}
+    if drop_special:
+        pal.discard((delta, 0))
+    return frozenset(pal)
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +81,22 @@ def _view(state):
 
 def _pair_step(payload, snaps):
     x, a, b = payload
-    vis = [p for p in map(_view, snaps) if p is not None]
-    for p in vis:
+    clash = False
+    larger_a = set()  # a values of larger-x neighbors
+    smaller_b = set()  # b values of smaller-x ones
+    for t in snaps:
+        if t is None:
+            continue
+        p = t[-1]
         if p[1] == a and p[2] == b:
-            break
-    else:
+            clash = True
+        if p[0] > x:
+            larger_a.add(p[1])
+        elif p[0] < x:
+            smaller_b.add(p[2])
+    if not clash:
         return ("T", (a, b), payload)
-    a2 = mex(p[1] for p in vis if p[0] > x)
-    b2 = mex(p[2] for p in vis if p[0] < x)
-    return ("R", (x, a2, b2))
+    return ("R", (x, mex(larger_a), mex(smaller_b)))
 
 
 def cycle_six_next(payload, snaps):
@@ -168,15 +186,16 @@ def smaller_larger(payload, snaps):
     return frozenset(smaller), frozenset(larger)
 
 
-def _special_neighborhood_views(s, views) -> bool:
+def _special_views(s, views, local_max: bool) -> bool:
+    """Special neighborhood of payload ``s`` (and, with ``local_max``, special termination)."""
     delta = len(views)
-    if any(p is None for p in views):
-        return False
-    if not (s[4] and s[5]):
-        return False
-    if not (0 <= s[0] < delta and 0 <= s[1] < delta):
+    if not (s[4] and s[5] and 0 <= s[0] < delta and 0 <= s[1] < delta):
         return False
     for p in views:
+        if p is None:
+            return False
+        if local_max and not s[2] > p[2]:
+            return False
         if not (0 <= p[0] < delta and 0 <= p[1] < delta):
             return False
     for p in views:
@@ -195,15 +214,12 @@ def special_neighborhood(payload, snaps) -> bool:
     either has the corresponding flag up already or would raise it upon
     seeing this node (the neighbor may simply not have run yet).
     """
-    return _special_neighborhood_views(payload, [_view(t) for t in snaps])
+    return _special_views(payload, [_view(t) for t in snaps], local_max=False)
 
 
 def special_termination(payload, snaps) -> bool:
     """Special neighborhood and the node is the pre-flip local maximum."""
-    views = [_view(t) for t in snaps]
-    if not _special_neighborhood_views(payload, views):
-        return False
-    return all(payload[2] > p[2] for p in views)
+    return _special_views(payload, [_view(t) for t in snaps], local_max=True)
 
 
 def save_one_more_next(payload, snaps):
@@ -217,23 +233,45 @@ def save_one_more_next(payload, snaps):
     """
     delta = len(snaps)
     a, b, x, f, alpha, beta, z = payload
-    views = [_view(t) for t in snaps]
-    vis = [p for p in views if p is not None]
-    mapped = map_pair(a, b, delta)
-    for p in vis:
-        if map_pair(p[0], p[1], delta) == mapped:
+    views = []
+    for t in snaps:
+        views.append(None if t is None else t[-1])
+    # the node decides map_pair(a, b) unless a visible neighbor maps to it
+    if a == delta and b == 0:
+        ma, mb = 0, delta
+    else:
+        ma, mb = a, b
+    special = ma == 0 and mb == delta  # then a neighbor at (delta, 0) maps to it too
+    for p in views:
+        if p is not None and (
+            (p[0] == ma and p[1] == mb) or (special and p[0] == delta and p[1] == 0)
+        ):
             break
     else:
-        return ("T", mapped, payload)
+        return ("T", (ma, mb), payload)
     if a == delta or b == delta:
-        extra = {p[6] for p in vis if p[0] == delta or p[1] == delta}
+        extra = {p[6] for p in views if p is not None and (p[0] == delta or p[1] == delta)}
         if not extra <= set(f):
             f = tuple(sorted(set(f) | extra))
-    smaller, larger = _split_by_order(x, f, z, views)
-    a2 = mex(views[i - 1][0] for i in larger)
-    b2 = mex(views[i - 1][1] for i in smaller)
-    s2 = (a2, b2, x, f, alpha or bool(smaller), beta or bool(larger), z)
-    if special_termination(s2, snaps):
+    larger_a = set()  # a values of the flip-adjusted larger neighbors
+    smaller_b = set()  # b values of the smaller ones
+    for p in views:  # as _split_by_order(x, f, z, views)
+        if p is None:
+            continue
+        px = p[2]
+        if p[6] in f or z in p[3]:
+            if x < px:
+                smaller_b.add(p[1])
+            elif x > px:
+                larger_a.add(p[0])
+        elif x > px:
+            smaller_b.add(p[1])
+        elif x < px:
+            larger_a.add(p[0])
+    alpha = alpha or bool(smaller_b)
+    beta = beta or bool(larger_a)
+    s2 = (mex(larger_a), mex(smaller_b), x, f, alpha, beta, z)
+    if alpha and beta and _special_views(s2, views, local_max=True):
         return ("T", (0, delta), s2)
     return ("R", s2)
 
@@ -270,6 +308,8 @@ class Algorithm:
     name = "abstract"
     #: pad snapshots with None up to this length before each next() call
     arity: int | None = None
+    #: the set every decision lies in (None: the algorithm names none)
+    palette: frozenset | None = None
 
     def params(self) -> dict[str, Any]:
         return {}
@@ -301,12 +341,12 @@ class SixColoring(Algorithm):
     """6-coloring of cycles: the pair rule keyed directly by identifiers."""
 
     name = "six"
+    palette = _pair_palette(2)
 
     def init(self, node, value):
         return ("R", (node, 0, 0))
 
-    def next(self, payload, snaps):
-        return cycle_six_next(payload, snaps)
+    next = staticmethod(cycle_six_next)
 
     def validate(self, graph, inputs):
         if graph.max_degree > 2:
@@ -317,12 +357,12 @@ class BuggyFive(Algorithm):
     """The flawed 5-coloring rule for cycles; livelocks under some schedules."""
 
     name = "buggy5"
+    palette = frozenset(range(5))
 
     def init(self, node, value):
         return ("R", (node, 0, 0))
 
-    def next(self, payload, snaps):
-        return buggy_five_next(payload, snaps)
+    next = staticmethod(buggy_five_next)
 
     def validate(self, graph, inputs):
         if graph.max_degree > 2:
@@ -346,11 +386,14 @@ class SaveColors(Algorithm):
     def palette_size(self) -> int:
         return (self.delta + 1) * (self.delta + 2) // 2
 
+    @cached_property
+    def palette(self) -> frozenset:
+        return _pair_palette(self.delta)
+
     def init(self, node, value):
         return ("R", (value, 0, 0))
 
-    def next(self, payload, snaps):
-        return save_colors_next(payload, snaps)
+    next = staticmethod(save_colors_next)
 
     def validate(self, graph, inputs):
         if graph.max_degree > self.delta:
@@ -377,11 +420,14 @@ class SaveOneMoreColor(Algorithm):
     def palette_size(self) -> int:
         return (self.delta + 1) * (self.delta + 2) // 2 - 1
 
+    @cached_property
+    def palette(self) -> frozenset:
+        return _pair_palette(self.delta, drop_special=True)
+
     def init(self, node, value):
         return ("R", (0, 0, value, (), False, False, node))
 
-    def next(self, payload, snaps):
-        return save_one_more_next(payload, snaps)
+    next = staticmethod(save_one_more_next)
 
     def validate(self, graph, inputs):
         if graph.max_degree > self.delta:
@@ -406,6 +452,10 @@ class LinialReduction(Algorithm):
     @property
     def palette_size(self) -> int:
         return self.schedule.final_palette
+
+    @cached_property
+    def palette(self) -> frozenset:
+        return frozenset(range(1, self.schedule.final_palette + 1))
 
     @property
     def rounds(self) -> int:
@@ -468,6 +518,10 @@ class Composed(Algorithm):
         self.phase1.validate(graph, inputs)
         self.phase2.validate(graph, None)
 
+    @property
+    def palette(self):
+        return self.phase2.palette
+
     def init(self, node, value):
         st = self.phase1.init(node, value)
         if st[0] == TERMINATED:
@@ -480,34 +534,33 @@ class Composed(Algorithm):
             return ("T", st[1], (2, node, st[2], p1_final))
         return ("R", (2, node, st[1], p1_final))
 
-    @staticmethod
-    def _phase1_snap(state):
-        p = _view(state)
-        if p is None:
-            return None
-        if p[0] == 1:
-            return ("R", p[2])
-        return p[3]  # the neighbor's final phase-1 state, a Terminated triple
-
-    @staticmethod
-    def _phase2_snap(state):
-        p = _view(state)
-        if p is None or p[0] == 1:
-            return None
-        return ("R", p[2])
-
     def next(self, payload, snaps):
+        # Each neighbor register holds ("R", q) or ("T", out, q) with q a
+        # tagged payload (phase, node, inner, [phase-1 final state]).
+        inner = []
         if payload[0] == 1:
-            node = payload[1]
-            st = self.phase1.next(payload[2], [self._phase1_snap(t) for t in snaps])
+            # a phase-2 neighbor shows its final phase-1 state
+            for t in snaps:
+                if t is None:
+                    inner.append(None)
+                else:
+                    q = t[-1]
+                    inner.append(("R", q[2]) if q[0] == 1 else q[3])
+            st = self.phase1.next(payload[2], inner)
             if st[0] == TERMINATED:
-                return self._enter_phase2(node, st)
-            return ("R", (1, node, st[1]))
-        node, p1fin = payload[1], payload[3]
-        st = self.phase2.next(payload[2], [self._phase2_snap(t) for t in snaps])
+                return self._enter_phase2(payload[1], st)
+            return ("R", (1, payload[1], st[1]))
+        # a phase-1 neighbor shows as unwritten, a decided one as running
+        for t in snaps:
+            if t is None:
+                inner.append(None)
+            else:
+                q = t[-1]
+                inner.append(None if q[0] == 1 else ("R", q[2]))
+        st = self.phase2.next(payload[2], inner)
         if st[0] == TERMINATED:
-            return ("T", st[1], (2, node, st[2], p1fin))
-        return ("R", (2, node, st[1], p1fin))
+            return ("T", st[1], (2, payload[1], st[2], payload[3]))
+        return ("R", (2, payload[1], st[1], payload[3]))
 
 
 def compose_phases(phase1: Algorithm, phase2: Algorithm) -> Composed:

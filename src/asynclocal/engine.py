@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .graphs import Graph
 
@@ -37,6 +37,8 @@ __all__ = [
     "AlgorithmViolation",
     "SchedulingError",
     "Configuration",
+    "Scheduling",
+    "explicit_scheduling",
     "StepRecord",
     "Trace",
     "LivelockCertificate",
@@ -89,7 +91,8 @@ class Configuration:
 
     def key(self) -> tuple:
         """Hashable canonical form (ignores the step counter)."""
-        return tuple((v, self.old[v], self.new[v]) for v in sorted(self.old))
+        old, new = self.old, self.new
+        return tuple([(v, old[v], new[v]) for v in sorted(old)])
 
     def decided(self) -> dict[int, Any]:
         return {
@@ -105,34 +108,42 @@ class Configuration:
 
 
 def initial_configuration(graph: Graph, algo, inputs: dict[int, Any]) -> Configuration:
+    nodes = graph.nodes
+    init = algo.init
     new = {}
-    for v in graph.nodes:
-        st = algo.init(v, inputs[v])
+    for v in nodes:
+        st = init(v, inputs[v])
         if st is None or st[0] not in (RUNNING, TERMINATED):
             raise EngineError(f"init for node {v} returned invalid state {st!r}")
         new[v] = st
-    return Configuration(old={v: BOTTOM for v in graph.nodes}, new=new, step_index=0)
+    return Configuration(old=dict.fromkeys(nodes, BOTTOM), new=new, step_index=0)
 
 
-def _apply_block(graph: Graph, algo, old: dict, new: dict, block: tuple[int, ...]):
-    """Publish-then-snapshot for one block, in place.
+def _apply_block(adj: dict, nxt, arity: int | None, old: dict, new: dict, block: tuple[int, ...]):
+    """Publish-then-snapshot for one valid block, in place.
 
-    Returns ``(reads, decided)`` where ``reads`` maps each active node to
-    the snapshot list it consumed and ``decided`` maps nodes that decided
-    during this block to their outputs.
+    ``adj`` is the graph's adjacency, ``nxt`` the algorithm's ``next`` and
+    ``arity`` its snapshot length.  Returns ``(reads, decided)`` where
+    ``reads`` maps each active node to the snapshot list it consumed and
+    ``decided`` maps nodes that decided during this block to their
+    outputs.  A node with fewer neighbors than ``arity`` gets its snapshot
+    padded with Bottom.
     """
-    adj = graph.adj
-    arity = getattr(algo, "arity", None)
-    active = [v for v in block if new[v][0] != TERMINATED]
-    for v in active:
-        old[v] = new[v]
+    active = []
+    for v in block:
+        st = new[v]
+        if st[0] != TERMINATED:
+            old[v] = st  # publish
+            active.append(v)
     reads: dict[int, list] = {}
     decided: dict[int, Any] = {}
     for v in active:
-        snaps = [old[u] for u in adj[v]]
+        snaps = []
+        for u in adj[v]:  # a plain loop: cheaper than a comprehension on short lists
+            snaps.append(old[u])
         if arity is not None and len(snaps) < arity:
-            snaps.extend([BOTTOM] * (arity - len(snaps)))
-        st = algo.next(old[v][1], snaps)
+            snaps += [BOTTOM] * (arity - len(snaps))
+        st = nxt(old[v][1], snaps)
         new[v] = st
         reads[v] = snaps
         if st[0] == TERMINATED:
@@ -141,22 +152,74 @@ def _apply_block(graph: Graph, algo, old: dict, new: dict, block: tuple[int, ...
 
 
 def _check_block(block, nodes: frozenset[int]) -> tuple[int, ...]:
+    """The canonical form of a scheduling block: its distinct nodes, ascending.
+
+    Raises :class:`SchedulingError` for an empty block or a node outside
+    ``nodes``.  Every block from outside the package passes through here.
+    """
     blk = tuple(sorted(set(block)))
     if not blk:
         raise SchedulingError("empty scheduling block")
-    for v in blk:
-        if v not in nodes:
-            raise SchedulingError(f"scheduled node {v} not in the graph")
+    if not nodes.issuperset(blk):
+        bad = next(v for v in blk if v not in nodes)
+        raise SchedulingError(f"scheduled node {bad} not in the graph")
     return blk
 
 
 def step(graph: Graph, algo, cfg: Configuration, block: Iterable[int]) -> Configuration:
     """Pure single-step transition: returns a fresh configuration."""
-    blk = _check_block(block, frozenset(graph.nodes))
-    nxt = cfg.copy()
-    _apply_block(graph, algo, nxt.old, nxt.new, blk)
-    nxt.step_index = cfg.step_index + 1
-    return nxt
+    blk = _check_block(block, graph.node_set)
+    out = cfg.copy()
+    _apply_block(graph.adj, algo.next, getattr(algo, "arity", None), out.old, out.new, blk)
+    out.step_index = cfg.step_index + 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# schedulings
+
+
+@dataclass
+class Scheduling:
+    """A block source plus the crash/support metadata the engine consumes.
+
+    Every block a ``Scheduling`` yields is already canonical (distinct
+    nodes of ``nodes``, ascending, nonempty): the constructors in
+    :mod:`asynclocal.schedulers` and :func:`explicit_scheduling` make it
+    so.  :func:`execute` therefore runs these blocks unchecked on any
+    graph holding ``nodes``, and checks the blocks of every other block
+    source.
+    """
+
+    kind: str
+    spec: str
+    nodes: tuple[int, ...]
+    finite: bool
+    support_ever: frozenset[int]
+    support_forever: frozenset[int]
+    crash_times: dict[int, int | None]
+    seed: int | None
+    _factory: Callable[[], Iterator[tuple[int, ...]]]
+
+    def blocks(self) -> Iterator[tuple[int, ...]]:
+        """Fresh block iterator; calling again restarts from the beginning."""
+        return self._factory()
+
+
+def explicit_scheduling(blocks, nodes, kind: str = "explicit", spec: str | None = None) -> Scheduling:
+    """A finite scheduling of the given blocks over ``nodes``.
+
+    Each block is checked and made canonical here.  Without ``spec`` the
+    scheduling gets the canonical ``explicit:1,3/2`` spec of its blocks.
+    """
+    node_set = frozenset(nodes)
+    blocks = [_check_block(b, node_set) for b in blocks]
+    if spec is None:
+        spec = "explicit:" + "/".join(",".join(map(str, blk)) for blk in blocks)
+    support = frozenset(v for blk in blocks for v in blk)
+    return Scheduling(
+        kind, spec, tuple(nodes), True, support, frozenset(), {}, None, lambda: iter(blocks)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +265,8 @@ class Trace:
     blocks: tuple[tuple[int, ...], ...] | None = None
     steps: list[StepRecord] | None = None
     max_steps: int = DEFAULT_MAX_STEPS
+    #: the algorithm object that ran (not serialised); checkers read its palette
+    algo: Any = field(default=None, repr=False, compare=False)
 
     @property
     def max_runtime(self) -> int:
@@ -286,35 +351,32 @@ def _lists_to_tuples(obj):
 # execution
 
 
-class _ExplicitSchedule:
-    """Adapter so plain block lists can drive :func:`execute`."""
-
-    def __init__(self, blocks: Iterable[Iterable[int]]):
-        self._blocks = [tuple(sorted(set(b))) for b in blocks]
-        self.spec = "explicit"
-        self.seed = None
-        self.finite = True
-        self.support_ever = frozenset(v for b in self._blocks for v in b)
-        self.support_forever = frozenset()
-        self.crash_times = None
-
-    def blocks(self):
-        return iter(self._blocks)
-
-
-def _coerce_scheduling(scheduling):
-    if hasattr(scheduling, "blocks") and callable(scheduling.blocks):
-        return scheduling
-    return _ExplicitSchedule(scheduling)
-
-
 def _resolve_inputs(graph: Graph, algo, inputs) -> dict[int, Any]:
+    nodes = graph.nodes
     if inputs is None:
-        return {v: algo.default_input(v) for v in graph.nodes}
-    missing = [v for v in graph.nodes if v not in inputs]
+        return dict(zip(nodes, map(algo.default_input, nodes)))
+    missing = [v for v in nodes if v not in inputs]
     if missing:
         raise EngineError(f"missing inputs for nodes {missing}")
-    return {v: inputs[v] for v in graph.nodes}
+    return {v: inputs[v] for v in nodes}
+
+
+def _block_source(graph: Graph, scheduling):
+    """``(scheduling, blocks)``: a block iterator whose blocks are valid for ``graph``.
+
+    Blocks of a :class:`Scheduling` built over nodes of ``graph`` run as
+    they come; a plain list of blocks becomes an explicit scheduling
+    (checked once, here); any other object with a ``blocks()`` method has
+    each of its blocks checked as it is drawn.
+    """
+    if type(scheduling) is Scheduling:
+        if scheduling.nodes is graph.nodes or graph.node_set.issuperset(scheduling.nodes):
+            return scheduling, scheduling.blocks()
+    elif not callable(getattr(scheduling, "blocks", None)):
+        scheduling = explicit_scheduling(scheduling, graph.nodes)
+        return scheduling, scheduling.blocks()
+    node_set = graph.node_set
+    return scheduling, (_check_block(b, node_set) for b in scheduling.blocks())
 
 
 def execute(
@@ -327,6 +389,9 @@ def execute(
 ) -> Trace:
     """Run ``algo`` on ``graph`` under ``scheduling``.
 
+    ``scheduling`` is a :class:`Scheduling`, a plain list of blocks, or
+    any object with a ``blocks()`` method and the same metadata.
+
     Stops as soon as every node that appears in the scheduling has
     decided, when the scheduling itself is exhausted, when the only
     undecided scheduled nodes have all crashed, or after ``max_steps``
@@ -337,50 +402,58 @@ def execute(
     retained (used for large campaigns); decisions, runtimes and the final
     configuration are always kept.
     """
-    sched = _coerce_scheduling(scheduling)
+    sched, block_iter = _block_source(graph, scheduling)
     ins = _resolve_inputs(graph, algo, inputs)
     if hasattr(algo, "validate"):
         algo.validate(graph, ins)
 
     cfg = initial_configuration(graph, algo, ins)
     old, new = cfg.old, cfg.new
-    nodes = frozenset(graph.nodes)
+    adj, nxt, arity = graph.adj, algo.next, getattr(algo, "arity", None)
     support = frozenset(sched.support_ever)
-    crash_times = getattr(sched, "crash_times", None)
 
     decisions: dict[int, Any] = {}
     decision_steps: dict[int, int] = {}
-    runtimes: dict[int, int] = {v: 0 for v in graph.nodes}
+    runtimes: dict[int, int] = dict.fromkeys(graph.nodes, 0)
     for v, st in new.items():
         if st[0] == TERMINATED:
             decisions[v] = st[1]
             decision_steps[v] = 0
 
+    # pending: scheduled nodes still undecided; crashed: those of them whose
+    # crash step has passed.  The run stops once the two sets are equal.
+    # crashes: the (step, node) crashes still to come, the next one last.
+    pending = set(support.difference(decisions))
+    crashed: set[int] = set()
+    crashes = sorted(
+        ((t, v) for v, t in (getattr(sched, "crash_times", None) or {}).items()
+         if t is not None and v in pending),
+        reverse=True,
+    )
+
     steps: list[StepRecord] | None = [] if record else None
     blocks_run: list[tuple[int, ...]] | None = [] if record else None
 
-    block_iter = sched.blocks()
     step_index = 0
-    while step_index < max_steps:
-        undecided = support - decisions.keys()
-        if not undecided:
-            break
-        if crash_times is not None and all(
-            crash_times.get(v) is not None and crash_times[v] <= step_index
-            for v in undecided
-        ):
+    while step_index < max_steps and pending:
+        while crashes and crashes[-1][0] <= step_index:
+            v = crashes.pop()[1]
+            if v in pending:
+                crashed.add(v)
+        if crashed and len(crashed) == len(pending):
             break  # every still-undecided scheduled node has crashed
-        blk_raw = next(block_iter, None)
-        if blk_raw is None:
+        blk = next(block_iter, None)
+        if blk is None:
             break
-        blk = _check_block(blk_raw, nodes)
         step_index += 1
-        reads, decided_now = _apply_block(graph, algo, old, new, blk)
+        reads, decided_now = _apply_block(adj, nxt, arity, old, new, blk)
         for v in reads:
             runtimes[v] += 1
         for v, out in decided_now.items():
             decisions[v] = out
             decision_steps[v] = step_index
+            pending.discard(v)
+            crashed.discard(v)
         if record:
             blocks_run.append(blk)
             steps.append(StepRecord(step_index, blk, reads, {v: new[v] for v in reads}, decided_now))
@@ -403,6 +476,7 @@ def execute(
         blocks=tuple(blocks_run) if record else None,
         steps=steps,
         max_steps=max_steps,
+        algo=algo,
     )
 
 
@@ -459,7 +533,7 @@ def detect_livelock(
     support undecided, and ``None`` if the period's nodes all decide (the
     dynamics then freeze) or no repetition shows up within the bound.
     """
-    nodes = frozenset(graph.nodes)
+    nodes = graph.node_set
     pre = tuple(_check_block(b, nodes) for b in prefix)
     per = tuple(_check_block(b, nodes) for b in period)
     if not per:
@@ -470,13 +544,14 @@ def detect_livelock(
     if hasattr(algo, "validate"):
         algo.validate(graph, ins)
     cfg = initial_configuration(graph, algo, ins)
+    adj, nxt, arity = graph.adj, algo.next, getattr(algo, "arity", None)
     for blk in pre:
-        _apply_block(graph, algo, cfg.old, cfg.new, blk)
+        _apply_block(adj, nxt, arity, cfg.old, cfg.new, blk)
 
     seen = {cfg.key(): 0}
     for k in range(1, bound + 1):
         for blk in per:
-            _apply_block(graph, algo, cfg.old, cfg.new, blk)
+            _apply_block(adj, nxt, arity, cfg.old, cfg.new, blk)
         key = cfg.key()
         if key in seen:
             undecided = tuple(

@@ -12,6 +12,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "Graph",
@@ -34,7 +35,9 @@ class Graph:
 
     ``adj`` maps each node identifier to its neighbors in ascending order.
     ``id_bound`` is the public bound N on identifiers (processes only know
-    that identifiers are distinct values in ``[1, N]``).
+    that identifiers are distinct values in ``[1, N]``).  The derived views
+    (``nodes``, ``node_set``, ``edges``, ``max_degree``) are computed on
+    first use and kept, which is sound because a graph never changes.
     """
 
     id_bound: int
@@ -46,21 +49,25 @@ class Graph:
         _validate(self.id_bound, self.adj)
         object.__setattr__(self, "_hash", _canonical_hash(self.id_bound, self.adj))
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[int, ...]:
         return tuple(sorted(self.adj))
+
+    @cached_property
+    def node_set(self) -> frozenset[int]:
+        return frozenset(self.adj)
 
     @property
     def n(self) -> int:
         return len(self.adj)
 
-    @property
+    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
             (u, v) for u in sorted(self.adj) for v in self.adj[u] if u < v
         )
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         return max(len(nbrs) for nbrs in self.adj.values())
 
@@ -167,6 +174,9 @@ def build_graph(
         ids = list(range(1, n + 1))
     if len(ids) != n:
         raise GraphError(f"{spec} needs {n} identifiers, got {len(ids)}")
+    if len(set(ids)) != n:
+        dup = sorted({v for v in ids if ids.count(v) > 1})
+        raise GraphError(f"duplicate identifiers {dup}")
     if id_bound is None:
         id_bound = max(n, max(ids))
 

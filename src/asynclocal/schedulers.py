@@ -19,6 +19,10 @@ Spec strings:
 
 Explicit crash times may be appended as ``crashes=2@0|4@3`` (node@step;
 a node with crash step t appears in no block after the t-th).
+
+Every block a scheduling yields is canonical when it is made (nonempty,
+distinct nodes of the graph, ascending), so the engine runs the blocks of
+a :class:`Scheduling` without checking them again.
 """
 
 from __future__ import annotations
@@ -27,16 +31,18 @@ import itertools
 import os
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from . import verify as _verify
 from .engine import (
     DEFAULT_MAX_STEPS,
     LivelockCertificate,
+    Scheduling,
     SchedulingError,
     Trace,
     detect_livelock,
     execute,
+    explicit_scheduling,
 )
 from .graphs import Graph
 
@@ -55,25 +61,7 @@ __all__ = [
 GUARD_ENV = "ASYNCLOCAL_GUARD_OVERRIDE"
 
 _CRASH_STOP = 0.3  # geometric parameter for sampled crash steps
-
-
-@dataclass
-class Scheduling:
-    """A block source plus the crash/support metadata the engine consumes."""
-
-    kind: str
-    spec: str
-    nodes: tuple[int, ...]
-    finite: bool
-    support_ever: frozenset[int]
-    support_forever: frozenset[int]
-    crash_times: dict[int, int | None]
-    seed: int | None
-    _factory: Callable[[], Iterator[tuple[int, ...]]]
-
-    def blocks(self) -> Iterator[tuple[int, ...]]:
-        """Fresh block iterator; calling again restarts from the beginning."""
-        return self._factory()
+_MAX_EMPTY_DRAWS = 100_000  # consecutive empty random draws before giving up
 
 
 def _parse_params(text: str) -> dict[str, str]:
@@ -105,44 +93,67 @@ def _crash_body(crashes: dict[int, int]) -> str:
     return "|".join(f"{v}@{t}" for v, t in sorted(crashes.items()))
 
 
+def _known_crashes(crashes: dict[int, int], graph: Graph) -> dict[int, int]:
+    for v in crashes:
+        if v not in graph.adj:
+            raise SchedulingError(f"crash for unknown node {v}")
+    return crashes
+
+
 def _supports(nodes, crash_times):
-    ever = frozenset(v for v in nodes if crash_times.get(v) != 0)
-    forever = frozenset(v for v in nodes if crash_times.get(v) is None)
+    ever = frozenset([v for v in nodes if crash_times.get(v) != 0])
+    forever = frozenset([v for v in nodes if crash_times.get(v) is None])
     return ever, forever
+
+
+def _alive_phases(nodes, crash_times) -> Iterator[tuple[int | None, tuple[int, ...]]]:
+    """The non-crashed nodes of each step, as ``(last_step, alive)`` runs.
+
+    A node with crash step t appears in steps 1..t only, so the alive set
+    changes only after a crash step: each run ends at one (``None``: never
+    ends).  Runs are made as they are reached, and stop before the first
+    step with no node alive.
+    """
+    alive = nodes
+    start = 1
+    for last in sorted({t for t in crash_times.values() if t is not None and t >= 1}) + [None]:
+        alive = tuple([v for v in alive if crash_times[v] is None or crash_times[v] >= start])
+        if not alive:
+            return
+        yield last, alive
+        if last is not None:
+            start = last + 1
 
 
 def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = None) -> Scheduling:
     """Build a scheduling for ``graph`` from a spec string.
 
     ``crashes`` adds or overrides explicit crash steps; the returned
-    scheduling's ``spec`` is canonical and regenerates it exactly.
+    scheduling's ``spec`` is canonical and regenerates it exactly.  A crash
+    entry for a node outside the graph, in ``crashes`` or in the spec's own
+    ``crashes=`` parameter, raises :class:`SchedulingError`.
     """
     nodes = graph.nodes
     kind, _, rest = spec.partition(":")
-    explicit_crashes = dict(crashes or {})
-    for v in explicit_crashes:
-        if v not in graph.adj:
-            raise SchedulingError(f"crash for unknown node {v}")
+    crashes = _known_crashes(crashes or {}, graph)
 
     if kind == "sync":
         params = _parse_params(rest)
         if set(params) - {"crashes"}:
             raise SchedulingError(f"unknown sync parameters {sorted(set(params) - {'crashes'})}")
-        explicit_crashes = {**_parse_crashes(params.get("crashes", "")), **explicit_crashes}
-        ct: dict[int, int | None] = {v: explicit_crashes.get(v) for v in nodes}
-        canon = "sync" + (f":crashes={_crash_body(explicit_crashes)}" if explicit_crashes else "")
+        pinned = {**_known_crashes(_parse_crashes(params.get("crashes", "")), graph), **crashes}
+        ct: dict[int, int | None] = {v: pinned.get(v) for v in nodes}
+        canon = "sync" + (f":crashes={_crash_body(pinned)}" if pinned else "")
 
         def factory():
             step = 0
-            while True:
-                step += 1
-                blk = tuple(v for v in nodes if ct[v] is None or ct[v] >= step)
-                if not blk:
-                    return
-                yield blk
+            for last, alive in _alive_phases(nodes, ct):
+                while last is None or step < last:
+                    step += 1
+                    yield alive
 
         ever, forever = _supports(nodes, ct)
-        finite = all(t is not None for t in ct.values())
+        finite = None not in ct.values()
         return Scheduling("sync", canon, nodes, finite, ever, forever, ct, None, factory)
 
     if kind == "random":
@@ -162,80 +173,62 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
             raise SchedulingError(f"activation probability must be in (0,1], got {p}")
         if not 0.0 <= rate < 1.0:
             raise SchedulingError(f"crash rate must be in [0,1), got {rate}")
-        explicit_crashes = {**_parse_crashes(params.get("crashes", "")), **explicit_crashes}
+        pinned = {**_known_crashes(_parse_crashes(params.get("crashes", "")), graph), **crashes}
 
         rng = random.Random(seed)
+        rnd = rng.random
         ct = {}
         for v in nodes:  # fixed draw order keeps the stream seed-deterministic
-            faulty = rng.random() < rate
+            faulty = rnd() < rate
             t = 0
-            while rng.random() >= _CRASH_STOP:
+            while rnd() >= _CRASH_STOP:
                 t += 1
             ct[v] = t if faulty else None
-        ct.update(explicit_crashes)
+        ct.update(pinned)
         block_seed = rng.randrange(2**63)
         canon = f"random:seed={seed},p={p!r},crash={rate!r}"
-        if explicit_crashes:
-            canon += f",crashes={_crash_body(explicit_crashes)}"
+        if pinned:
+            canon += f",crashes={_crash_body(pinned)}"
 
         def factory():
-            block_rng = random.Random(block_seed)
+            # one draw per alive node and try, in node order; with p = 1 every
+            # draw succeeds, so the stream need not be consumed
+            draw = random.Random(block_seed).random
             step = 0
-            while True:
-                step += 1
-                alive = [v for v in nodes if ct[v] is None or ct[v] >= step]
-                if not alive:
-                    return
-                while True:
-                    blk = tuple(v for v in alive if block_rng.random() < p)
-                    if blk:
-                        break
-                yield blk
+            for last, alive in _alive_phases(nodes, ct):
+                while last is None or step < last:
+                    step += 1
+                    if p == 1.0:
+                        yield alive
+                        continue
+                    blk = ()
+                    tries = 0
+                    while not blk:  # an empty block is redrawn, a bounded number of times
+                        if tries == _MAX_EMPTY_DRAWS:
+                            raise SchedulingError(
+                                f"{canon}: {tries} empty blocks in a row at step {step}"
+                            )
+                        blk = tuple([v for v in alive if draw() < p])
+                        tries += 1
+                    yield blk
 
         ever, forever = _supports(nodes, ct)
-        finite = all(t is not None for t in ct.values())
+        finite = None not in ct.values()
         return Scheduling("random", canon, nodes, finite, ever, forever, ct, seed, factory)
 
     if kind == "replay":
         if not rest:
             raise SchedulingError("replay needs a file path, e.g. replay:sched.txt")
-        blocks = read_scheduling(rest)
-        return _explicit_scheduling(blocks, nodes, kind="replay", spec=spec)
+        return explicit_scheduling(read_scheduling(rest), nodes, kind="replay", spec=spec)
 
     if kind == "explicit":
         try:
-            blocks = [
-                tuple(sorted({int(x) for x in part.split(",")})) for part in rest.split("/") if part
-            ]
+            blocks = [{int(x) for x in part.split(",")} for part in rest.split("/") if part]
         except ValueError as exc:
             raise SchedulingError(f"malformed explicit scheduling {spec!r}") from exc
-        return _explicit_scheduling(blocks, nodes)
+        return explicit_scheduling(blocks, nodes)
 
     raise SchedulingError(f"unknown scheduling kind {kind!r}")
-
-
-def _explicit_scheduling(blocks, nodes, kind="explicit", spec=None) -> Scheduling:
-    blocks = [tuple(sorted(set(b))) for b in blocks]
-    for blk in blocks:
-        if not blk:
-            raise SchedulingError("empty scheduling block")
-        for v in blk:
-            if v not in nodes:
-                raise SchedulingError(f"scheduled node {v} not in the graph")
-    if spec is None:
-        spec = "explicit:" + "/".join(",".join(str(v) for v in blk) for blk in blocks)
-    support = frozenset(v for blk in blocks for v in blk)
-    return Scheduling(
-        kind,
-        spec,
-        tuple(nodes),
-        True,
-        support,
-        frozenset(),
-        {},
-        None,
-        lambda: iter(blocks),
-    )
 
 
 def read_scheduling(path) -> list[tuple[int, ...]]:
@@ -296,7 +289,7 @@ def enumerate_schedulings(nodes, depth: int, graph: Graph | None = None) -> Iter
     subsets = _nonempty_subsets(nodes)
     for length in range(1, depth + 1):
         for seq in itertools.product(subsets, repeat=length):
-            yield _explicit_scheduling(list(seq), nodes)
+            yield explicit_scheduling(seq, nodes)
 
 
 # ---------------------------------------------------------------------------

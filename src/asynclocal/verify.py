@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from .algorithms import Algorithm, make_algorithm
-from .coverfree import reduction_schedule
 from .engine import (
     Trace,
     detect_livelock,
@@ -90,43 +89,41 @@ def check_proper(trace: Trace) -> Verdict:
     return Verdict(True, "proper", detail)
 
 
-def _pair_palette(delta: int, drop_special: bool) -> set[tuple[int, int]]:
-    pal = {(a, b) for a in range(delta + 1) for b in range(delta + 1) if a + b <= delta}
-    if drop_special:
-        pal.discard((delta, 0))
-    return pal
+def expected_palette(algo_name: str, params: dict) -> frozenset:
+    """The decision palette implied by an algorithm name and its parameters.
 
-
-def expected_palette(algo_name: str, params: dict) -> set:
-    """The decision palette implied by an algorithm name and its parameters."""
-    if algo_name == "six":
-        return _pair_palette(2, drop_special=False)
-    if algo_name in ("save", "linial+save"):
-        delta = params["phase2_delta" if algo_name.startswith("linial") else "delta"]
-        return _pair_palette(delta, drop_special=False)
-    if algo_name in ("save1", "linial+save1"):
-        delta = params["phase2_delta" if algo_name.startswith("linial") else "delta"]
-        return _pair_palette(delta, drop_special=True)
-    if algo_name == "linial":
-        final = reduction_schedule(params["id_bound"], params["delta"]).final_palette
-        return set(range(1, final + 1))
-    if algo_name == "buggy5":
-        return set(range(5))
-    raise ValueError(f"no palette known for algorithm {algo_name!r}")
+    A composition decides what its second phase decides, so only the
+    ``phase2_*`` parameters of a ``linial+...`` name are needed.
+    """
+    if algo_name.startswith("linial+"):
+        phase2 = algo_name[len("linial+"):]
+        return make_algorithm(phase2, delta=params["phase2_delta"]).palette
+    return algorithm_from_header({"algo": algo_name, "params": params}).palette
 
 
 def check_palette(trace: Trace) -> Verdict:
-    """Every decision lies in the algorithm's palette."""
-    palette = expected_palette(trace.algo_name, trace.params)
-    for v, out in sorted(trace.decisions.items()):
-        key = tuple(out) if isinstance(out, (list, tuple)) else out
-        if key not in palette:
-            return Verdict(
-                False,
-                "palette",
-                f"node {v} decided {out!r}, outside the {len(palette)}-value palette",
-                witness=(v, out),
-            )
+    """Every decision lies in the algorithm's palette.
+
+    The palette is the one the trace's algorithm object carries, built once
+    per algorithm; a trace without one falls back to :func:`expected_palette`.
+    """
+    palette = getattr(trace.algo, "palette", None)
+    if palette is None:
+        palette = expected_palette(trace.algo_name, trace.params)
+    try:
+        fits = palette.issuperset(trace.decisions.values())
+    except TypeError:  # list-valued decisions, as a trace read back from JSON has
+        fits = False
+    if not fits:
+        for v, out in sorted(trace.decisions.items()):
+            key = tuple(out) if isinstance(out, (list, tuple)) else out
+            if key not in palette:
+                return Verdict(
+                    False,
+                    "palette",
+                    f"node {v} decided {out!r}, outside the {len(palette)}-value palette",
+                    witness=(v, out),
+                )
     return Verdict(True, "palette", f"{len(trace.decisions)} decisions within {len(palette)} values")
 
 
@@ -409,6 +406,10 @@ class LoadedTrace:
         return Graph.from_dict(self.header["graph"])
 
 
+# the header fields a replay reads
+_HEADER_KEYS = ("graph", "graph_hash", "algo", "inputs", "sched", "max_steps")
+
+
 def load_trace(path) -> LoadedTrace:
     import json
 
@@ -441,6 +442,9 @@ def load_trace(path) -> LoadedTrace:
         raise ValueError(f"{path}: trace must contain header and end records")
     if header.get("format") != 1:
         raise ValueError(f"{path}: unsupported trace format {header.get('format')!r}")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"{path}: trace header lacks {', '.join(missing)}")
     return LoadedTrace(header, steps, end, lines)
 
 

@@ -280,3 +280,40 @@ class TestUsageErrors:
     def test_bad_graph_spec(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--algo", "six", "--graph", "donut:4")
         assert code == 2
+
+    def test_crash_of_an_unknown_node_in_the_spec(self, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--algo", "six", "--graph", "cycle:5", "--sched", "sync:crashes=9@1"
+        )
+        assert code == 2
+        assert "crash for unknown node 9" in err
+
+    def test_vanishing_activation_probability_is_bounded(self, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--algo", "six", "--graph", "cycle:5",
+            "--sched", "random:seed=1,p=1e-300", "--max-steps", "3",
+        )
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "empty blocks in a row" in err
+
+    def test_duplicate_identifiers(self, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--algo", "six", "--graph", "cycle:5", "--ids", "1,2,3,4,4"
+        )
+        assert code == 2
+        assert "duplicate identifiers" in err
+
+
+@pytest.mark.parametrize("key", ["graph", "graph_hash", "algo", "inputs", "sched", "max_steps"])
+def test_verify_rejects_a_header_without(key, capsys, tmp_path):
+    path = tmp_path / "run.jsonl"
+    run_cli(capsys, "run", "--algo", "six", "--graph", "cycle:4", "--trace", str(path))
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header[key]
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    code, _, err = run_cli(capsys, "verify", "--trace", str(path))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert key in err

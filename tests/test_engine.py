@@ -225,3 +225,89 @@ class TestDetectLivelock:
         data = cert.to_json()
         assert data["period"] == [[3, 4]]
         assert data["period_applications"] == 2
+
+
+class BlockList:
+    """A scheduling object from outside the package: its blocks are not trusted."""
+
+    spec = "custom"
+    seed = None
+    crash_times = None
+    support_forever = frozenset()
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+        self.support_ever = frozenset(v for b in blocks for v in b)
+
+    def blocks(self):
+        return iter(self._blocks)
+
+
+class TestBlockValidation:
+    @pytest.mark.parametrize("blocks", [[(1, 3), ()], [(1, 3), (3, 99)]])
+    def test_execute_checks_a_plain_list(self, blocks):
+        graph, algo = six_on_table_cycle()
+        with pytest.raises(SchedulingError):
+            execute(graph, algo, blocks)
+
+    @pytest.mark.parametrize("block", [(), (2,), (1, 2), [9, 9]])
+    def test_step_checks_its_block(self, block):
+        graph, algo = six_on_table_cycle()
+        cfg = initial_configuration(graph, algo, {v: v for v in graph.nodes})
+        with pytest.raises(SchedulingError):
+            step(graph, algo, cfg, block)
+
+    @pytest.mark.parametrize(
+        "prefix, period", [([()], [(3, 4)]), ([(5,)], [(3, 4)]), ([], [(3, 4), ()]), ([], [(7,)])]
+    )
+    def test_detect_livelock_checks_its_blocks(self, prefix, period):
+        graph = build_graph("cycle:4", ids=(3, 4, 2, 1))
+        with pytest.raises(SchedulingError):
+            detect_livelock(graph, make_algorithm("buggy5"), prefix, period)
+
+    @pytest.mark.parametrize("bad", [(), (1, 99)])
+    def test_a_foreign_scheduling_object_has_each_block_checked(self, bad):
+        graph, algo = six_on_table_cycle()
+        with pytest.raises(SchedulingError):
+            execute(graph, algo, BlockList([(3, 5), bad]))
+
+    def test_a_foreign_scheduling_object_gets_canonical_blocks(self):
+        graph, algo = six_on_table_cycle()
+        trace = execute(graph, algo, BlockList([[5, 3, 1, 1], (5, 4)]))
+        assert trace.blocks == ((1, 3, 5), (4, 5))
+        assert trace.sched_spec == "custom"
+
+    def test_a_scheduling_of_another_graph_is_checked(self):
+        graph, algo = six_on_table_cycle()
+        other = make_scheduling("sync", build_graph("cycle:9"))
+        with pytest.raises(SchedulingError):
+            execute(graph, algo, other)
+
+    def test_a_plain_list_gets_a_canonical_explicit_spec(self, tmp_path):
+        from asynclocal.verify import verify_trace_file
+
+        graph, algo = six_on_table_cycle()
+        trace = execute(graph, algo, [(5, 3, 1), (4, 5), [3, 4], (6,), (6,)])
+        assert trace.sched_spec == "explicit:1,3,5/4,5/3,4/6/6"
+        path = tmp_path / "t.jsonl"
+        trace.dump(path)
+        assert [v.ok for v in verify_trace_file(path, ["proper", "palette"])] == [True] * 3
+
+    def test_the_run_stops_once_every_undecided_node_has_crashed(self):
+        # node 2 crashes undecided after step 1 and node 1 decides at step 2;
+        # the sync stream would go on scheduling node 1 forever
+        graph = build_graph("path:2")
+        trace = execute(graph, make_algorithm("six"), make_scheduling("sync:crashes=2@1", graph))
+        assert trace.step_count == 2
+        assert trace.decisions == {1: (1, 0)}
+        assert not trace.complete
+
+    def test_a_node_deciding_after_its_crash_step_no_longer_counts_as_crashed(self):
+        # a foreign scheduling may still schedule node 1 after its crash step 0;
+        # once it decides, the run goes on for node 2, which has not crashed
+        graph = build_graph("path:2")
+        sched = BlockList([(1,), (2,), (2,)])
+        sched.crash_times = {1: 0}
+        trace = execute(graph, make_algorithm("six"), sched)
+        assert trace.step_count == 3
+        assert trace.complete

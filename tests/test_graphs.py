@@ -49,6 +49,10 @@ class TestFamilies:
         assert g.neighbors(2) == (1, 3)
         assert g.neighbors(1) == (2,)
 
+    def test_duplicate_identifiers(self):
+        with pytest.raises(GraphError, match="duplicate identifiers"):
+            build_graph("cycle:5", ids=[1, 2, 3, 4, 4])
+
     def test_ids_length_mismatch(self):
         with pytest.raises(GraphError):
             build_graph("cycle:5", ids=(1, 2, 3))
@@ -119,3 +123,19 @@ def test_hash_tracks_structure():
     c = build_graph("cycle:5", ids=(2, 1, 3, 4, 5))
     assert a.hash == b.hash
     assert a.hash != c.hash
+
+
+def test_cached_views_keep_the_graph_immutable_and_comparable():
+    g = build_graph("cycle:5", ids=(3, 5, 4, 1, 6))
+    assert g.nodes is g.nodes  # computed once
+    assert g.edges == ((1, 4), (1, 6), (3, 5), (3, 6), (4, 5))
+    assert g.max_degree == 2
+    assert g.node_set == frozenset(g.nodes)
+    for attr, value in (("nodes", (1,)), ("id_bound", 9), ("adj", {})):
+        with pytest.raises(AttributeError):
+            setattr(g, attr, value)
+    assert g.nodes == (1, 3, 4, 5, 6)
+    fresh = build_graph("cycle:5", ids=(3, 5, 4, 1, 6))
+    assert g == fresh and fresh == g
+    assert g.hash == fresh.hash
+    assert g != build_graph("cycle:5")

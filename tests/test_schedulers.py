@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -63,6 +64,24 @@ class TestSync:
         with pytest.raises(SchedulingError):
             make_scheduling("sync:speed=2", graph)
 
+    @pytest.mark.parametrize("spec", ["sync:crashes=9@1", "random:seed=1,crashes=1@2|9@1"])
+    def test_crash_for_unknown_node_in_the_spec(self, spec):
+        graph = build_graph("cycle:5")
+        with pytest.raises(SchedulingError, match="unknown node 9"):
+            make_scheduling(spec, graph)
+
+    @pytest.mark.parametrize("crashes", [{}, {2: 1}, {1: 3, 4: 1}, {1: 2, 2: 2, 3: 2, 4: 5}, {3: -1}])
+    def test_blocks_match_the_per_step_definition(self, crashes):
+        graph = build_graph("cycle:4")
+        sched = make_scheduling("sync", graph, crashes=crashes)
+        want = []
+        for step in range(1, 9):
+            blk = tuple(v for v in graph.nodes if crashes.get(v) is None or crashes[v] >= step)
+            if not blk:
+                break
+            want.append(blk)
+        assert take(sched, 8) == want
+
 
 class TestRandom:
     def test_spec_is_canonicalized(self):
@@ -104,6 +123,40 @@ class TestRandom:
                     for i, blk in enumerate(take(sched, 50), start=1):
                         assert v not in blk or i <= t
         assert found
+
+    def test_blocks_match_the_per_step_definition(self):
+        # the definition: crash draws, then a block seed, then one draw per
+        # alive node (in node order) per try, an empty block being redrawn
+        for spec_seed, p, rate in itertools.product(range(40), (0.3, 0.5, 1.0), (0.0, 0.25)):
+            graph = build_graph("cycle:7")
+            rng = random.Random(spec_seed)
+            ct = {}
+            for v in graph.nodes:
+                faulty = rng.random() < rate
+                t = 0
+                while rng.random() >= 0.3:
+                    t += 1
+                ct[v] = t if faulty else None
+            block_rng = random.Random(rng.randrange(2**63))
+            want = []
+            for step in range(1, 31):
+                alive = [v for v in graph.nodes if ct[v] is None or ct[v] >= step]
+                if not alive:
+                    break
+                while True:
+                    blk = tuple(v for v in alive if block_rng.random() < p)
+                    if blk:
+                        break
+                want.append(blk)
+            sched = make_scheduling(f"random:seed={spec_seed},p={p},crash={rate}", graph)
+            assert sched.crash_times == ct
+            assert take(sched, 30) == want
+
+    def test_empty_redraws_are_bounded(self):
+        graph = build_graph("cycle:5")
+        sched = make_scheduling("random:seed=1,p=1e-300", graph)
+        with pytest.raises(SchedulingError, match="empty blocks in a row"):
+            take(sched, 1)
 
     def test_missing_seed(self):
         graph = build_graph("path:2")

@@ -123,6 +123,29 @@ class TestPalette:
         trace = fake_trace("six", {}, {1: [0, 1]})
         assert check_palette(trace).ok
 
+    @pytest.mark.parametrize(
+        "name, graph_spec",
+        [("six", "cycle:5"), ("buggy5", "cycle:4"), ("save", "clique:4"), ("save1", "cycle:6"),
+         ("linial", "cycle:50"), ("linial+save", "circulant:7,2"), ("linial+save1", "cycle:12")],
+    )
+    def test_each_algorithm_carries_its_palette(self, name, graph_spec):
+        graph = build_graph(graph_spec)
+        algo = make_algorithm(name, id_bound=graph.id_bound, delta=graph.max_degree)
+        trace = execute(graph, algo, make_scheduling("random:seed=4,crash=0.2", graph))
+        assert trace.algo is algo
+        assert algo.palette is algo.palette  # built once per algorithm
+        assert algo.palette == expected_palette(name, trace.params)
+        assert check_palette(trace).ok
+
+    def test_the_trace_algorithm_palette_decides(self):
+        trace = table1_trace()
+        trace.decisions[1] = (2, 0)  # a six-coloring pair, but outside save1's palette
+        assert check_palette(trace).ok
+        trace.algo = make_algorithm("save1", delta=2)
+        verdict = check_palette(trace)
+        assert not verdict.ok
+        assert verdict.witness == (1, (2, 0))
+
 
 class TestParity:
     def test_both_parities_present(self):

@@ -265,8 +265,8 @@ class Trace:
     blocks: tuple[tuple[int, ...], ...] | None = None
     steps: list[StepRecord] | None = None
     max_steps: int = DEFAULT_MAX_STEPS
-    #: the algorithm object that ran (not serialised); checkers read its palette
-    algo: Any = field(default=None, repr=False, compare=False)
+    #: the palette the algorithm names for its decisions (not serialised)
+    palette: frozenset | None = field(default=None, repr=False, compare=False)
 
     @property
     def max_runtime(self) -> int:
@@ -476,7 +476,7 @@ def execute(
         blocks=tuple(blocks_run) if record else None,
         steps=steps,
         max_steps=max_steps,
-        algo=algo,
+        palette=getattr(algo, "palette", None),
     )
 
 

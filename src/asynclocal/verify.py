@@ -104,15 +104,16 @@ def expected_palette(algo_name: str, params: dict) -> frozenset:
 def check_palette(trace: Trace) -> Verdict:
     """Every decision lies in the algorithm's palette.
 
-    The palette is the one the trace's algorithm object carries, built once
-    per algorithm; a trace without one falls back to :func:`expected_palette`.
+    The palette is the one the algorithm object carried into the trace,
+    built once per algorithm; a trace without one falls back to
+    :func:`expected_palette`.
     """
-    palette = getattr(trace.algo, "palette", None)
+    palette = trace.palette
     if palette is None:
         palette = expected_palette(trace.algo_name, trace.params)
     try:
         fits = palette.issuperset(trace.decisions.values())
-    except TypeError:  # list-valued decisions, as a trace read back from JSON has
+    except TypeError:  # unhashable (list-valued) decisions are checked one by one below
         fits = False
     if not fits:
         for v, out in sorted(trace.decisions.items()):

@@ -132,8 +132,7 @@ class TestPalette:
         graph = build_graph(graph_spec)
         algo = make_algorithm(name, id_bound=graph.id_bound, delta=graph.max_degree)
         trace = execute(graph, algo, make_scheduling("random:seed=4,crash=0.2", graph))
-        assert trace.algo is algo
-        assert algo.palette is algo.palette  # built once per algorithm
+        assert trace.palette is algo.palette  # built once per algorithm
         assert algo.palette == expected_palette(name, trace.params)
         assert check_palette(trace).ok
 
@@ -141,7 +140,7 @@ class TestPalette:
         trace = table1_trace()
         trace.decisions[1] = (2, 0)  # a six-coloring pair, but outside save1's palette
         assert check_palette(trace).ok
-        trace.algo = make_algorithm("save1", delta=2)
+        trace.palette = make_algorithm("save1", delta=2).palette
         verdict = check_palette(trace)
         assert not verdict.ok
         assert verdict.witness == (1, (2, 0))

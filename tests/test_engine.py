@@ -65,6 +65,10 @@ class TestStep:
             step(graph, algo, cfg, ())
         with pytest.raises(SchedulingError):
             step(graph, algo, cfg, (2,))  # not a node of this graph
+        with pytest.raises(SchedulingError):
+            step(graph, algo, cfg, (1, 2))
+        with pytest.raises(SchedulingError):
+            step(graph, algo, cfg, [9, 9])
 
     def test_step_is_pure(self):
         graph, algo = six_on_table_cycle()
@@ -249,13 +253,6 @@ class TestBlockValidation:
         graph, algo = six_on_table_cycle()
         with pytest.raises(SchedulingError):
             execute(graph, algo, blocks)
-
-    @pytest.mark.parametrize("block", [(), (2,), (1, 2), [9, 9]])
-    def test_step_checks_its_block(self, block):
-        graph, algo = six_on_table_cycle()
-        cfg = initial_configuration(graph, algo, {v: v for v in graph.nodes})
-        with pytest.raises(SchedulingError):
-            step(graph, algo, cfg, block)
 
     @pytest.mark.parametrize(
         "prefix, period", [([()], [(3, 4)]), ([(5,)], [(3, 4)]), ([], [(3, 4), ()]), ([], [(7,)])]

@@ -43,7 +43,6 @@ from .engine import (
     Trace,
     detect_livelock,
     execute,
-    explicit_scheduling,
     initial_configuration,
     step,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "enumerate_schedulings",
     "equivalence_class",
     "execute",
-    "explicit_scheduling",
     "initial_configuration",
     "load_family",
     "load_graph",

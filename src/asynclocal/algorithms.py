@@ -154,24 +154,29 @@ def map_pair(a: int, b: int, delta: int) -> tuple[int, int]:
 
 
 def _split_by_order(x, f, z, views):
-    """Indices (1-based snapshot positions) of smaller and larger neighbors."""
-    smaller = []
-    larger = []
-    for i, p in enumerate(views, start=1):
+    """``(larger_a, smaller_b)``: a values of the larger neighbors, b values of the smaller.
+
+    A neighbor is smaller when its x is below the node's, with the
+    direction inverted across flipped edges (either endpoint's identifier
+    recorded in the other's f); neighbors with the same x and unwritten
+    snapshots count as neither.
+    """
+    larger_a = set()
+    smaller_b = set()
+    for p in views:
         if p is None:
             continue
-        flipped = p[6] in f or z in p[3]
-        if flipped:
-            if x < p[2]:
-                smaller.append(i)
-            elif x > p[2]:
-                larger.append(i)
-        else:
-            if x > p[2]:
-                smaller.append(i)
-            elif x < p[2]:
-                larger.append(i)
-    return smaller, larger
+        px = p[2]
+        if p[6] in f or z in p[3]:
+            if x < px:
+                smaller_b.add(p[1])
+            elif x > px:
+                larger_a.add(p[0])
+        elif x > px:
+            smaller_b.add(p[1])
+        elif x < px:
+            larger_a.add(p[0])
+    return larger_a, smaller_b
 
 
 def smaller_larger(payload, snaps):
@@ -181,8 +186,14 @@ def smaller_larger(payload, snaps):
     direction inverted across flipped edges (either endpoint's identifier
     recorded in the other's f).  Unwritten snapshots land in neither set.
     """
-    views = [_view(t) for t in snaps]
-    smaller, larger = _split_by_order(payload[2], payload[3], payload[6], views)
+    smaller = set()
+    larger = set()
+    for i, t in enumerate(snaps, start=1):
+        larger_a, smaller_b = _split_by_order(payload[2], payload[3], payload[6], [_view(t)])
+        if smaller_b:
+            smaller.add(i)
+        if larger_a:
+            larger.add(i)
     return frozenset(smaller), frozenset(larger)
 
 
@@ -199,10 +210,11 @@ def _special_views(s, views, local_max: bool) -> bool:
         if not (0 <= p[0] < delta and 0 <= p[1] < delta):
             return False
     for p in views:
-        sm, lg = _split_by_order(p[2], p[3], p[6], [s])
-        if not (p[4] or len(sm) == 1):
+        # does p see s as smaller (then alpha rises), as larger (then beta)?
+        s_larger, s_smaller = _split_by_order(p[2], p[3], p[6], [s])
+        if not (p[4] or s_smaller):
             return False
-        if not (p[5] or len(lg) == 1):
+        if not (p[5] or s_larger):
             return False
     return True
 
@@ -253,21 +265,7 @@ def save_one_more_next(payload, snaps):
         extra = {p[6] for p in views if p is not None and (p[0] == delta or p[1] == delta)}
         if not extra <= set(f):
             f = tuple(sorted(set(f) | extra))
-    larger_a = set()  # a values of the flip-adjusted larger neighbors
-    smaller_b = set()  # b values of the smaller ones
-    for p in views:  # as _split_by_order(x, f, z, views)
-        if p is None:
-            continue
-        px = p[2]
-        if p[6] in f or z in p[3]:
-            if x < px:
-                smaller_b.add(p[1])
-            elif x > px:
-                larger_a.add(p[0])
-        elif x > px:
-            smaller_b.add(p[1])
-        elif x < px:
-            larger_a.add(p[0])
+    larger_a, smaller_b = _split_by_order(x, f, z, views)
     alpha = alpha or bool(smaller_b)
     beta = beta or bool(larger_a)
     s2 = (mex(larger_a), mex(smaller_b), x, f, alpha, beta, z)

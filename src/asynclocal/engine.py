@@ -38,7 +38,6 @@ __all__ = [
     "SchedulingError",
     "Configuration",
     "Scheduling",
-    "explicit_scheduling",
     "StepRecord",
     "Trace",
     "LivelockCertificate",
@@ -183,12 +182,12 @@ def step(graph: Graph, algo, cfg: Configuration, block: Iterable[int]) -> Config
 class Scheduling:
     """A block source plus the crash/support metadata the engine consumes.
 
-    Every block a ``Scheduling`` yields is already canonical (distinct
-    nodes of ``nodes``, ascending, nonempty): the constructors in
-    :mod:`asynclocal.schedulers` and :func:`explicit_scheduling` make it
-    so.  :func:`execute` therefore runs these blocks unchecked on any
-    graph holding ``nodes``, and checks the blocks of every other block
-    source.
+    The constructors in :mod:`asynclocal.schedulers` and
+    :func:`explicit_scheduling` make only canonical blocks (distinct nodes
+    of ``nodes``, ascending, nonempty) and mark their schedulings
+    ``_checked``.  :func:`execute` runs the blocks of a checked scheduling
+    as they come on any graph holding ``nodes``, and checks the blocks of
+    every other block source, a hand-built ``Scheduling`` included.
     """
 
     kind: str
@@ -200,6 +199,7 @@ class Scheduling:
     crash_times: dict[int, int | None]
     seed: int | None
     _factory: Callable[[], Iterator[tuple[int, ...]]]
+    _checked: bool = field(default=False, repr=False)
 
     def blocks(self) -> Iterator[tuple[int, ...]]:
         """Fresh block iterator; calling again restarts from the beginning."""
@@ -218,7 +218,8 @@ def explicit_scheduling(blocks, nodes, kind: str = "explicit", spec: str | None 
         spec = "explicit:" + "/".join(",".join(map(str, blk)) for blk in blocks)
     support = frozenset(v for blk in blocks for v in blk)
     return Scheduling(
-        kind, spec, tuple(nodes), True, support, frozenset(), {}, None, lambda: iter(blocks)
+        kind, spec, tuple(nodes), True, support, frozenset(), {}, None, lambda: iter(blocks),
+        _checked=True,
     )
 
 
@@ -364,12 +365,12 @@ def _resolve_inputs(graph: Graph, algo, inputs) -> dict[int, Any]:
 def _block_source(graph: Graph, scheduling):
     """``(scheduling, blocks)``: a block iterator whose blocks are valid for ``graph``.
 
-    Blocks of a :class:`Scheduling` built over nodes of ``graph`` run as
-    they come; a plain list of blocks becomes an explicit scheduling
+    Blocks of a checked :class:`Scheduling` built over nodes of ``graph``
+    run as they come; a plain list of blocks becomes an explicit scheduling
     (checked once, here); any other object with a ``blocks()`` method has
     each of its blocks checked as it is drawn.
     """
-    if type(scheduling) is Scheduling:
+    if type(scheduling) is Scheduling and scheduling._checked:
         if scheduling.nodes is graph.nodes or graph.node_set.issuperset(scheduling.nodes):
             return scheduling, scheduling.blocks()
     elif not callable(getattr(scheduling, "blocks", None)):

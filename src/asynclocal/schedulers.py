@@ -10,7 +10,8 @@ Spec strings:
 
 * ``sync`` -- every step schedules all non-crashed nodes.
 * ``random:seed=S,p=P,crash=R`` -- each step includes each alive node
-  independently with probability P (empty draws are redrawn); each node
+  independently with probability P, 0.001 <= P <= 1 (empty draws are
+  redrawn); each node
   is faulty with probability R, and faulty nodes stop appearing after a
   sampled crash step (possibly 0 = never appear).
 * ``replay:PATH`` -- blocks read from a scheduling file (one line per
@@ -61,7 +62,12 @@ __all__ = [
 GUARD_ENV = "ASYNCLOCAL_GUARD_OVERRIDE"
 
 _CRASH_STOP = 0.3  # geometric parameter for sampled crash steps
-_MAX_EMPTY_DRAWS = 100_000  # consecutive empty random draws before giving up
+# Activation probabilities below _MIN_P are rejected.  Each try of a random
+# block draws at least one node with probability >= p, so with p >= _MIN_P
+# all _MAX_EMPTY_DRAWS tries of one step come out empty with probability
+# <= (1 - _MIN_P) ** _MAX_EMPTY_DRAWS < e**-100: the bound only guards the loop.
+_MIN_P = 1e-3
+_MAX_EMPTY_DRAWS = 100_000
 
 
 def _parse_params(text: str) -> dict[str, str]:
@@ -154,7 +160,9 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
 
         ever, forever = _supports(nodes, ct)
         finite = None not in ct.values()
-        return Scheduling("sync", canon, nodes, finite, ever, forever, ct, None, factory)
+        return Scheduling(
+            "sync", canon, nodes, finite, ever, forever, ct, None, factory, _checked=True
+        )
 
     if kind == "random":
         params = _parse_params(rest)
@@ -169,8 +177,8 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
             rate = float(params.get("crash", "0.0"))
         except ValueError as exc:
             raise SchedulingError(f"malformed random parameters in {spec!r}") from exc
-        if not 0.0 < p <= 1.0:
-            raise SchedulingError(f"activation probability must be in (0,1], got {p}")
+        if not _MIN_P <= p <= 1.0:
+            raise SchedulingError(f"activation probability must be in [{_MIN_P}, 1], got {p}")
         if not 0.0 <= rate < 1.0:
             raise SchedulingError(f"crash rate must be in [0,1), got {rate}")
         pinned = {**_known_crashes(_parse_crashes(params.get("crashes", "")), graph), **crashes}
@@ -191,19 +199,14 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
             canon += f",crashes={_crash_body(pinned)}"
 
         def factory():
-            # one draw per alive node and try, in node order; with p = 1 every
-            # draw succeeds, so the stream need not be consumed
             draw = random.Random(block_seed).random
             step = 0
             for last, alive in _alive_phases(nodes, ct):
                 while last is None or step < last:
                     step += 1
-                    if p == 1.0:
-                        yield alive
-                        continue
                     blk = ()
                     tries = 0
-                    while not blk:  # an empty block is redrawn, a bounded number of times
+                    while not blk:  # one draw per alive node, in node order; empty: redraw
                         if tries == _MAX_EMPTY_DRAWS:
                             raise SchedulingError(
                                 f"{canon}: {tries} empty blocks in a row at step {step}"
@@ -214,7 +217,9 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
 
         ever, forever = _supports(nodes, ct)
         finite = None not in ct.values()
-        return Scheduling("random", canon, nodes, finite, ever, forever, ct, seed, factory)
+        return Scheduling(
+            "random", canon, nodes, finite, ever, forever, ct, seed, factory, _checked=True
+        )
 
     if kind == "replay":
         if not rest:

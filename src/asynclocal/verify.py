@@ -111,20 +111,15 @@ def check_palette(trace: Trace) -> Verdict:
     palette = trace.palette
     if palette is None:
         palette = expected_palette(trace.algo_name, trace.params)
-    try:
-        fits = palette.issuperset(trace.decisions.values())
-    except TypeError:  # unhashable (list-valued) decisions are checked one by one below
-        fits = False
-    if not fits:
-        for v, out in sorted(trace.decisions.items()):
-            key = tuple(out) if isinstance(out, (list, tuple)) else out
-            if key not in palette:
-                return Verdict(
-                    False,
-                    "palette",
-                    f"node {v} decided {out!r}, outside the {len(palette)}-value palette",
-                    witness=(v, out),
-                )
+    for v, out in sorted(trace.decisions.items()):
+        key = tuple(out) if isinstance(out, (list, tuple)) else out
+        if key not in palette:
+            return Verdict(
+                False,
+                "palette",
+                f"node {v} decided {out!r}, outside the {len(palette)}-value palette",
+                witness=(v, out),
+            )
     return Verdict(True, "palette", f"{len(trace.decisions)} decisions within {len(palette)} values")
 
 

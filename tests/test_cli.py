@@ -288,14 +288,14 @@ class TestUsageErrors:
         assert code == 2
         assert "crash for unknown node 9" in err
 
-    def test_vanishing_activation_probability_is_bounded(self, capsys):
+    def test_vanishing_activation_probability_is_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--algo", "six", "--graph", "cycle:5",
             "--sched", "random:seed=1,p=1e-300", "--max-steps", "3",
         )
         assert code == 2
         assert len(err.strip().splitlines()) == 1
-        assert "empty blocks in a row" in err
+        assert "activation probability must be in [0.001, 1]" in err
 
     def test_duplicate_identifiers(self, capsys):
         code, _, err = run_cli(

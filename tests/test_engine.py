@@ -8,6 +8,7 @@ from asynclocal.algorithms import Identity, make_algorithm
 from asynclocal.engine import (
     Configuration,
     EngineError,
+    Scheduling,
     SchedulingError,
     detect_livelock,
     execute,
@@ -273,6 +274,24 @@ class TestBlockValidation:
         trace = execute(graph, algo, BlockList([[5, 3, 1, 1], (5, 4)]))
         assert trace.blocks == ((1, 3, 5), (4, 5))
         assert trace.sched_spec == "custom"
+
+    @pytest.mark.parametrize("bad", [(), (99,)])
+    def test_a_hand_built_scheduling_has_each_block_checked(self, bad):
+        graph, algo = six_on_table_cycle()
+        sched = Scheduling(
+            "custom", "custom", graph.nodes, True, graph.node_set, frozenset(), {}, None,
+            lambda: iter([(3, 5), bad]),
+        )
+        with pytest.raises(SchedulingError):
+            execute(graph, algo, sched)
+
+    def test_a_hand_built_scheduling_gets_canonical_blocks(self):
+        graph, algo = six_on_table_cycle()
+        sched = Scheduling(
+            "custom", "custom", graph.nodes, True, graph.node_set, frozenset(), {}, None,
+            lambda: iter([(5, 3, 3), (5, 4)]),
+        )
+        assert execute(graph, algo, sched).blocks == ((3, 5), (4, 5))
 
     def test_a_scheduling_of_another_graph_is_checked(self):
         graph, algo = six_on_table_cycle()

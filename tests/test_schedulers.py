@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from asynclocal import schedulers
 from asynclocal.engine import SchedulingError, execute
 from asynclocal.graphs import build_graph
 from asynclocal.schedulers import (
@@ -152,11 +153,20 @@ class TestRandom:
             assert sched.crash_times == ct
             assert take(sched, 30) == want
 
-    def test_empty_redraws_are_bounded(self):
-        graph = build_graph("cycle:5")
-        sched = make_scheduling("random:seed=1,p=1e-300", graph)
-        with pytest.raises(SchedulingError, match="empty blocks in a row"):
+    def test_empty_redraws_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(schedulers, "_MAX_EMPTY_DRAWS", 3)
+        sched = make_scheduling("random:seed=1,p=0.001", build_graph("cycle:5"))
+        with pytest.raises(SchedulingError, match="3 empty blocks in a row at step 1"):
             take(sched, 1)
+
+    @pytest.mark.parametrize("p", ["1e-300", "0.0009", "0", "nan"])
+    def test_probability_floor(self, p):
+        with pytest.raises(SchedulingError, match="activation probability"):
+            make_scheduling(f"random:seed=1,p={p}", build_graph("cycle:5"))
+
+    def test_the_least_accepted_probability_runs(self):
+        sched = make_scheduling("random:seed=1,p=0.001", build_graph("cycle:5"))
+        assert all(len(blk) >= 1 for blk in take(sched, 20))
 
     def test_missing_seed(self):
         graph = build_graph("path:2")

@@ -248,6 +248,15 @@ class BlockList:
         return iter(self._blocks)
 
 
+def hand_built(blocks):
+    """A Scheduling made outside the package's constructors: its blocks are not trusted."""
+    graph, _ = six_on_table_cycle()
+    return Scheduling(
+        "custom", "custom", graph.nodes, True, graph.node_set, frozenset(), {}, None,
+        lambda: iter(blocks),
+    )
+
+
 class TestBlockValidation:
     @pytest.mark.parametrize("blocks", [[(1, 3), ()], [(1, 3), (3, 99)]])
     def test_execute_checks_a_plain_list(self, blocks):
@@ -263,35 +272,19 @@ class TestBlockValidation:
         with pytest.raises(SchedulingError):
             detect_livelock(graph, make_algorithm("buggy5"), prefix, period)
 
+    @pytest.mark.parametrize("source", [BlockList, hand_built])
     @pytest.mark.parametrize("bad", [(), (1, 99)])
-    def test_a_foreign_scheduling_object_has_each_block_checked(self, bad):
+    def test_a_foreign_scheduling_object_has_each_block_checked(self, source, bad):
         graph, algo = six_on_table_cycle()
         with pytest.raises(SchedulingError):
-            execute(graph, algo, BlockList([(3, 5), bad]))
+            execute(graph, algo, source([(3, 5), bad]))
 
-    def test_a_foreign_scheduling_object_gets_canonical_blocks(self):
+    @pytest.mark.parametrize("source", [BlockList, hand_built])
+    def test_a_foreign_scheduling_object_gets_canonical_blocks(self, source):
         graph, algo = six_on_table_cycle()
-        trace = execute(graph, algo, BlockList([[5, 3, 1, 1], (5, 4)]))
+        trace = execute(graph, algo, source([[5, 3, 1, 1], (5, 4)]))
         assert trace.blocks == ((1, 3, 5), (4, 5))
         assert trace.sched_spec == "custom"
-
-    @pytest.mark.parametrize("bad", [(), (99,)])
-    def test_a_hand_built_scheduling_has_each_block_checked(self, bad):
-        graph, algo = six_on_table_cycle()
-        sched = Scheduling(
-            "custom", "custom", graph.nodes, True, graph.node_set, frozenset(), {}, None,
-            lambda: iter([(3, 5), bad]),
-        )
-        with pytest.raises(SchedulingError):
-            execute(graph, algo, sched)
-
-    def test_a_hand_built_scheduling_gets_canonical_blocks(self):
-        graph, algo = six_on_table_cycle()
-        sched = Scheduling(
-            "custom", "custom", graph.nodes, True, graph.node_set, frozenset(), {}, None,
-            lambda: iter([(5, 3, 3), (5, 4)]),
-        )
-        assert execute(graph, algo, sched).blocks == ((3, 5), (4, 5))
 
     def test_a_scheduling_of_another_graph_is_checked(self):
         graph, algo = six_on_table_cycle()

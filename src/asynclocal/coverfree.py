@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, Sequence
 
-import sympy
-
 __all__ = [
     "Field",
     "field",
@@ -51,6 +49,24 @@ _IRREDUCIBLE = {
 }
 
 
+def _is_prime(n: int) -> bool:
+    """Trial division; the orders and clique sizes checked here are small."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+# Field orders up to 32, primes and tabulated prime powers, ascending.
+_SMALL_ORDERS = tuple(sorted({n for n in range(2, 33) if _is_prime(n)} | set(_IRREDUCIBLE)))
+
+
 class Field:
     """Arithmetic in GF(q), with elements encoded as 0..q-1.
 
@@ -65,14 +81,14 @@ class Field:
     def __init__(self, q: int):
         if q < 2:
             raise ValueError(f"field order must be at least 2, got {q}")
-        if sympy.isprime(q):
+        if _is_prime(q):
             self.q = q
             self.p = q
             self._add = None
             self._mul = None
         elif q in _IRREDUCIBLE:
             self.q = q
-            self.p = min(sympy.primefactors(q))
+            self.p = next(p for p in range(2, q) if q % p == 0)  # least prime factor
             self._build_tables(_IRREDUCIBLE[q])
         else:
             raise ValueError(f"unsupported field order {q}")
@@ -146,12 +162,12 @@ def field(q: int) -> Field:
 
 def _field_sizes() -> Iterator[int]:
     """Usable field orders in ascending order: 2,3,4,5,7,8,9,...,32, then primes."""
-    small = sorted({n for n in range(2, 33) if sympy.isprime(n)} | set(_IRREDUCIBLE))
-    yield from small
-    q = small[-1]
+    yield from _SMALL_ORDERS
+    q = _SMALL_ORDERS[-1]
     while True:
-        q = int(sympy.nextprime(q))
-        yield q
+        q += 1
+        if _is_prime(q):
+            yield q
 
 
 class CoverFreeFamily:
@@ -193,12 +209,29 @@ class CoverFreeFamily:
         return tuple(out)
 
     def set_for(self, color: int) -> frozenset[int]:
-        """Ground-set elements assigned to ``color``."""
+        """Ground-set elements assigned to ``color``.
+
+        Horner's rule as in :meth:`Field.eval_poly`, with the field
+        arithmetic inlined: ``(acc*x + c) % q`` for a prime q, rows of the
+        addition and multiplication tables for a tabulated prime power.
+        """
         s = self._sets.get(color)
         if s is None:
-            f = self._field
-            coeffs = self.coefficients(color)
-            s = frozenset(x * self.q + f.eval_poly(coeffs, x) + 1 for x in range(self.q))
+            q = self.q
+            high_first = self.coefficients(color)[::-1]
+            add, mul = self._field._add, self._field._mul
+            points = []
+            for x in range(q):
+                acc = 0
+                if add is None:
+                    for c in high_first:
+                        acc = (acc * x + c) % q
+                else:
+                    by_x = mul[x]  # multiplication commutes: mul[acc][x] == mul[x][acc]
+                    for c in high_first:
+                        acc = add[by_x[acc]][c]
+                points.append(x * q + acc + 1)
+            s = frozenset(points)
             self._sets[color] = s
         return s
 
@@ -236,54 +269,101 @@ def cover_violation(sets: Sequence[frozenset[int]], k: int):
     A witness is a pair ``(i, others)``: the set at index ``i`` is
     contained in the union of the k sets at indices ``others``.  Duplicate
     sets collapse to their first occurrence (a family is a collection of
-    distinct sets).  Exact for any input: an intersection-size bound
-    prunes most candidates, and only inconclusive cases fall back to
-    explicit unions.
+    distinct sets).  Exact for any input.
+
+    A pigeonhole prefilter tests each set against the whole family at
+    once: if k others cover s0, one of them meets s0 in at least
+    t = ceil(|s0|/k) points.  Every distinct set owns a w-bit lane of one
+    integer, w = bit_length(max |s|) + 1, and element e owns the packed
+    vector L_e with a 1 in the lane of each set holding e; the sum of L_e
+    over e in s0 holds each set's intersection size with s0 in its lane,
+    never carrying out of it.  Adding 2^(w-1) - t to every lane sets a
+    lane's top bit exactly when that intersection reaches t.  A set whose
+    only such lane is its own is skipped: each other set meets it in at
+    most t - 1 points, so any k of them contribute at most k*(t-1) < |s0|,
+    which is the bound the exact path below would reject it by anyway.
+    The exact path (intersection sizes, the union of all others, then
+    combinations) sees only the sets the prefilter keeps, so the witness
+    is the one the exact path alone would return.
     """
     if k < 1:
         raise ValueError(f"cover-freeness parameter must be positive, got {k}")
-    universe = sorted(set().union(*sets)) if sets else []
-    pos = {e: i for i, e in enumerate(universe)}
-    seen: dict[int, int] = {}
-    masks: list[tuple[int, int]] = []  # (mask, original index), duplicates dropped
+    first: dict[frozenset, int] = {}
     for idx, s in enumerate(sets):
-        mask = 0
-        for e in s:
-            mask |= 1 << pos[e]
-        if mask not in seen:
-            seen[mask] = idx
-            masks.append((mask, idx))
-    if len(masks) - 1 < k:
+        first.setdefault(frozenset(s), idx)
+    distinct = list(first.items())  # (set, original index), first occurrences in order
+    if len(distinct) - 1 < k:
         return None  # no way to choose k+1 distinct sets
 
-    all_indices = [idx for _, idx in masks]
-    for m0, i0 in masks:
-        need = m0.bit_count()
-        inters = []
-        for mj, j in masks:
-            if j == i0:
-                continue
-            c = (m0 & mj).bit_count()
-            if c:
-                inters.append((c, j, mj))
-        inters.sort(key=lambda t: -t[0])
-        if sum(c for c, _, _ in inters[:k]) < need:
-            continue  # k others cannot contribute enough points
-        union_all = 0
-        for _, _, mj in inters:
-            union_all |= mj
-        if m0 & ~union_all:
-            continue  # even all others together miss a point
-        if len(inters) <= k:
-            chosen = [j for _, j, _ in inters]
-            pad = [j for j in all_indices if j != i0 and j not in chosen]
-            return (i0, tuple(chosen + pad[: k - len(chosen)]))
-        for combo in itertools.combinations(inters, k):
-            u = 0
-            for _, _, mj in combo:
-                u |= mj
-            if not (m0 & ~u):
-                return (i0, tuple(j for _, j, _ in combo))
+    width = max(len(s) for s, _ in distinct).bit_length() + 1
+    top = 1 << (width - 1)
+    lanes: dict = {}  # element -> packed vector of the sets holding it
+    ones = 0  # a 1 in every lane
+    for lane, (s, _) in enumerate(distinct):
+        bit = 1 << (lane * width)
+        ones |= bit
+        for e in s:
+            lanes[e] = lanes.get(e, 0) | bit
+    tops = ones * top
+    bias: dict[int, int] = {}  # t -> 2^(w-1) - t in every lane
+    masks = None
+    for lane, (s0, i0) in enumerate(distinct):
+        t = -(-len(s0) // k)
+        acc = bias.get(t)
+        if acc is None:
+            acc = bias[t] = ones * (top - t)
+        for e in s0:
+            acc += lanes[e]
+        if (acc & tops) == top << (lane * width):
+            continue  # no other set meets s0 in t points
+        if masks is None:
+            masks = _bitmasks(distinct)
+        witness = _covering(masks[lane][0], i0, masks, k)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _bitmasks(distinct) -> list[tuple[int, int]]:
+    """``(mask, original index)`` per distinct set, one bit per universe element."""
+    pos: dict = {}
+    out = []
+    for s, idx in distinct:
+        mask = 0
+        for e in s:
+            mask |= 1 << pos.setdefault(e, len(pos))
+        out.append((mask, idx))
+    return out
+
+
+def _covering(m0: int, i0: int, masks: list[tuple[int, int]], k: int):
+    """Exact search for k of ``masks`` whose union covers ``m0`` (set ``i0``)."""
+    need = m0.bit_count()
+    inters = []
+    for mj, j in masks:
+        if j == i0:
+            continue
+        c = (m0 & mj).bit_count()
+        if c:
+            inters.append((c, j, mj))
+    inters.sort(key=lambda t: -t[0])
+    if sum(c for c, _, _ in inters[:k]) < need:
+        return None  # k others cannot contribute enough points
+    union_all = 0
+    for _, _, mj in inters:
+        union_all |= mj
+    if m0 & ~union_all:
+        return None  # even all others together miss a point
+    if len(inters) <= k:
+        chosen = [j for _, j, _ in inters]
+        pad = [j for _, j in masks if j != i0 and j not in chosen]
+        return (i0, tuple(chosen + pad[: k - len(chosen)]))
+    for combo in itertools.combinations(inters, k):
+        u = 0
+        for _, _, mj in combo:
+            u |= mj
+        if not (m0 & ~u):
+            return (i0, tuple(j for _, j, _ in combo))
     return None
 
 
@@ -293,8 +373,8 @@ def verify_coverfree(fam, k: int | None = None) -> bool:
     Accepts a constructed or loaded family (k taken from it unless
     overridden) or any sequence of sets together with an explicit k.
     """
-    if hasattr(fam, "sets"):
-        sets = list(fam.sets)
+    if isinstance(fam, (CoverFreeFamily, LoadedFamily)):
+        sets = fam.sets
         if k is None:
             k = fam.k
     else:
@@ -320,9 +400,6 @@ class ReductionSchedule:
     @property
     def rounds(self) -> int:
         return len(self.families)
-
-    #: conventional name for the round count in c_0 > ... > c_T
-    T = rounds
 
     @property
     def final_palette(self) -> int:

@@ -206,19 +206,27 @@ class Scheduling:
         return self._factory()
 
 
-def explicit_scheduling(blocks, nodes, kind: str = "explicit", spec: str | None = None) -> Scheduling:
+def explicit_scheduling(blocks, nodes) -> Scheduling:
     """A finite scheduling of the given blocks over ``nodes``.
 
-    Each block is checked and made canonical here.  Without ``spec`` the
-    scheduling gets the canonical ``explicit:1,3/2`` spec of its blocks.
+    Each block is checked and made canonical here, and the scheduling gets
+    the canonical ``explicit:1,3/2`` spec of its blocks.
     """
     node_set = frozenset(nodes)
     blocks = [_check_block(b, node_set) for b in blocks]
-    if spec is None:
-        spec = "explicit:" + "/".join(",".join(map(str, blk)) for blk in blocks)
+    spec = "explicit:" + "/".join(",".join(map(str, blk)) for blk in blocks)
     support = frozenset(v for blk in blocks for v in blk)
+    return _explicit(blocks, tuple(nodes), spec, support)
+
+
+def _explicit(blocks, nodes: tuple[int, ...], spec: str, support: frozenset[int]) -> Scheduling:
+    """A checked explicit scheduling of canonical ``blocks``, trusted as given.
+
+    ``spec`` must be the canonical spec of ``blocks`` and ``support`` the
+    union of their nodes; callers guarantee both.
+    """
     return Scheduling(
-        kind, spec, tuple(nodes), True, support, frozenset(), {}, None, lambda: iter(blocks),
+        "explicit", spec, nodes, True, support, frozenset(), {}, None, lambda: iter(blocks),
         _checked=True,
     )
 

@@ -15,7 +15,9 @@ Spec strings:
   is faulty with probability R, and faulty nodes stop appearing after a
   sampled crash step (possibly 0 = never appear).
 * ``replay:PATH`` -- blocks read from a scheduling file (one line per
-  block, sorted ids, space-separated).
+  block, sorted ids, space-separated).  The file is read once: the
+  scheduling is the explicit one of its blocks, with their
+  ``explicit:`` spec, so a trace of it does not depend on the file.
 * ``explicit:1,3/2`` -- blocks inline, slash-separated.
 
 Explicit crash times may be appended as ``crashes=2@0|4@3`` (node@step;
@@ -41,6 +43,7 @@ from .engine import (
     Scheduling,
     SchedulingError,
     Trace,
+    _explicit,
     detect_livelock,
     execute,
     explicit_scheduling,
@@ -224,7 +227,7 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
     if kind == "replay":
         if not rest:
             raise SchedulingError("replay needs a file path, e.g. replay:sched.txt")
-        return explicit_scheduling(read_scheduling(rest), nodes, kind="replay", spec=spec)
+        return explicit_scheduling(read_scheduling(rest), nodes)
 
     if kind == "explicit":
         try:
@@ -284,6 +287,9 @@ def enumerate_schedulings(nodes, depth: int, graph: Graph | None = None) -> Iter
     Within a length, sequences are ordered lexicographically by block
     (blocks themselves ordered {1}, {2}, {1,2}, {3}, ...).  Guarded
     against combinatorial explosion unless the override env var is set.
+    Every scheduling equals ``explicit_scheduling(blocks, nodes)``; the
+    blocks are canonical by construction, so they skip its checks, and
+    each subset's spec fragment and support are made once per call.
     """
     nodes = tuple(sorted(set(nodes)))
     if not nodes:
@@ -291,10 +297,20 @@ def enumerate_schedulings(nodes, depth: int, graph: Graph | None = None) -> Iter
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
     _check_guard(len(nodes), depth)
-    subsets = _nonempty_subsets(nodes)
+    subsets = _nonempty_subsets(nodes)  # subsets[i] holds the nodes of bit mask i+1
+    fragments = [",".join(map(str, blk)) for blk in subsets]
+    supports = [frozenset(blk) for blk in subsets]
     for length in range(1, depth + 1):
-        for seq in itertools.product(subsets, repeat=length):
-            yield explicit_scheduling(seq, nodes)
+        for seq in itertools.product(range(len(subsets)), repeat=length):
+            mask = 0
+            for i in seq:
+                mask |= i + 1
+            yield _explicit(
+                [subsets[i] for i in seq],
+                nodes,
+                "explicit:" + "/".join([fragments[i] for i in seq]),
+                supports[mask - 1],
+            )
 
 
 # ---------------------------------------------------------------------------

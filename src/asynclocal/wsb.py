@@ -24,9 +24,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-import sympy
-
 from .algorithms import Algorithm
+from .coverfree import _is_prime
 from .engine import TERMINATED, initial_configuration, step
 from .graphs import Graph, build_graph
 from .schedulers import GUARD_ENV, _nonempty_subsets
@@ -411,7 +410,7 @@ def check_input_family(family: Iterable[InputFunction], n: int) -> FamilyReport:
                 break
         if not closed:
             break
-    prime = bool(sympy.isprime(n))
+    prime = _is_prime(n)
     divisible = len(fam) % n == 0
     ok = closed and not (prime and divisible)
     return FamilyReport(
@@ -427,7 +426,7 @@ def check_input_family(family: Iterable[InputFunction], n: int) -> FamilyReport:
 
 def binom_divisibility(n: int) -> Verdict:
     """C(n, m) is divisible by n for all 0 < m < n; demands prime n."""
-    if not sympy.isprime(n):
+    if not _is_prime(n):
         raise ValueError(f"binomial divisibility holds for prime n only, got {n}")
     bad = [m for m in range(1, n) if math.comb(n, m) % n != 0]
     if bad:

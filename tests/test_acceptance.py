@@ -139,7 +139,7 @@ def test_acceptance_5_linial_round_count():
         ids = rng.sample(range(1, id_bound + 1), n)
         graph = build_graph(f"cycle:{n}", ids=ids, id_bound=id_bound)
         algo = make_algorithm("linial", id_bound=id_bound, delta=2)
-        rounds = reduction_schedule(id_bound, 2).T
+        rounds = reduction_schedule(id_bound, 2).rounds
         trace = execute(graph, algo, make_scheduling("sync", graph))
         good = (
             trace.complete

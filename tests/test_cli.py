@@ -100,6 +100,25 @@ class TestRun:
         }
         assert summary["max_runtime"] == 2
 
+    def test_replay_trace_outlives_its_scheduling_file(self, capsys, tmp_path):
+        sched = tmp_path / "sched.txt"
+        sched.write_text("1 3\n2 4\n1 2 3 4\n4\n")
+        path = tmp_path / "run.jsonl"
+        code, _, _ = run_cli(
+            capsys, "run", "--algo", "six", "--graph", "cycle:4",
+            "--sched", f"replay:{sched}", "--trace", str(path),
+        )
+        assert code == 0
+        assert json.loads(path.read_text().splitlines()[0])["sched"] == "explicit:1,3/2,4/1,2,3,4/4"
+        sched.write_text("1\n")
+        code, out, _ = run_cli(capsys, "verify", "--trace", str(path))
+        assert code == 0
+        assert out[0].startswith("replay: pass")
+        sched.unlink()
+        code, out, _ = run_cli(capsys, "verify", "--trace", str(path))
+        assert code == 0
+        assert out[0].startswith("replay: pass")
+
     def test_unknown_algorithm(self, capsys):
         code, _, err = run_cli(capsys, "run", "--algo", "rainbow", "--graph", "cycle:4")
         assert code == 2

@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from asynclocal.coverfree import (
     CoverFreeFamily,
     Field,
+    _field_sizes,
+    _is_prime,
     construct_family,
     cover_violation,
     dump_family,
@@ -18,6 +22,7 @@ from asynclocal.coverfree import (
 )
 
 TABULATED_ORDERS = (4, 8, 9, 16, 25, 27, 32)
+F = frozenset
 
 
 def brute_force_coverfree(sets, k):
@@ -175,6 +180,135 @@ class TestCoverViolation:
 )
 def test_cover_violation_agrees_with_brute_force(sets, k):
     assert (cover_violation(sets, k) is None) == brute_force_coverfree(sets, k)
+
+
+def _boundary_family(n):
+    """Three sets of n points and a fourth, A = {1..n}, split by the two middle ones."""
+    h = n // 2
+    a = F(range(1, n + 1))
+    b = F([*range(1, h + 1), *range(101, 101 + n - h)])
+    c = F([*range(h + 1, n + 1), *range(201, 201 + h)])
+    return [F(range(301, 301 + n)), b, c, a]
+
+
+class TestPinnedWitnesses:
+    """Witnesses on hand-made inputs: the first covered distinct set, as before the prefilter."""
+
+    def test_universe_wider_than_a_machine_word(self):
+        sets = [F(range(71, 101)), F(range(1, 71)), F(range(1, 36)), F(range(36, 71))]
+        assert cover_violation(sets, 1) == (2, (1,))
+        assert cover_violation(sets, 2) == (1, (2, 3))
+
+    @pytest.mark.parametrize(
+        "n,witness", [(3, (3, (2, 1))), (4, (3, (1, 2))), (7, (3, (2, 1))), (8, (3, (1, 2)))]
+    )
+    def test_lane_width_boundaries(self, n, witness):
+        sets = _boundary_family(n)
+        assert cover_violation(sets, 1) is None  # every other set meets A in fewer than n
+        assert cover_violation(sets, 2) == witness  # the halves meet A in about n/2 each
+
+    def test_singletons(self):
+        sets = [F({5}), F({6}), F({7}), F({5})]
+        for k in (1, 2, 3):
+            assert cover_violation(sets, k) is None
+
+    def test_empty_set_is_covered_by_any_k_others(self):
+        sets = [F({1, 2}), F(), F({3})]
+        assert cover_violation(sets, 1) == (1, (0,))
+        assert cover_violation(sets, 2) == (1, (0, 2))
+
+    def test_duplicates_point_at_first_occurrences(self):
+        sets = [F({1, 2}), F({3}), F({1, 2}), F({1, 2, 3})]
+        assert cover_violation(sets, 1) == (0, (3,))
+        assert cover_violation(sets, 2) == (0, (3, 1))
+
+    def test_k_at_and_past_the_distinct_count(self):
+        sets = [F({1}), F({1, 2}), F({2})]
+        assert cover_violation(sets, 1) == (0, (1,))
+        assert cover_violation(sets, 2) == (0, (1, 2))  # padded with the disjoint set
+        assert cover_violation(sets, 3) is None  # no four distinct sets
+
+
+def first_covered(sets, k):
+    """Reference: index of the first distinct set inside the union of k other distinct sets."""
+    distinct = {}
+    for i, s in enumerate(sets):
+        distinct.setdefault(s, i)
+    items = list(distinct.items())
+    for s, i in items:
+        others = [t for t, _ in items if t != s]
+        if any(s <= F().union(*c) for c in itertools.combinations(others, k)):
+            return i
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sets=st.lists(st.frozensets(st.integers(1, 12), max_size=8), max_size=7),
+    k=st.integers(1, 4),
+)
+def test_witness_is_the_first_covered_set(sets, k):
+    witness = cover_violation(sets, k)
+    i0 = first_covered(sets, k)
+    if witness is None:
+        assert i0 is None
+        return
+    i, others = witness
+    assert i == i0
+    assert len(set(others)) == k and i not in others
+    assert len({sets[j] for j in others} | {sets[i]}) == k + 1
+    assert sets[i] <= F().union(*(sets[j] for j in others))
+
+
+class TestSetFor:
+    def test_matches_eval_poly_on_constructed_families(self):
+        seen = set()
+        for k in (1, 2, 3):
+            for m in range(2, 201):
+                fam = construct_family(k, m)
+                f = field(fam.q)
+                for color in range(1, m + 1):
+                    if (fam.q, fam.d, color) in seen:
+                        continue  # color c names the same polynomial for every m >= c
+                    seen.add((fam.q, fam.d, color))
+                    coeffs = fam.coefficients(color)
+                    expected = {x * fam.q + f.eval_poly(coeffs, x) + 1 for x in range(fam.q)}
+                    assert fam.set_for(color) == expected
+
+    @pytest.mark.parametrize("q", TABULATED_ORDERS)
+    def test_matches_eval_poly_on_tabulated_orders(self, q):
+        f = field(q)
+        for d in (1, 2) if q <= 9 else (1,):
+            fam = CoverFreeFamily(1, q ** (d + 1), q, d)
+            for color in range(1, fam.m + 1):
+                coeffs = fam.coefficients(color)
+                expected = {x * q + f.eval_poly(coeffs, x) + 1 for x in range(q)}
+                assert fam.set_for(color) == expected
+
+
+class TestPrimes:
+    def test_is_prime_matches_a_sieve(self):
+        n = 10_000
+        sieve = [False, False] + [True] * (n - 1)
+        for i in range(2, int(n**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+        assert [_is_prime(i) for i in range(n + 1)] == sieve
+
+    def test_first_field_sizes(self):
+        assert list(itertools.islice(_field_sizes(), 60)) == [
+            2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41,
+            43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
+            139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241,
+        ]  # fmt: skip
+
+    @pytest.mark.parametrize("q", TABULATED_ORDERS)
+    def test_tabulated_characteristic_is_the_least_prime_factor(self, q):
+        assert field(q).p == {4: 2, 8: 2, 9: 3, 16: 2, 25: 5, 27: 3, 32: 2}[q]
+
+    def test_package_import_needs_no_sympy(self):
+        code = "import asynclocal, sys; assert 'sympy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestReductionSchedule:

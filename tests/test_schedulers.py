@@ -4,7 +4,7 @@ import random
 import pytest
 
 from asynclocal import schedulers
-from asynclocal.engine import SchedulingError, execute
+from asynclocal.engine import SchedulingError, execute, explicit_scheduling
 from asynclocal.graphs import build_graph
 from asynclocal.schedulers import (
     GUARD_ENV,
@@ -201,6 +201,9 @@ class TestExplicitAndReplay:
         sched = make_scheduling(f"replay:{path}", graph)
         assert list(sched.blocks()) == blocks
         assert sched.finite
+        assert sched.spec == "explicit:1,2/3/2,4"  # the blocks, not the file
+        path.write_text("1\n")
+        assert list(sched.blocks()) == blocks
 
     def test_replay_malformed_line(self, tmp_path):
         path = tmp_path / "sched.txt"
@@ -246,6 +249,28 @@ class TestEnumeration:
         monkeypatch.setenv(GUARD_ENV, "1")
         scheds = list(enumerate_schedulings(tuple(range(1, 7)), 1))
         assert len(scheds) == 63
+
+    @pytest.mark.parametrize("nodes", [(1,), (2, 1), (3, 7, 5)])
+    def test_matches_explicit_schedulings(self, nodes):
+        ordered = tuple(sorted(nodes))
+        subsets = [
+            tuple(v for i, v in enumerate(ordered) if mask >> i & 1)
+            for mask in range(1, 1 << len(ordered))
+        ]
+        expected = [
+            explicit_scheduling(seq, ordered)
+            for length in (1, 2, 3)
+            for seq in itertools.product(subsets, repeat=length)
+        ]
+        got = list(enumerate_schedulings(nodes, 3))
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.spec == b.spec
+            assert list(a.blocks()) == list(b.blocks())
+            assert list(a.blocks()) == list(b.blocks())  # restartable
+            assert a.support_ever == b.support_ever
+            assert (a.kind, a.nodes, a.finite, a._checked) == (b.kind, b.nodes, b.finite, b._checked)
+            assert (a.support_forever, a.crash_times, a.seed) == (b.support_forever, b.crash_times, b.seed)
 
     def test_enumerated_schedulings_run(self):
         graph = build_graph("path:2")

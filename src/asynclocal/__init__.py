@@ -20,7 +20,6 @@ from .algorithms import (
     SaveColors,
     SaveOneMoreColor,
     SixColoring,
-    compose_phases,
     make_algorithm,
     mex,
 )
@@ -63,7 +62,6 @@ from .verify import (
     check_parity_reduction,
     check_proper,
     load_trace,
-    measure_runtime,
     replay_trace,
     reproduce_table,
     verify_trace_file,
@@ -115,7 +113,6 @@ __all__ = [
     "check_parity_reduction",
     "check_proper",
     "classify",
-    "compose_phases",
     "construct_family",
     "cover_violation",
     "cycle_input_family",
@@ -132,7 +129,6 @@ __all__ = [
     "load_trace",
     "make_algorithm",
     "make_scheduling",
-    "measure_runtime",
     "mex",
     "random_tree",
     "read_scheduling",

@@ -1,7 +1,8 @@
 """Node programs consumed by the execution engine.
 
 Each algorithm is an ``(init, next)`` pair over JSON-friendly payload
-tuples, plus metadata (name, parameters, snapshot arity, validation).
+tuples, plus the metadata of :class:`Algorithm` (name, parameters,
+snapshot arity, palette, degree bound).
 ``next`` receives the node's current payload and the list of neighbor
 register states in ascending-identifier order -- entries are ``None``
 (never written), ``("R", payload)``, or ``("T", output, payload)`` -- and
@@ -21,8 +22,7 @@ from .engine import AlgorithmViolation, TERMINATED
 
 __all__ = [
     "mex",
-    "cycle_six_next",
-    "save_colors_next",
+    "pair_next",
     "linial_next",
     "map_pair",
     "smaller_larger",
@@ -38,7 +38,6 @@ __all__ = [
     "LinialReduction",
     "Identity",
     "Composed",
-    "compose_phases",
     "make_algorithm",
     "ALGORITHM_NAMES",
 ]
@@ -79,7 +78,10 @@ def _pair_palette(delta: int, drop_special: bool = False) -> frozenset[tuple[int
 # shows the same pair.
 
 
-def _pair_step(payload, snaps):
+def pair_next(payload, snaps):
+    """Transition of the pair rule: the 6-coloring of cycles when x is the
+    identifier, the pair coloring of :class:`SaveColors` when x is a proper
+    input color."""
     x, a, b = payload
     clash = False
     larger_a = set()  # a values of larger-x neighbors
@@ -97,16 +99,6 @@ def _pair_step(payload, snaps):
     if not clash:
         return ("T", (a, b), payload)
     return ("R", (x, mex(larger_a), mex(smaller_b)))
-
-
-def cycle_six_next(payload, snaps):
-    """Transition of the 6-coloring rule for cycles (x is the identifier)."""
-    return _pair_step(payload, snaps)
-
-
-def save_colors_next(payload, snaps):
-    """Transition of the pair coloring driven by an arbitrary proper x-coloring."""
-    return _pair_step(payload, snaps)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +131,7 @@ def linial_next(payload, snaps, schedule: ReductionSchedule):
 # ---------------------------------------------------------------------------
 # saving one more color
 #
-# Payload (a, b, x, f, alpha, beta, z): the pair rule of save_colors_next
+# Payload (a, b, x, f, alpha, beta, z): the pair rule of pair_next
 # augmented with a set f of identifiers across which the x-comparison is
 # flipped, monotone flags alpha/beta (has had a smaller/larger neighbor),
 # and the node's own identifier z.  Snapshots are padded with None to
@@ -301,13 +293,23 @@ def buggy_five_next(payload, snaps):
 
 
 class Algorithm:
-    """Interface the engine drives: metadata plus init/next."""
+    """The contract the engine, the checkers and the trace format read.
+
+    Subclasses name themselves, their parameters, the palette their
+    decisions lie in and the largest degree they accept; :meth:`validate`
+    enforces the degree bound and, where the input is a coloring, that it
+    is proper.
+    """
 
     name = "abstract"
     #: pad snapshots with None up to this length before each next() call
     arity: int | None = None
     #: the set every decision lies in (None: the algorithm names none)
     palette: frozenset | None = None
+    #: the largest graph degree the algorithm accepts (None: any degree)
+    delta: int | None = None
+    #: whether the inputs are a coloring that must be proper
+    proper_inputs = False
 
     def params(self) -> dict[str, Any]:
         return {}
@@ -315,8 +317,18 @@ class Algorithm:
     def default_input(self, node: int):
         return node
 
-    def validate(self, graph, inputs: dict[int, Any]) -> None:
+    def validate(self, graph, inputs: dict[int, Any] | None) -> None:
         """Reject instances outside the algorithm's preconditions."""
+        if self.delta is not None and graph.max_degree > self.delta:
+            raise ValueError(
+                f"{self.name} requires degree <= {self.delta}, graph has degree {graph.max_degree}"
+            )
+        if self.proper_inputs and inputs is not None:
+            for u, v in graph.edges:
+                if inputs[u] == inputs[v]:
+                    raise ValueError(
+                        f"input colors must differ across edges: nodes {u},{v} share {inputs[u]!r}"
+                    )
 
     def init(self, node: int, value):
         raise NotImplementedError
@@ -329,26 +341,17 @@ class Algorithm:
         return f"{type(self).__name__}({ps})"
 
 
-def _check_proper_inputs(graph, inputs, what="input colors"):
-    for u, v in graph.edges:
-        if inputs[u] == inputs[v]:
-            raise ValueError(f"{what} must differ across edges: nodes {u},{v} share {inputs[u]!r}")
-
-
 class SixColoring(Algorithm):
     """6-coloring of cycles: the pair rule keyed directly by identifiers."""
 
     name = "six"
     palette = _pair_palette(2)
+    delta = 2
 
     def init(self, node, value):
         return ("R", (node, 0, 0))
 
-    next = staticmethod(cycle_six_next)
-
-    def validate(self, graph, inputs):
-        if graph.max_degree > 2:
-            raise ValueError(f"six requires degree <= 2, graph has {graph.max_degree}")
+    next = staticmethod(pair_next)
 
 
 class BuggyFive(Algorithm):
@@ -356,21 +359,19 @@ class BuggyFive(Algorithm):
 
     name = "buggy5"
     palette = frozenset(range(5))
+    delta = 2
 
     def init(self, node, value):
         return ("R", (node, 0, 0))
 
     next = staticmethod(buggy_five_next)
 
-    def validate(self, graph, inputs):
-        if graph.max_degree > 2:
-            raise ValueError(f"buggy5 requires degree <= 2, graph has {graph.max_degree}")
-
 
 class SaveColors(Algorithm):
     """(delta+1)(delta+2)/2-coloring from any proper input coloring."""
 
     name = "save"
+    proper_inputs = True
 
     def __init__(self, delta: int):
         if delta < 1:
@@ -379,10 +380,6 @@ class SaveColors(Algorithm):
 
     def params(self):
         return {"delta": self.delta}
-
-    @property
-    def palette_size(self) -> int:
-        return (self.delta + 1) * (self.delta + 2) // 2
 
     @cached_property
     def palette(self) -> frozenset:
@@ -391,32 +388,17 @@ class SaveColors(Algorithm):
     def init(self, node, value):
         return ("R", (value, 0, 0))
 
-    next = staticmethod(save_colors_next)
-
-    def validate(self, graph, inputs):
-        if graph.max_degree > self.delta:
-            raise ValueError(f"delta={self.delta} below graph degree {graph.max_degree}")
-        if inputs is not None:
-            _check_proper_inputs(graph, inputs)
+    next = staticmethod(pair_next)
 
 
-class SaveOneMoreColor(Algorithm):
+class SaveOneMoreColor(SaveColors):
     """Like SaveColors but with one pair spared: (delta,0) is never output."""
 
     name = "save1"
 
     def __init__(self, delta: int):
-        if delta < 1:
-            raise ValueError(f"delta must be positive, got {delta}")
-        self.delta = delta
+        super().__init__(delta)
         self.arity = delta
-
-    def params(self):
-        return {"delta": self.delta}
-
-    @property
-    def palette_size(self) -> int:
-        return (self.delta + 1) * (self.delta + 2) // 2 - 1
 
     @cached_property
     def palette(self) -> frozenset:
@@ -427,17 +409,12 @@ class SaveOneMoreColor(Algorithm):
 
     next = staticmethod(save_one_more_next)
 
-    def validate(self, graph, inputs):
-        if graph.max_degree > self.delta:
-            raise ValueError(f"delta={self.delta} below graph degree {graph.max_degree}")
-        if inputs is not None:
-            _check_proper_inputs(graph, inputs)
-
 
 class LinialReduction(Algorithm):
     """Iterated cover-free color reduction from identifiers in 1..id_bound."""
 
     name = "linial"
+    proper_inputs = True
 
     def __init__(self, id_bound: int, delta: int):
         self.id_bound = id_bound
@@ -446,10 +423,6 @@ class LinialReduction(Algorithm):
 
     def params(self):
         return {"id_bound": self.id_bound, "delta": self.delta}
-
-    @property
-    def palette_size(self) -> int:
-        return self.schedule.final_palette
 
     @cached_property
     def palette(self) -> frozenset:
@@ -468,12 +441,6 @@ class LinialReduction(Algorithm):
 
     def next(self, payload, snaps):
         return linial_next(payload, snaps, self.schedule)
-
-    def validate(self, graph, inputs):
-        if graph.max_degree > self.delta:
-            raise ValueError(f"delta={self.delta} below graph degree {graph.max_degree}")
-        if inputs is not None:
-            _check_proper_inputs(graph, inputs)
 
 
 class Identity(Algorithm):
@@ -498,10 +465,10 @@ class Composed(Algorithm):
     decision, on the activation after the deciding one.
     """
 
-    def __init__(self, phase1: Algorithm, phase2: Algorithm, name: str | None = None):
+    def __init__(self, phase1: Algorithm, phase2: Algorithm):
         self.phase1 = phase1
         self.phase2 = phase2
-        self.name = name or f"{phase1.name}+{phase2.name}"
+        self.name = f"{phase1.name}+{phase2.name}"
         self.arity = phase2.arity
 
     def params(self):
@@ -559,11 +526,6 @@ class Composed(Algorithm):
         if st[0] == TERMINATED:
             return ("T", st[1], (2, payload[1], st[2], payload[3]))
         return ("R", (2, payload[1], st[1], payload[3]))
-
-
-def compose_phases(phase1: Algorithm, phase2: Algorithm) -> Composed:
-    """Run ``phase1`` to its decision, then ``phase2`` on that output."""
-    return Composed(phase1, phase2)
 
 
 ALGORITHM_NAMES = ("six", "linial", "save", "save1", "buggy5", "linial+save", "linial+save1")

@@ -26,7 +26,9 @@ from .coverfree import construct_family, dump_family, verify_coverfree
 from .engine import DEFAULT_MAX_STEPS, AlgorithmViolation, EngineError, detect_livelock, execute
 from .graphs import Graph, GraphError, build_graph, load_graph, random_tree
 from .schedulers import (
+    _TRACE_PROPERTIES,
     SEARCH_PROPERTIES,
+    _scan,
     adversary_search,
     enumerate_schedulings,
     make_scheduling,
@@ -75,13 +77,6 @@ def _resolve_algorithm(args, graph: Graph):
     )
 
 
-def _decisions_json(decisions: dict) -> dict:
-    return {
-        str(v): (list(o) if isinstance(o, tuple) else o)
-        for v, o in sorted(decisions.items())
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -102,7 +97,7 @@ def cmd_run(args) -> int:
             "sched": trace.sched_spec,
             "steps": trace.step_count,
             "complete": trace.complete,
-            "decisions": _decisions_json(trace.decisions),
+            "decisions": trace.end_json()["decisions"],
             "max_runtime": trace.max_runtime,
         }
     )
@@ -138,48 +133,22 @@ def cmd_search(args) -> int:
     graph = _resolve_graph(args)
     algo = _resolve_algorithm(args, graph)
     if args.sched and args.sched.startswith("enum"):
-        if args.property not in ("proper", "proper-coloring", "palette"):
+        if args.property not in _TRACE_PROPERTIES:
             raise ValueError("exhaustive enumeration searches trace properties only")
-        check_name = "palette" if args.property == "palette" else "proper"
-        depth = _enum_depth(args.sched)
-        examined = 0
-        for sched in enumerate_schedulings(graph.nodes, depth, graph=graph):
-            examined += 1
-            trace = execute(graph, algo, sched, max_steps=args.max_steps, record=False)
-            verdict = verify_mod.run_check(check_name, trace)
-            if not verdict.ok:
-                witness = execute(graph, algo, sched, max_steps=args.max_steps)
-                if args.trace:
-                    witness.dump(args.trace)
-                    _err(f"violation trace written to {args.trace}")
-                _out(
-                    {
-                        "found": True,
-                        "examined": examined,
-                        "property": args.property,
-                        "sched": sched.spec,
-                        "verdict": verdict.render(),
-                    }
-                )
-                return 1
-        _out({"found": False, "examined": examined, "property": args.property})
-        return 0
-
-    result = adversary_search(
-        algo,
-        graph,
-        property=args.property,
-        budget=args.budget,
-        seed0=args.seed,
-        max_steps=args.max_steps,
-    )
+        schedulings = enumerate_schedulings(graph.nodes, _enum_depth(args.sched), graph=graph)
+        result = _scan(algo, graph, args.property, schedulings, max_steps=args.max_steps)
+    else:
+        result = adversary_search(
+            algo,
+            graph,
+            property=args.property,
+            budget=args.budget,
+            seed0=args.seed,
+            max_steps=args.max_steps,
+        )
+    payload = {"found": result.found, "examined": result.examined, "property": result.property}
     if result.found:
-        payload = {
-            "found": True,
-            "examined": result.examined,
-            "property": result.property,
-            "sched": result.scheduling_spec,
-        }
+        payload["sched"] = result.scheduling_spec
         if result.certificate is not None:
             payload["certificate"] = result.certificate.to_json()
         if result.verdict is not None:
@@ -187,10 +156,8 @@ def cmd_search(args) -> int:
         if result.trace is not None and args.trace:
             result.trace.dump(args.trace)
             _err(f"violation trace written to {args.trace}")
-        _out(payload)
-        return 1
-    _out({"found": False, "examined": result.examined, "property": result.property})
-    return 0
+    _out(payload)
+    return 1 if result.found else 0
 
 
 def cmd_repro(args) -> int:
@@ -269,7 +236,7 @@ def cmd_wsb_class(args) -> int:
             mismatches.append({"blocks": [list(b) for b in record.blocks], "sim": sorted(sim)})
     _out(
         {
-            "algo": report_name(algo),
+            "algo": algo.name,
             "n": args.n,
             "executions": len(result.records),
             "truncated": result.truncated,
@@ -278,10 +245,6 @@ def cmd_wsb_class(args) -> int:
         }
     )
     return 0 if not mismatches else 1
-
-
-def report_name(algo) -> str:
-    return getattr(algo, "name", algo.__class__.__name__)
 
 
 # ---------------------------------------------------------------------------

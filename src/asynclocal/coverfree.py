@@ -406,11 +406,13 @@ class ReductionSchedule:
         return self.palette_sizes[-1]
 
 
+@cache
 def reduction_schedule(id_bound: int, max_degree: int) -> ReductionSchedule:
     """Color-reduction rounds for initial palette 1..id_bound and degree bound max_degree.
 
     Iterates c_{i+1} = ground size of construct_family(max_degree, c_i)
-    while that strictly shrinks the palette.
+    while that strictly shrinks the palette.  Shared per argument pair, so
+    the families' sets are materialized once per process.
     """
     if id_bound < 2:
         raise ValueError(f"identifier bound must be at least 2, got {id_bound}")

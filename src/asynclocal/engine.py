@@ -169,7 +169,7 @@ def step(graph: Graph, algo, cfg: Configuration, block: Iterable[int]) -> Config
     """Pure single-step transition: returns a fresh configuration."""
     blk = _check_block(block, graph.node_set)
     out = cfg.copy()
-    _apply_block(graph.adj, algo.next, getattr(algo, "arity", None), out.old, out.new, blk)
+    _apply_block(graph.adj, algo.next, algo.arity, out.old, out.new, blk)
     out.step_index = cfg.step_index + 1
     return out
 
@@ -271,7 +271,6 @@ class Trace:
     runtimes: dict[int, int]
     final: Configuration
     support_forever: frozenset[int] = frozenset()
-    blocks: tuple[tuple[int, ...], ...] | None = None
     steps: list[StepRecord] | None = None
     max_steps: int = DEFAULT_MAX_STEPS
     #: the palette the algorithm names for its decisions (not serialised)
@@ -407,18 +406,17 @@ def execute(
     blocks, whichever comes first.  The returned trace is flagged
     ``complete`` exactly when all appearing nodes decided.
 
-    With ``record=False`` the per-step records and block list are not
-    retained (used for large campaigns); decisions, runtimes and the final
-    configuration are always kept.
+    With ``record=False`` the per-step records are not retained (used for
+    large campaigns); decisions, runtimes and the final configuration are
+    always kept.
     """
     sched, block_iter = _block_source(graph, scheduling)
     ins = _resolve_inputs(graph, algo, inputs)
-    if hasattr(algo, "validate"):
-        algo.validate(graph, ins)
+    algo.validate(graph, ins)
 
     cfg = initial_configuration(graph, algo, ins)
     old, new = cfg.old, cfg.new
-    adj, nxt, arity = graph.adj, algo.next, getattr(algo, "arity", None)
+    adj, nxt, arity = graph.adj, algo.next, algo.arity
     support = frozenset(sched.support_ever)
 
     decisions: dict[int, Any] = {}
@@ -441,7 +439,6 @@ def execute(
     )
 
     steps: list[StepRecord] | None = [] if record else None
-    blocks_run: list[tuple[int, ...]] | None = [] if record else None
 
     step_index = 0
     while step_index < max_steps and pending:
@@ -464,14 +461,13 @@ def execute(
             pending.discard(v)
             crashed.discard(v)
         if record:
-            blocks_run.append(blk)
             steps.append(StepRecord(step_index, blk, reads, {v: new[v] for v in reads}, decided_now))
 
     cfg.step_index = step_index
     return Trace(
         graph=graph,
-        algo_name=getattr(algo, "name", algo.__class__.__name__),
-        params=dict(getattr(algo, "params", lambda: {})()),
+        algo_name=algo.name,
+        params=dict(algo.params()),
         inputs=ins,
         sched_spec=getattr(sched, "spec", "explicit"),
         seed=getattr(sched, "seed", None),
@@ -482,10 +478,9 @@ def execute(
         runtimes=runtimes,
         final=cfg,
         support_forever=frozenset(getattr(sched, "support_forever", frozenset())),
-        blocks=tuple(blocks_run) if record else None,
         steps=steps,
         max_steps=max_steps,
-        palette=getattr(algo, "palette", None),
+        palette=algo.palette,
     )
 
 
@@ -550,10 +545,9 @@ def detect_livelock(
     period_support = frozenset(v for b in per for v in b)
 
     ins = _resolve_inputs(graph, algo, inputs)
-    if hasattr(algo, "validate"):
-        algo.validate(graph, ins)
+    algo.validate(graph, ins)
     cfg = initial_configuration(graph, algo, ins)
-    adj, nxt, arity = graph.adj, algo.next, getattr(algo, "arity", None)
+    adj, nxt, arity = graph.adj, algo.next, algo.arity
     for blk in pre:
         _apply_block(adj, nxt, arity, cfg.old, cfg.new, blk)
 

@@ -64,6 +64,14 @@ __all__ = [
 
 GUARD_ENV = "ASYNCLOCAL_GUARD_OVERRIDE"
 
+
+def _guard(ok: bool, message: str) -> None:
+    """Raise ValueError with ``message`` unless ``ok`` or the override is set."""
+    if ok or os.environ.get(GUARD_ENV) == "1":
+        return
+    raise ValueError(f"{message} (set {GUARD_ENV}=1 to override)")
+
+
 _CRASH_STOP = 0.3  # geometric parameter for sampled crash steps
 # Activation probabilities below _MIN_P are rejected.  Each try of a random
 # block draws at least one node with probability >= p, so with p >= _MIN_P
@@ -264,16 +272,6 @@ def write_scheduling(blocks, path) -> None:
 # bounded exhaustive enumeration
 
 
-def _check_guard(n_nodes: int, depth: int) -> None:
-    if os.environ.get(GUARD_ENV) == "1":
-        return
-    if n_nodes > 5 or depth > 6:
-        raise ValueError(
-            f"enumeration over {n_nodes} nodes at depth {depth} is guarded "
-            f"(limits: 5 nodes, depth 6); set {GUARD_ENV}=1 to override"
-        )
-
-
 def _nonempty_subsets(nodes: tuple[int, ...]) -> list[tuple[int, ...]]:
     out = []
     for mask in range(1, 1 << len(nodes)):
@@ -296,7 +294,11 @@ def enumerate_schedulings(nodes, depth: int, graph: Graph | None = None) -> Iter
         raise ValueError("enumeration needs at least one node")
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
-    _check_guard(len(nodes), depth)
+    _guard(
+        len(nodes) <= 5 and depth <= 6,
+        f"enumeration over {len(nodes)} nodes at depth {depth} is guarded "
+        "(limits: 5 nodes, depth 6)",
+    )
     subsets = _nonempty_subsets(nodes)  # subsets[i] holds the nodes of bit mask i+1
     fragments = [",".join(map(str, blk)) for blk in subsets]
     supports = [frozenset(blk) for blk in subsets]
@@ -324,6 +326,8 @@ SEARCH_PROPERTIES = (
     "periodic-termination",
 )
 
+_TRACE_PROPERTIES = ("proper", "proper-coloring", "palette")
+
 _SEARCH_P = (0.5, 0.3, 0.8, 1.0)
 _SEARCH_CRASH = (0.0, 0.1, 0.25)
 
@@ -347,6 +351,28 @@ def _seeded_spec(seed: int) -> str:
     return f"random:seed={seed},p={p!r},crash={rate!r}"
 
 
+def _scan(
+    algo, graph: Graph, property: str, schedulings, inputs=None, max_steps: int = DEFAULT_MAX_STEPS
+) -> SearchResult:
+    """Check a trace property on each scheduling in turn, up to the first violation.
+
+    A violating scheduling is run again with full recording (its blocks
+    restart from the first) for a replayable witness.
+    """
+    checker = _verify.check_palette if property == "palette" else _verify.check_proper
+    examined = 0
+    for sched in schedulings:
+        examined += 1
+        trace = execute(graph, algo, sched, inputs=inputs, max_steps=max_steps, record=False)
+        if not checker(trace).ok:
+            witness = execute(graph, algo, sched, inputs=inputs, max_steps=max_steps)
+            return SearchResult(
+                property, examined, True, trace=witness,
+                scheduling_spec=sched.spec, verdict=checker(witness),
+            )
+    return SearchResult(property, examined, False)
+
+
 def adversary_search(
     algo,
     graph: Graph,
@@ -365,23 +391,9 @@ def adversary_search(
     short prefix/period shapes and looks for configuration-repetition
     livelocks.  ``budget`` bounds the number of candidates examined.
     """
-    if property in ("proper", "proper-coloring", "palette"):
-        checker = _verify.check_proper if property != "palette" else _verify.check_palette
-        for i in range(budget):
-            seed = seed0 + i
-            sched = make_scheduling(_seeded_spec(seed), graph)
-            trace = execute(graph, algo, sched, inputs=inputs, max_steps=max_steps, record=False)
-            verdict = checker(trace)
-            if not verdict.ok:
-                witness = execute(
-                    graph, algo, make_scheduling(_seeded_spec(seed), graph),
-                    inputs=inputs, max_steps=max_steps,
-                )
-                return SearchResult(
-                    property, i + 1, True, trace=witness,
-                    scheduling_spec=sched.spec, verdict=checker(witness),
-                )
-        return SearchResult(property, budget, False)
+    if property in _TRACE_PROPERTIES:
+        schedulings = (make_scheduling(_seeded_spec(seed0 + i), graph) for i in range(budget))
+        return _scan(algo, graph, property, schedulings, inputs, max_steps)
 
     if property in ("termination-under-periodic-schedules", "periodic-termination"):
         subsets = _nonempty_subsets(graph.nodes)

@@ -1,5 +1,4 @@
-"""Trace checkers, runtime meters, golden-fixture reproduction, and trace
-file verification.
+"""Trace checkers, golden-fixture reproduction, and trace file verification.
 
 Checkers consume :class:`~asynclocal.engine.Trace` values and return
 :class:`Verdict` objects.  Undecided nodes pass vacuously (partial traces
@@ -36,8 +35,6 @@ __all__ = [
     "check_parity_reduction",
     "parity_verdict",
     "reproduce_table",
-    "measure_runtime",
-    "RuntimeReport",
     "CHECKS",
     "load_trace",
     "LoadedTrace",
@@ -89,28 +86,14 @@ def check_proper(trace: Trace) -> Verdict:
     return Verdict(True, "proper", detail)
 
 
-def expected_palette(algo_name: str, params: dict) -> frozenset:
-    """The decision palette implied by an algorithm name and its parameters.
-
-    A composition decides what its second phase decides, so only the
-    ``phase2_*`` parameters of a ``linial+...`` name are needed.
-    """
-    if algo_name.startswith("linial+"):
-        phase2 = algo_name[len("linial+"):]
-        return make_algorithm(phase2, delta=params["phase2_delta"]).palette
-    return algorithm_from_header({"algo": algo_name, "params": params}).palette
-
-
 def check_palette(trace: Trace) -> Verdict:
-    """Every decision lies in the algorithm's palette.
+    """Every decision lies in the palette the algorithm carried into the trace.
 
-    The palette is the one the algorithm object carried into the trace,
-    built once per algorithm; a trace without one falls back to
-    :func:`expected_palette`.
+    Raises ValueError for a trace of an algorithm that names no palette.
     """
     palette = trace.palette
     if palette is None:
-        palette = expected_palette(trace.algo_name, trace.params)
+        raise ValueError(f"algorithm {trace.algo_name} names no palette to check against")
     for v, out in sorted(trace.decisions.items()):
         key = tuple(out) if isinstance(out, (list, tuple)) else out
         if key not in palette:
@@ -146,34 +129,6 @@ def parity_verdict(graph: Graph, colors: dict[int, int]) -> Verdict:
 
 def check_parity_reduction(trace: Trace) -> Verdict:
     return parity_verdict(trace.graph, trace.decisions)
-
-
-# ---------------------------------------------------------------------------
-# runtime metering
-
-
-@dataclass
-class RuntimeReport:
-    per_node: dict[int, int]
-    maximum: int
-    complete: bool
-
-
-def measure_runtime(trace: Trace) -> RuntimeReport:
-    """Per-node activation counts before deciding, recounted from step records.
-
-    A node's runtime is the number of blocks containing it while it was
-    still undecided, the deciding block included.  Falls back to the
-    engine's own counters when the trace was run without recording.
-    """
-    if trace.steps is not None:
-        counts = {v: 0 for v in trace.graph.nodes}
-        for rec in trace.steps:
-            for v in rec.reads:
-                counts[v] += 1
-    else:
-        counts = dict(trace.runtimes)
-    return RuntimeReport(counts, max(counts.values(), default=0), trace.complete)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +288,9 @@ def _reproduce_table1() -> Verdict:
         return Verdict(
             False, "table1", "final decisions diverge", witness=(TABLE1_DECISIONS, decisions)
         )
-    trace = execute(graph, algo, TABLE1_SCHEDULE)
-    report = measure_runtime(trace)
-    if report.per_node != {**{v: 0 for v in graph.nodes}, **TABLE1_RUNTIMES}:
-        return Verdict(
-            False, "table1", "runtimes diverge", witness=(TABLE1_RUNTIMES, report.per_node)
-        )
+    runtimes = execute(graph, algo, TABLE1_SCHEDULE).runtimes
+    if runtimes != TABLE1_RUNTIMES:
+        return Verdict(False, "table1", "runtimes diverge", witness=(TABLE1_RUNTIMES, runtimes))
     return Verdict(True, "table1", "all 6 configurations, 5 decisions and runtimes match")
 
 
@@ -445,19 +397,17 @@ def load_trace(path) -> LoadedTrace:
 
 
 def algorithm_from_header(header: dict) -> Algorithm:
-    """Rebuild the registry algorithm named in a trace header."""
-    name = header["algo"]
+    """Rebuild the registry algorithm named in a trace header.
+
+    A composition's parameters carry a ``phase1_``/``phase2_`` prefix; its
+    identifier bound is phase 1's and its degree bound phase 2's.
+    """
     params = header.get("params", {})
-    kwargs = {}
-    if "id_bound" in params:
-        kwargs["id_bound"] = params["id_bound"]
-    if "phase1_id_bound" in params:
-        kwargs["id_bound"] = params["phase1_id_bound"]
-    if "delta" in params:
-        kwargs["delta"] = params["delta"]
-    if "phase2_delta" in params:
-        kwargs["delta"] = params["phase2_delta"]
-    return make_algorithm(name, **kwargs)
+    return make_algorithm(
+        header["algo"],
+        id_bound=params.get("phase1_id_bound", params.get("id_bound")),
+        delta=params.get("phase2_delta", params.get("delta")),
+    )
 
 
 def replay_trace(loaded: LoadedTrace) -> Trace:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -28,7 +27,7 @@ from .algorithms import Algorithm
 from .coverfree import _is_prime
 from .engine import TERMINATED, initial_configuration, step
 from .graphs import Graph, build_graph
-from .schedulers import GUARD_ENV, _nonempty_subsets
+from .schedulers import _guard, _nonempty_subsets
 from .verify import Verdict
 
 __all__ = [
@@ -55,12 +54,6 @@ __all__ = [
     "IdParity",
     "toy_algorithms",
 ]
-
-
-def _guard(ok: bool, message: str) -> None:
-    if ok or os.environ.get(GUARD_ENV) == "1":
-        return
-    raise ValueError(f"{message} (set {GUARD_ENV}=1 to override)")
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +125,7 @@ def enumerate_complete(algo, n: int, step_bound: int = 8) -> EnumerationResult:
     _guard(n <= 3, f"exhaustive enumeration over clique({n}) explodes")
     graph = build_graph(f"clique:{n}")
     inputs = {v: algo.default_input(v) for v in graph.nodes}
-    if hasattr(algo, "validate"):
-        algo.validate(graph, inputs)
+    algo.validate(graph, inputs)
     cfg0 = initial_configuration(graph, algo, inputs)
     ds0 = {v: 0 for v, st in cfg0.new.items() if st[0] == TERMINATED}
 
@@ -237,7 +229,7 @@ def count_report(algo, n: int, step_bound: int = 8) -> CountReport:
     s0 = sum(r.sign for r in c0)
     s1 = sum(r.sign for r in c1)
     return CountReport(
-        algo=getattr(algo, "name", algo.__class__.__name__),
+        algo=algo.name,
         n=n,
         step_bound=step_bound,
         executions=len(result.records),
@@ -266,16 +258,15 @@ class Trimmed(Algorithm):
     def __init__(self, inner, n: int):
         self.inner = inner
         self.n = n
-        self.name = f"trim:{getattr(inner, 'name', inner.__class__.__name__)}"
+        self.name = f"trim:{inner.name}"
 
     def params(self) -> dict[str, Any]:
-        return {"inner": self.name.removeprefix("trim:"), "n": self.n}
+        return {"inner": self.inner.name, "n": self.n}
 
     def validate(self, graph: Graph, inputs) -> None:
         if graph.n != self.n or any(len(graph.adj[v]) != self.n - 1 for v in graph.nodes):
             raise ValueError(f"{self.name} runs on clique({self.n}) only")
-        if hasattr(self.inner, "validate"):
-            self.inner.validate(graph, inputs)
+        self.inner.validate(graph, inputs)
 
     def default_input(self, node: int):
         return self.inner.default_input(node)

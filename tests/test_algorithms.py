@@ -9,13 +9,12 @@ from asynclocal.algorithms import (
     LinialReduction,
     SaveColors,
     SaveOneMoreColor,
+    Composed,
     buggy_five_next,
-    compose_phases,
-    cycle_six_next,
     make_algorithm,
     map_pair,
     mex,
-    save_colors_next,
+    pair_next,
     save_one_more_next,
     smaller_larger,
     special_neighborhood,
@@ -40,14 +39,14 @@ def test_mex():
 
 class TestCycleSix:
     def test_update_against_a_fresh_and_a_bottom_neighbor(self):
-        assert cycle_six_next((3, 0, 0), [R((5, 0, 0)), None]) == ("R", (3, 1, 0))
+        assert pair_next((3, 0, 0), [R((5, 0, 0)), None]) == ("R", (3, 1, 0))
 
     def test_no_visible_neighbor_terminates_immediately(self):
-        assert cycle_six_next((1, 0, 0), [None, None]) == ("T", (0, 0), (1, 0, 0))
+        assert pair_next((1, 0, 0), [None, None]) == ("T", (0, 0), (1, 0, 0))
 
     def test_reads_frozen_payloads_of_terminated_neighbors(self):
         snaps = [("T", (0, 0), (1, 0, 0)), ("T", (1, 0), (3, 1, 0))]
-        assert cycle_six_next((6, 0, 1), snaps) == ("T", (0, 1), (6, 0, 1))
+        assert pair_next((6, 0, 1), snaps) == ("T", (0, 1), (6, 0, 1))
 
     def test_palette_never_leaves_the_six_pairs(self):
         graph = build_graph("cycle:7")
@@ -62,7 +61,7 @@ class TestCycleSix:
 
 class TestSaveColors:
     def test_no_visible_neighbors(self):
-        assert save_colors_next((7, 0, 0), [None, None]) == ("T", (0, 0), (7, 0, 0))
+        assert pair_next((7, 0, 0), [None, None]) == ("T", (0, 0), (7, 0, 0))
 
     def test_matches_the_identifier_rule_on_cycles(self):
         # with x = id and delta = 2 the transitions coincide with the six rule
@@ -177,12 +176,21 @@ class TestLinial:
     def test_single_round_on_small_bound(self):
         algo = LinialReduction(100, 2)
         assert algo.rounds == 1
-        assert algo.palette_size == 25
+        assert len(algo.palette) == 25
 
     def test_no_round_needed_at_the_fixed_point(self):
         algo = LinialReduction(25, 2)
         assert algo.rounds == 0
         assert algo.init(1, 17) == ("T", 17, (17,))
+
+    def test_equal_parameters_share_one_schedule(self):
+        algo = LinialReduction(1000, 2)
+        assert make_algorithm("linial+save1", id_bound=1000, delta=2).phase1.schedule is algo.schedule
+        assert LinialReduction(1000, 3).schedule is not algo.schedule
+        for bad in ((1, 2), (10, 0)):
+            for _ in range(2):  # a failed build is not remembered
+                with pytest.raises(ValueError):
+                    LinialReduction(*bad)
 
     def test_input_outside_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -198,7 +206,7 @@ class TestLinial:
         graph = build_graph("clique:1")
         algo = LinialReduction(6, 2)
         trace = execute(graph, algo, make_scheduling("sync", graph))
-        assert trace.decisions[1] <= algo.palette_size
+        assert trace.decisions[1] in algo.palette
 
     def test_sync_cycle_is_proper_within_palette(self):
         graph = build_graph("cycle:100")
@@ -225,7 +233,7 @@ class TestComposition:
         graph = build_graph("cycle:5", ids=(3, 5, 4, 1, 6))
         sched = [(1, 3, 5), (4, 5), (3, 4), (6,), (6,)]
         plain = execute(graph, make_algorithm("six"), sched)
-        composed = execute(graph, compose_phases(make_algorithm("six"), Identity()), sched)
+        composed = execute(graph, Composed(make_algorithm("six"), Identity()), sched)
         assert composed.decisions == plain.decisions
         assert composed.decision_steps == plain.decision_steps
         assert composed.runtimes == plain.runtimes
@@ -243,7 +251,7 @@ class TestComposition:
     def test_phase_transition_costs_one_activation(self):
         # phase 1 decides at its own deciding step; phase 2 starts on the next one
         graph = build_graph("path:2")
-        algo = compose_phases(Identity(), SaveColors(1))
+        algo = Composed(Identity(), SaveColors(1))
         trace = execute(graph, algo, make_scheduling("sync", graph))
         # identity decides at init, so save runs from the first activation
         assert trace.complete
@@ -308,6 +316,22 @@ class TestRegistry:
             execute(build_graph("clique:4"), make_algorithm("six"), [(1,)])
         with pytest.raises(ValueError):
             execute(build_graph("clique:4"), make_algorithm("buggy5"), [(1,)])
+
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_every_name_rejects_a_graph_above_its_degree_bound(self, name):
+        graph = build_graph("clique:4")  # degree 3
+        algo = make_algorithm(name, id_bound=graph.id_bound, delta=2)
+        with pytest.raises(ValueError, match=r"requires degree <= 2, graph has degree 3"):
+            execute(graph, algo, [(1,)])
+        execute(build_graph("cycle:4"), algo, [(1,)])  # degree 2 is accepted
+
+    @pytest.mark.parametrize("name", ["save", "save1", "linial", "linial+save", "linial+save1"])
+    def test_coloring_inputs_must_be_proper(self, name):
+        graph = build_graph("path:3")
+        algo = make_algorithm(name, id_bound=3, delta=2)
+        with pytest.raises(ValueError, match="input colors must differ across edges"):
+            execute(graph, algo, [(1,)], inputs={1: 1, 2: 2, 3: 2})
+        execute(graph, algo, [(1,)], inputs={1: 1, 2: 2, 3: 1})
 
 
 @settings(max_examples=60, deadline=None)

@@ -147,7 +147,7 @@ class TestExecute:
         graph, algo = six_on_table_cycle()
         full = execute(graph, algo, make_scheduling("random:seed=3", graph))
         slim = execute(graph, algo, make_scheduling("random:seed=3", graph), record=False)
-        assert slim.steps is None and slim.blocks is None
+        assert slim.steps is None
         assert slim.decisions == full.decisions
         assert slim.runtimes == full.runtimes
         assert slim.step_count == full.step_count
@@ -283,7 +283,7 @@ class TestBlockValidation:
     def test_a_foreign_scheduling_object_gets_canonical_blocks(self, source):
         graph, algo = six_on_table_cycle()
         trace = execute(graph, algo, source([[5, 3, 1, 1], (5, 4)]))
-        assert trace.blocks == ((1, 3, 5), (4, 5))
+        assert [rec.block for rec in trace.steps] == [(1, 3, 5), (4, 5)]
         assert trace.sched_spec == "custom"
 
     def test_a_scheduling_of_another_graph_is_checked(self):

@@ -10,6 +10,7 @@ from asynclocal.schedulers import (
     GUARD_ENV,
     SEARCH_PROPERTIES,
     Scheduling,
+    _scan,
     _seeded_spec,
     adversary_search,
     enumerate_schedulings,
@@ -18,6 +19,8 @@ from asynclocal.schedulers import (
     write_scheduling,
 )
 from asynclocal.algorithms import make_algorithm
+from asynclocal.verify import check_proper
+from asynclocal.wsb import ConstantOutput
 
 
 def take(sched, n):
@@ -334,13 +337,35 @@ class TestSearch:
         with pytest.raises(ValueError):
             adversary_search(make_algorithm("six"), build_graph("cycle:3"), property="magic")
 
-    def test_found_trace_property_on_a_rigged_palette(self):
-        # save1 on a cycle never emits (2, 0); the plain save rule can, so
-        # checking a save trace against the save1 palette must eventually fail
+    def test_palette_search_finds_nothing_for_the_cycle_algorithm(self):
         graph = build_graph("cycle:4")
         algo = make_algorithm("six")
         result = adversary_search(algo, graph, property="palette", budget=50)
         assert not result.found  # six stays within its own palette
+        assert result.examined == 50
+
+    def test_random_scan_records_a_failing_witness(self):
+        # two neighbours that both decide 0 on their first activation
+        graph = build_graph("path:2")
+        result = adversary_search(ConstantOutput(0), graph, property="proper", budget=10)
+        assert result.found
+        assert result.examined == 1
+        assert result.scheduling_spec == _seeded_spec(0)
+        witness = result.trace
+        assert witness.steps is not None  # recorded, so it can be dumped and replayed
+        assert witness.sched_spec == result.scheduling_spec
+        assert not check_proper(witness).ok
+        assert result.verdict.render() == check_proper(witness).render()
+
+    def test_enumeration_scan_stops_at_the_first_violation(self):
+        graph = build_graph("path:2")
+        schedulings = enumerate_schedulings(graph.nodes, 2, graph=graph)
+        result = _scan(ConstantOutput(0), graph, "proper", schedulings)
+        assert result.found
+        assert result.examined == 3  # {1}, {2}, then {1,2}
+        assert result.scheduling_spec == "explicit:1,2"
+        assert [rec.block for rec in result.trace.steps] == [(1, 2)]
+        assert not result.verdict.ok
 
 
 def test_scheduling_spec_round_trips():

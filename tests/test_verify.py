@@ -1,6 +1,6 @@
 import pytest
 
-from asynclocal.algorithms import make_algorithm
+from asynclocal.algorithms import ALGORITHM_NAMES, Identity, make_algorithm
 from asynclocal.engine import Trace, execute
 from asynclocal.graphs import build_graph
 from asynclocal.schedulers import make_scheduling
@@ -13,9 +13,7 @@ from asynclocal.verify import (
     check_palette,
     check_parity_reduction,
     check_proper,
-    expected_palette,
     load_trace,
-    measure_runtime,
     parity_verdict,
     reproduce_table,
     run_check,
@@ -39,6 +37,7 @@ def fake_trace(algo_name, params, decisions, graph=None):
         decision_steps={},
         runtimes={},
         final=None,
+        palette=algorithm_from_header({"algo": algo_name, "params": params}).palette,
     )
 
 
@@ -83,28 +82,31 @@ class TestProper:
 
 class TestPalette:
     def test_six_pairs(self):
-        pal = expected_palette("six", {})
+        pal = make_algorithm("six").palette
         assert pal == {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}
 
     def test_save_one_more_drops_the_special_pair(self):
-        assert expected_palette("save1", {"delta": 2}) == {
+        assert make_algorithm("save1", delta=2).palette == {
             (0, 0),
             (0, 1),
             (0, 2),
             (1, 0),
             (1, 1),
         }
-        assert len(expected_palette("save1", {"delta": 3})) == 9
+        assert len(make_algorithm("save1", delta=3).palette) == 9
 
     def test_linial_palette_follows_the_reduction(self):
-        assert expected_palette("linial", {"id_bound": 100, "delta": 2}) == set(range(1, 26))
+        assert make_algorithm("linial", id_bound=100, delta=2).palette == set(range(1, 26))
 
     def test_buggy_five(self):
-        assert expected_palette("buggy5", {}) == {0, 1, 2, 3, 4}
+        assert make_algorithm("buggy5").palette == {0, 1, 2, 3, 4}
 
     def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            expected_palette("identity", {})
+        # an algorithm that names no palette leaves check_palette nothing to check
+        trace = execute(build_graph("path:2"), Identity(), [(1, 2)])
+        assert trace.palette is None
+        with pytest.raises(ValueError, match="identity names no palette"):
+            check_palette(trace)
 
     def test_table_decisions_pass(self):
         assert check_palette(table1_trace()).ok
@@ -116,7 +118,9 @@ class TestPalette:
         assert verdict.witness == (1, (2, 0))
 
     def test_pair_sum_bound(self):
-        trace = fake_trace("linial+save", {"phase2_delta": 2}, {1: (2, 1)})
+        trace = fake_trace(
+            "linial+save", {"phase1_id_bound": 9, "phase1_delta": 2, "phase2_delta": 2}, {1: (2, 1)}
+        )
         assert not check_palette(trace).ok
 
     def test_decisions_arriving_as_lists_are_coerced(self):
@@ -133,7 +137,7 @@ class TestPalette:
         algo = make_algorithm(name, id_bound=graph.id_bound, delta=graph.max_degree)
         trace = execute(graph, algo, make_scheduling("random:seed=4,crash=0.2", graph))
         assert trace.palette is algo.palette  # built once per algorithm
-        assert algo.palette == expected_palette(name, trace.params)
+        assert algorithm_from_header(trace.header_json()).palette == algo.palette
         assert check_palette(trace).ok
 
     def test_the_trace_algorithm_palette_decides(self):
@@ -206,21 +210,36 @@ class TestParity:
 
 class TestRuntime:
     def test_table_runtimes(self):
-        report = measure_runtime(table1_trace())
-        assert report.per_node == TABLE1_RUNTIMES
-        assert report.maximum == 2
-        assert report.complete
+        trace = table1_trace()
+        assert trace.runtimes == TABLE1_RUNTIMES
+        assert trace.max_runtime == 2
+        assert trace.complete
 
     def test_recount_matches_engine_counters(self):
-        recorded = table1_trace(record=True)
-        bare = table1_trace(record=False)
-        assert bare.steps is None
-        assert measure_runtime(recorded).per_node == measure_runtime(bare).per_node
+        # a node's runtime is the number of steps it read in: the blocks that
+        # held it while it was undecided, the deciding block included
+        for name, graph_spec in (
+            ("six", "cycle:7"), ("buggy5", "cycle:5"), ("save1", "cycle:6"),
+            ("linial+save", "circulant:7,2"), ("linial+save1", "cycle:12"),
+        ):
+            graph = build_graph(graph_spec)
+            algo = make_algorithm(name, id_bound=graph.id_bound, delta=graph.max_degree)
+            for seed in range(25):
+                sched = make_scheduling(f"random:seed={seed},p=0.4,crash=0.2", graph)
+                recorded = execute(graph, algo, sched, max_steps=300)
+                recount = dict.fromkeys(graph.nodes, 0)
+                for rec in recorded.steps:
+                    for v in rec.reads:
+                        recount[v] += 1
+                assert recount == recorded.runtimes
+                bare = execute(graph, algo, sched, max_steps=300, record=False)
+                assert bare.steps is None
+                assert bare.runtimes == recorded.runtimes
 
     def test_single_activation(self):
         graph = build_graph("clique:1")
         trace = execute(graph, make_algorithm("six"), [(1,)])
-        assert measure_runtime(trace).per_node == {1: 1}
+        assert trace.runtimes == {1: 1}
 
 
 class TestGoldenFixtures:
@@ -318,6 +337,16 @@ class TestAlgorithmFromHeader:
         algo = algorithm_from_header({"algo": name, "params": params})
         assert algo.name == name
         assert algo.params() == params
+
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_trace_header_rebuilds_the_algorithm(self, name):
+        graph = build_graph("cycle:9")
+        algo = make_algorithm(name, id_bound=graph.id_bound, delta=graph.max_degree)
+        trace = execute(graph, algo, make_scheduling("sync", graph), max_steps=20)
+        again = algorithm_from_header(trace.header_json())
+        assert again.name == algo.name
+        assert again.params() == algo.params()
+        assert again.palette == algo.palette
 
 
 def test_run_check_unknown_name():

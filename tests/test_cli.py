@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -336,3 +337,34 @@ def test_verify_rejects_a_header_without(key, capsys, tmp_path):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert key in err
+
+
+# sha256 of the whole stdout of commands that print through the ``to_json``
+# methods of configurations, certificates and traces, so any change in how
+# engine values are written shows up here.
+STDOUT_PINS = [
+    (("repro", "table1"), 0, "c7d87a59eb2fbbcec95e4d20316aa01aadd7e55d38304a3928babd31fee983da"),
+    (("repro", "table2"), 0, "3b04d7dad7449c3b2a9153820b4a55aed4341b43d29a603e72b4b25e3fb0361a"),
+    (
+        ("search", "--algo", "buggy5", "--graph", "cycle:4", "--ids", "3,4,2,1",
+         "--property", "periodic-termination"),
+        1,
+        "8c100d3118906ebc107137788720831bdbbd9d1792173241344fda41687f44e5",
+    ),
+    (
+        ("run", "--algo", "linial+save1", "--graph", "cycle:12",
+         "--sched", "random:seed=3,p=0.5,crash=0.1", "--check", "proper,palette"),
+        0,
+        "fec01b860704be76a25401c7ce9ac49014015b02c48e824655212955acc49c89",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,digest", STDOUT_PINS, ids=["table1", "table2", "search-periodic", "run-random"]
+)
+def test_stdout_is_pinned(argv, exit_code, digest, capsys):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

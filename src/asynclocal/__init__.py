@@ -132,6 +132,7 @@ __all__ = [
     "mex",
     "random_tree",
     "read_scheduling",
+    "reduction_schedule",
     "replay_trace",
     "reproduce_table",
     "sign",

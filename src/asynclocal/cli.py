@@ -23,7 +23,7 @@ from . import verify as verify_mod
 from . import wsb as wsb_mod
 from .algorithms import ALGORITHM_NAMES, make_algorithm
 from .coverfree import construct_family, dump_family, verify_coverfree
-from .engine import DEFAULT_MAX_STEPS, AlgorithmViolation, EngineError, detect_livelock, execute
+from .engine import DEFAULT_MAX_STEPS, AlgorithmViolation, EngineError, execute
 from .graphs import Graph, GraphError, build_graph, load_graph, random_tree
 from .schedulers import (
     _TRACE_PROPERTIES,
@@ -163,11 +163,7 @@ def cmd_search(args) -> int:
 def cmd_repro(args) -> int:
     verdict = verify_mod.reproduce_table(args.which)
     if args.which == "table2" and verdict.ok:
-        graph = build_graph("cycle:4", ids=verify_mod.TABLE2_GRAPH["ids"])
-        cert = detect_livelock(
-            graph, make_algorithm("buggy5"), verify_mod.TABLE2_PREFIX, verify_mod.TABLE2_PERIOD
-        )
-        _out(cert.to_json())
+        _out(verdict.witness.to_json())
     _out(verdict.render())
     return 0 if verdict.ok else 1
 
@@ -233,7 +229,7 @@ def cmd_wsb_class(args) -> int:
         members = wsb_mod.equivalence_class(record, sigma)
         sizes[len(sim)] = len(members)
         if len(members) != math.comb(args.n, len(sim)):
-            mismatches.append({"blocks": [list(b) for b in record.blocks], "sim": sorted(sim)})
+            mismatches.append({"blocks": record.blocks, "sim": sorted(sim)})
     _out(
         {
             "algo": algo.name,

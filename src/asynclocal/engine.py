@@ -45,7 +45,6 @@ __all__ = [
     "step",
     "execute",
     "detect_livelock",
-    "state_to_json",
     "state_from_json",
 ]
 
@@ -100,8 +99,8 @@ class Configuration:
 
     def to_json(self) -> dict:
         return {
-            "old": {str(v): state_to_json(self.old[v]) for v in sorted(self.old)},
-            "new": {str(v): state_to_json(self.new[v]) for v in sorted(self.new)},
+            "old": {str(v): self.old[v] for v in sorted(self.old)},
+            "new": {str(v): self.new[v] for v in sorted(self.new)},
             "step_index": self.step_index,
         }
 
@@ -247,10 +246,10 @@ class StepRecord:
         return {
             "type": "step",
             "i": self.index,
-            "block": list(self.block),
-            "reads": {str(v): [state_to_json(s) for s in snaps] for v, snaps in self.reads.items()},
-            "new": {str(v): state_to_json(s) for v, s in self.new_states.items()},
-            "decided": {str(v): _out_json(o) for v, o in self.decided.items()},
+            "block": self.block,
+            "reads": {str(v): snaps for v, snaps in self.reads.items()},
+            "new": {str(v): s for v, s in self.new_states.items()},
+            "decided": {str(v): o for v, o in self.decided.items()},
         }
 
 
@@ -299,7 +298,7 @@ class Trace:
             "type": "end",
             "steps": self.step_count,
             "complete": self.complete,
-            "decisions": {str(v): _out_json(o) for v, o in sorted(self.decisions.items())},
+            "decisions": {str(v): o for v, o in sorted(self.decisions.items())},
             "decision_steps": {str(v): s for v, s in sorted(self.decision_steps.items())},
             "runtimes": {str(v): r for v, r in sorted(self.runtimes.items())},
         }
@@ -319,34 +318,19 @@ class Trace:
 
 
 def _dumps(obj) -> str:
+    # Engine values go in as they are: json.dumps writes tuples as arrays.
+    # Node keys are passed as text, so sort_keys orders them as text.
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _out_json(output):
-    return list(output) if isinstance(output, tuple) else output
-
-
-def state_to_json(state):
-    if state is BOTTOM:
-        return None
-    if state[0] == RUNNING:
-        return ["R", _tuples_to_lists(state[1])]
-    return ["T", _tuples_to_lists(state[1]), _tuples_to_lists(state[2])]
-
-
 def state_from_json(data):
+    """A state as recorded in a trace, back as an engine value (arrays become tuples)."""
     if data is None:
         return BOTTOM
     tag = data[0]
     if tag == "R":
         return ("R", _lists_to_tuples(data[1]))
     return ("T", _lists_to_tuples(data[1]), _lists_to_tuples(data[2]))
-
-
-def _tuples_to_lists(obj):
-    if isinstance(obj, tuple):
-        return [_tuples_to_lists(x) for x in obj]
-    return obj
 
 
 def _lists_to_tuples(obj):
@@ -511,12 +495,12 @@ class LivelockCertificate:
 
     def to_json(self) -> dict:
         return {
-            "prefix": [list(b) for b in self.prefix],
-            "period": [list(b) for b in self.period],
+            "prefix": self.prefix,
+            "period": self.period,
             "matched_index": self.matched_index,
             "repeat_index": self.repeat_index,
             "period_applications": self.period_applications,
-            "undecided": list(self.undecided),
+            "undecided": self.undecided,
             "configuration": self.configuration.to_json(),
         }
 

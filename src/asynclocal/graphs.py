@@ -82,9 +82,7 @@ class Graph:
     def to_dict(self) -> dict:
         return {
             "id_bound": self.id_bound,
-            "nodes": [
-                {"id": v, "neighbors": list(self.adj[v])} for v in sorted(self.adj)
-            ],
+            "nodes": [{"id": v, "neighbors": self.adj[v]} for v in sorted(self.adj)],
         }
 
     @classmethod
@@ -137,7 +135,7 @@ def _validate(id_bound: int, adj: dict[int, tuple[int, ...]]) -> None:
 
 def _canonical_hash(id_bound: int, adj: dict[int, tuple[int, ...]]) -> str:
     payload = json.dumps(
-        {"id_bound": id_bound, "adj": {str(v): list(adj[v]) for v in sorted(adj)}},
+        {"id_bound": id_bound, "adj": {str(v): adj[v] for v in sorted(adj)}},
         sort_keys=True,
         separators=(",", ":"),
     )

@@ -389,8 +389,11 @@ def adversary_search(
     wins; a hit is re-executed with full recording for a replayable
     witness.  ``termination-under-periodic-schedules`` instead enumerates
     short prefix/period shapes and looks for configuration-repetition
-    livelocks.  ``budget`` bounds the number of candidates examined.
+    livelocks.  ``budget`` bounds the number of candidates examined; a
+    negative budget raises :class:`ValueError`.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     if property in _TRACE_PROPERTIES:
         schedulings = (make_scheduling(_seeded_spec(seed0 + i), graph) for i in range(budget))
         return _scan(algo, graph, property, schedulings, inputs, max_steps)
@@ -411,10 +414,7 @@ def adversary_search(
                     examined += 1
                     cert = detect_livelock(graph, algo, prefix, period, inputs=inputs)
                     if cert is not None:
-                        blocks = list(prefix) + list(period)
-                        spec = "explicit:" + "/".join(
-                            ",".join(str(v) for v in blk) for blk in blocks
-                        )
+                        spec = explicit_scheduling(prefix + period, graph.nodes).spec
                         return SearchResult(
                             property, examined, True, certificate=cert, scheduling_spec=spec,
                         )

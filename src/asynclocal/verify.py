@@ -326,11 +326,16 @@ def _reproduce_table2() -> Verdict:
         "table2",
         f"configuration repeats after {cert.period_applications} period applications, "
         f"nodes {cert.undecided} never decide",
+        witness=cert,
     )
 
 
 def reproduce_table(which: str) -> Verdict:
-    """Re-run an embedded golden fixture and compare cell by cell."""
+    """Re-run an embedded golden fixture and compare cell by cell.
+
+    A passing ``table2`` verdict carries the livelock certificate it found
+    as its ``witness``.
+    """
     if which == "table1":
         return _reproduce_table1()
     if which == "table2":

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -30,3 +31,12 @@ def test_every_exported_name_resolves(module_name):
 def test_the_module_list_covers_the_package():
     found = {f"asynclocal.{m.name}" for m in pkgutil.iter_modules(asynclocal.__path__)}
     assert found | {"asynclocal"} == set(MODULES)
+
+
+def test_every_public_name_of_the_package_is_exported():
+    public = {
+        name
+        for name, value in vars(asynclocal).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public - set(asynclocal.__all__)) == []

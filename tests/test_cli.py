@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from asynclocal import cli as cli_mod
+from asynclocal import verify as verify_mod
 from asynclocal.cli import main
+from asynclocal.engine import detect_livelock
 
 
 def run_cli(capsys, *argv):
@@ -297,6 +300,16 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("prop", ["proper", "periodic-termination"])
+    def test_negative_budget(self, capsys, prop):
+        code, out, err = run_cli(
+            capsys, "search", "--algo", "six", "--graph", "cycle:5",
+            "--property", prop, "--budget", "-5",
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == ["error: budget must be non-negative, got -5"]
+
     def test_bad_graph_spec(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--algo", "six", "--graph", "donut:4")
         assert code == 2
@@ -368,3 +381,19 @@ def test_stdout_is_pinned(argv, exit_code, digest, capsys):
     out = capsys.readouterr().out
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_repro_table2_detects_the_livelock_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return detect_livelock(*args, **kwargs)
+
+    # count calls made through either module's name for the detector
+    for module in (verify_mod, cli_mod):
+        monkeypatch.setattr(module, "detect_livelock", counting, raising=False)
+    argv, exit_code, digest = STDOUT_PINS[1]
+    assert main(list(argv)) == exit_code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert len(calls) == 1

@@ -2,11 +2,13 @@ import itertools
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import asynclocal
 from asynclocal.coverfree import (
     CoverFreeFamily,
     Field,
@@ -307,7 +309,12 @@ class TestPrimes:
         assert field(q).p == {4: 2, 8: 2, 9: 3, 16: 2, 25: 5, 27: 3, 32: 2}[q]
 
     def test_package_import_needs_no_sympy(self):
-        code = "import asynclocal, sys; assert 'sympy' not in sys.modules"
+        # the child imports the package from where this process found it
+        src = str(Path(asynclocal.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "import asynclocal; assert 'sympy' not in sys.modules"
+        )
         subprocess.run([sys.executable, "-c", code], check=True)
 
 

@@ -337,6 +337,19 @@ class TestSearch:
         with pytest.raises(ValueError):
             adversary_search(make_algorithm("six"), build_graph("cycle:3"), property="magic")
 
+    @pytest.mark.parametrize("prop", ["proper", "periodic-termination"])
+    def test_negative_budget_is_rejected(self, prop):
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            adversary_search(make_algorithm("six"), build_graph("cycle:3"), property=prop, budget=-5)
+
+    @pytest.mark.parametrize("prop", ["proper", "periodic-termination"])
+    def test_zero_budget_examines_nothing(self, prop):
+        result = adversary_search(
+            make_algorithm("six"), build_graph("cycle:3"), property=prop, budget=0
+        )
+        assert not result.found
+        assert result.examined == 0
+
     def test_palette_search_finds_nothing_for_the_cycle_algorithm(self):
         graph = build_graph("cycle:4")
         algo = make_algorithm("six")

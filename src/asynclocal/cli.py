@@ -132,11 +132,15 @@ def _enum_depth(spec: str) -> int:
 def cmd_search(args) -> int:
     graph = _resolve_graph(args)
     algo = _resolve_algorithm(args, graph)
-    if args.sched and args.sched.startswith("enum"):
+    if args.sched is not None:
+        if args.sched.partition(":")[0] != "enum":
+            raise ValueError(f"search --sched takes enum:depth=D only, got {args.sched!r}")
         if args.property not in _TRACE_PROPERTIES:
             raise ValueError("exhaustive enumeration searches trace properties only")
         schedulings = enumerate_schedulings(graph.nodes, _enum_depth(args.sched), graph=graph)
-        result = _scan(algo, graph, args.property, schedulings, max_steps=args.max_steps)
+        result = _scan(
+            algo, graph, args.property, schedulings, args.budget, max_steps=args.max_steps
+        )
     else:
         result = adversary_search(
             algo,

@@ -181,6 +181,10 @@ def step(graph: Graph, algo, cfg: Configuration, block: Iterable[int]) -> Config
 class Scheduling:
     """A block source plus the crash/support metadata the engine consumes.
 
+    It stores only what its constructors cannot derive.  ``crash_times``
+    maps a node to the last step it may appear in (``None``: it never
+    crashes) and is empty for an explicit scheduling.
+
     The constructors in :mod:`asynclocal.schedulers` and
     :func:`explicit_scheduling` make only canonical blocks (distinct nodes
     of ``nodes``, ascending, nonempty) and mark their schedulings
@@ -189,16 +193,21 @@ class Scheduling:
     every other block source, a hand-built ``Scheduling`` included.
     """
 
-    kind: str
     spec: str
     nodes: tuple[int, ...]
-    finite: bool
     support_ever: frozenset[int]
-    support_forever: frozenset[int]
     crash_times: dict[int, int | None]
     seed: int | None
     _factory: Callable[[], Iterator[tuple[int, ...]]]
     _checked: bool = field(default=False, repr=False)
+
+    @property
+    def support_forever(self) -> frozenset[int]:
+        """The nodes that never crash: those whose crash time is ``None``."""
+        ct = self.crash_times
+        if not ct:  # explicit schedulings, enumerated by the thousand, skip the scan
+            return frozenset()
+        return frozenset([v for v, t in ct.items() if t is None])
 
     def blocks(self) -> Iterator[tuple[int, ...]]:
         """Fresh block iterator; calling again restarts from the beginning."""
@@ -224,10 +233,7 @@ def _explicit(blocks, nodes: tuple[int, ...], spec: str, support: frozenset[int]
     ``spec`` must be the canonical spec of ``blocks`` and ``support`` the
     union of their nodes; callers guarantee both.
     """
-    return Scheduling(
-        "explicit", spec, nodes, True, support, frozenset(), {}, None, lambda: iter(blocks),
-        _checked=True,
-    )
+    return Scheduling(spec, nodes, support, {}, None, lambda: iter(blocks), _checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +388,9 @@ def execute(
     """Run ``algo`` on ``graph`` under ``scheduling``.
 
     ``scheduling`` is a :class:`Scheduling`, a plain list of blocks, or
-    any object with a ``blocks()`` method and the same metadata.
+    any object with a ``blocks()`` method and the attributes ``spec``,
+    ``seed``, ``support_ever``, ``crash_times`` and ``support_forever``.
+    A negative ``max_steps`` raises :class:`ValueError`; 0 runs no step.
 
     Stops as soon as every node that appears in the scheduling has
     decided, when the scheduling itself is exhausted, when the only
@@ -394,6 +402,8 @@ def execute(
     large campaigns); decisions, runtimes and the final configuration are
     always kept.
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     sched, block_iter = _block_source(graph, scheduling)
     ins = _resolve_inputs(graph, algo, inputs)
     algo.validate(graph, ins)
@@ -417,8 +427,7 @@ def execute(
     pending = set(support.difference(decisions))
     crashed: set[int] = set()
     crashes = sorted(
-        ((t, v) for v, t in (getattr(sched, "crash_times", None) or {}).items()
-         if t is not None and v in pending),
+        ((t, v) for v, t in sched.crash_times.items() if t is not None and v in pending),
         reverse=True,
     )
 
@@ -453,15 +462,15 @@ def execute(
         algo_name=algo.name,
         params=dict(algo.params()),
         inputs=ins,
-        sched_spec=getattr(sched, "spec", "explicit"),
-        seed=getattr(sched, "seed", None),
+        sched_spec=sched.spec,
+        seed=sched.seed,
         step_count=step_index,
         complete=support <= decisions.keys(),
         decisions=decisions,
         decision_steps=decision_steps,
         runtimes=runtimes,
         final=cfg,
-        support_forever=frozenset(getattr(sched, "support_forever", frozenset())),
+        support_forever=sched.support_forever,
         steps=steps,
         max_steps=max_steps,
         palette=algo.palette,

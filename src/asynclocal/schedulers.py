@@ -106,21 +106,11 @@ def _parse_crashes(text: str) -> dict[int, int]:
     return out
 
 
-def _crash_body(crashes: dict[int, int]) -> str:
-    return "|".join(f"{v}@{t}" for v, t in sorted(crashes.items()))
-
-
 def _known_crashes(crashes: dict[int, int], graph: Graph) -> dict[int, int]:
     for v in crashes:
         if v not in graph.adj:
             raise SchedulingError(f"crash for unknown node {v}")
     return crashes
-
-
-def _supports(nodes, crash_times):
-    ever = frozenset([v for v in nodes if crash_times.get(v) != 0])
-    forever = frozenset([v for v in nodes if crash_times.get(v) is None])
-    return ever, forever
 
 
 def _alive_phases(nodes, crash_times) -> Iterator[tuple[int | None, tuple[int, ...]]]:
@@ -142,6 +132,22 @@ def _alive_phases(nodes, crash_times) -> Iterator[tuple[int | None, tuple[int, .
             start = last + 1
 
 
+def _random_block(draw, alive: tuple[int, ...], p: float, canon: str, step: int) -> tuple[int, ...]:
+    """One draw per alive node, in node order, an empty block being redrawn."""
+    blk = ()
+    tries = 0
+    while not blk:
+        if tries == _MAX_EMPTY_DRAWS:
+            raise SchedulingError(f"{canon}: {tries} empty blocks in a row at step {step}")
+        blk = tuple([v for v in alive if draw() < p])
+        tries += 1
+    return blk
+
+
+# the parameters each stream kind takes
+_STREAM_PARAMS = {"sync": {"crashes"}, "random": {"seed", "p", "crash", "crashes"}}
+
+
 def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = None) -> Scheduling:
     """Build a scheduling for ``graph`` from a spec string.
 
@@ -153,84 +159,6 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
     nodes = graph.nodes
     kind, _, rest = spec.partition(":")
     crashes = _known_crashes(crashes or {}, graph)
-
-    if kind == "sync":
-        params = _parse_params(rest)
-        if set(params) - {"crashes"}:
-            raise SchedulingError(f"unknown sync parameters {sorted(set(params) - {'crashes'})}")
-        pinned = {**_known_crashes(_parse_crashes(params.get("crashes", "")), graph), **crashes}
-        ct: dict[int, int | None] = {v: pinned.get(v) for v in nodes}
-        canon = "sync" + (f":crashes={_crash_body(pinned)}" if pinned else "")
-
-        def factory():
-            step = 0
-            for last, alive in _alive_phases(nodes, ct):
-                while last is None or step < last:
-                    step += 1
-                    yield alive
-
-        ever, forever = _supports(nodes, ct)
-        finite = None not in ct.values()
-        return Scheduling(
-            "sync", canon, nodes, finite, ever, forever, ct, None, factory, _checked=True
-        )
-
-    if kind == "random":
-        params = _parse_params(rest)
-        unknown = set(params) - {"seed", "p", "crash", "crashes"}
-        if unknown:
-            raise SchedulingError(f"unknown random parameters {sorted(unknown)}")
-        if "seed" not in params:
-            raise SchedulingError("random scheduling needs a seed, e.g. random:seed=7")
-        try:
-            seed = int(params["seed"])
-            p = float(params.get("p", "0.5"))
-            rate = float(params.get("crash", "0.0"))
-        except ValueError as exc:
-            raise SchedulingError(f"malformed random parameters in {spec!r}") from exc
-        if not _MIN_P <= p <= 1.0:
-            raise SchedulingError(f"activation probability must be in [{_MIN_P}, 1], got {p}")
-        if not 0.0 <= rate < 1.0:
-            raise SchedulingError(f"crash rate must be in [0,1), got {rate}")
-        pinned = {**_known_crashes(_parse_crashes(params.get("crashes", "")), graph), **crashes}
-
-        rng = random.Random(seed)
-        rnd = rng.random
-        ct = {}
-        for v in nodes:  # fixed draw order keeps the stream seed-deterministic
-            faulty = rnd() < rate
-            t = 0
-            while rnd() >= _CRASH_STOP:
-                t += 1
-            ct[v] = t if faulty else None
-        ct.update(pinned)
-        block_seed = rng.randrange(2**63)
-        canon = f"random:seed={seed},p={p!r},crash={rate!r}"
-        if pinned:
-            canon += f",crashes={_crash_body(pinned)}"
-
-        def factory():
-            draw = random.Random(block_seed).random
-            step = 0
-            for last, alive in _alive_phases(nodes, ct):
-                while last is None or step < last:
-                    step += 1
-                    blk = ()
-                    tries = 0
-                    while not blk:  # one draw per alive node, in node order; empty: redraw
-                        if tries == _MAX_EMPTY_DRAWS:
-                            raise SchedulingError(
-                                f"{canon}: {tries} empty blocks in a row at step {step}"
-                            )
-                        blk = tuple([v for v in alive if draw() < p])
-                        tries += 1
-                    yield blk
-
-        ever, forever = _supports(nodes, ct)
-        finite = None not in ct.values()
-        return Scheduling(
-            "random", canon, nodes, finite, ever, forever, ct, seed, factory, _checked=True
-        )
 
     if kind == "replay":
         if not rest:
@@ -244,11 +172,65 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
             raise SchedulingError(f"malformed explicit scheduling {spec!r}") from exc
         return explicit_scheduling(blocks, nodes)
 
-    raise SchedulingError(f"unknown scheduling kind {kind!r}")
+    if kind not in _STREAM_PARAMS:
+        raise SchedulingError(f"unknown scheduling kind {kind!r}")
+    params = _parse_params(rest)
+    unknown = set(params) - _STREAM_PARAMS[kind]
+    if unknown:
+        raise SchedulingError(f"unknown {kind} parameters {sorted(unknown)}")
+    seed = block_seed = p = None
+    parts = []
+    if kind == "random":
+        if "seed" not in params:
+            raise SchedulingError("random scheduling needs a seed, e.g. random:seed=7")
+        try:
+            seed = int(params["seed"])
+            p = float(params.get("p", "0.5"))
+            rate = float(params.get("crash", "0.0"))
+        except ValueError as exc:
+            raise SchedulingError(f"malformed random parameters in {spec!r}") from exc
+        if not _MIN_P <= p <= 1.0:
+            raise SchedulingError(f"activation probability must be in [{_MIN_P}, 1], got {p}")
+        if not 0.0 <= rate < 1.0:
+            raise SchedulingError(f"crash rate must be in [0,1), got {rate}")
+        parts = [f"seed={seed}", f"p={p!r}", f"crash={rate!r}"]
+    pinned = {**_known_crashes(_parse_crashes(params.get("crashes", "")), graph), **crashes}
+    if pinned:
+        parts.append("crashes=" + "|".join(f"{v}@{t}" for v, t in sorted(pinned.items())))
+    canon = kind + (":" + ",".join(parts) if parts else "")
+
+    ct: dict[int, int | None] = dict.fromkeys(nodes)
+    if seed is not None:
+        rng = random.Random(seed)
+        rnd = rng.random
+        for v in nodes:  # fixed draw order keeps the stream seed-deterministic
+            faulty = rnd() < rate
+            t = 0
+            while rnd() >= _CRASH_STOP:
+                t += 1
+            ct[v] = t if faulty else None
+        block_seed = rng.randrange(2**63)
+    ct.update(pinned)
+
+    def factory():
+        # sync yields the alive nodes; random picks a block of them with a fresh stream
+        draw = None if block_seed is None else random.Random(block_seed).random
+        step = 0
+        for last, alive in _alive_phases(nodes, ct):
+            while last is None or step < last:
+                step += 1
+                yield alive if draw is None else _random_block(draw, alive, p, canon, step)
+
+    ever = frozenset([v for v in nodes if ct[v] != 0])
+    return Scheduling(canon, nodes, ever, ct, seed, factory, _checked=True)
 
 
 def read_scheduling(path) -> list[tuple[int, ...]]:
-    """Read a scheduling file: one block per line, space-separated node ids."""
+    """Read a scheduling file: one block per line, space-separated node ids.
+
+    Blocks come back as written; :func:`explicit_scheduling` sorts them and
+    drops repeated nodes.
+    """
     blocks = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -256,7 +238,7 @@ def read_scheduling(path) -> list[tuple[int, ...]]:
             if not line:
                 continue
             try:
-                blocks.append(tuple(sorted({int(x) for x in line.split()})))
+                blocks.append(tuple([int(x) for x in line.split()]))
             except ValueError as exc:
                 raise SchedulingError(f"{path}:{lineno}: malformed block {line!r}") from exc
     return blocks
@@ -318,15 +300,9 @@ def enumerate_schedulings(nodes, depth: int, graph: Graph | None = None) -> Iter
 # ---------------------------------------------------------------------------
 # adversary search
 
-SEARCH_PROPERTIES = (
-    "proper",
-    "proper-coloring",
-    "palette",
-    "termination-under-periodic-schedules",
-    "periodic-termination",
-)
+SEARCH_PROPERTIES = ("proper", "palette", "periodic-termination")
 
-_TRACE_PROPERTIES = ("proper", "proper-coloring", "palette")
+_TRACE_PROPERTIES = ("proper", "palette")
 
 _SEARCH_P = (0.5, 0.3, 0.8, 1.0)
 _SEARCH_CRASH = (0.0, 0.1, 0.25)
@@ -351,17 +327,25 @@ def _seeded_spec(seed: int) -> str:
     return f"random:seed={seed},p={p!r},crash={rate!r}"
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+
+
 def _scan(
-    algo, graph: Graph, property: str, schedulings, inputs=None, max_steps: int = DEFAULT_MAX_STEPS
+    algo, graph: Graph, property: str, schedulings, budget: int, inputs=None,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> SearchResult:
-    """Check a trace property on each scheduling in turn, up to the first violation.
+    """Check a trace property on the first ``budget`` schedulings, up to the first violation.
 
     A violating scheduling is run again with full recording (its blocks
-    restart from the first) for a replayable witness.
+    restart from the first) for a replayable witness.  A negative budget
+    raises :class:`ValueError`.
     """
+    _check_budget(budget)
     checker = _verify.check_palette if property == "palette" else _verify.check_proper
     examined = 0
-    for sched in schedulings:
+    for sched in itertools.islice(schedulings, budget):
         examined += 1
         trace = execute(graph, algo, sched, inputs=inputs, max_steps=max_steps, record=False)
         if not checker(trace).ok:
@@ -387,18 +371,17 @@ def adversary_search(
     Trace properties (``proper``, ``palette``) scan seeded random
     adversaries in ascending seed order, so the lowest violating seed
     wins; a hit is re-executed with full recording for a replayable
-    witness.  ``termination-under-periodic-schedules`` instead enumerates
-    short prefix/period shapes and looks for configuration-repetition
+    witness.  ``periodic-termination`` instead enumerates short
+    prefix/period shapes and looks for configuration-repetition
     livelocks.  ``budget`` bounds the number of candidates examined; a
     negative budget raises :class:`ValueError`.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
     if property in _TRACE_PROPERTIES:
-        schedulings = (make_scheduling(_seeded_spec(seed0 + i), graph) for i in range(budget))
-        return _scan(algo, graph, property, schedulings, inputs, max_steps)
+        schedulings = (make_scheduling(_seeded_spec(seed0 + i), graph) for i in itertools.count())
+        return _scan(algo, graph, property, schedulings, budget, inputs, max_steps)
 
-    if property in ("termination-under-periodic-schedules", "periodic-termination"):
+    if property == "periodic-termination":
+        _check_budget(budget)
         subsets = _nonempty_subsets(graph.nodes)
         examined = 0
         prefixes = itertools.chain(

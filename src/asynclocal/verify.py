@@ -458,7 +458,6 @@ def verify_trace_file(path, checks: list[str] | None = None) -> list[Verdict]:
 
 CHECKS = {
     "proper": check_proper,
-    "proper-coloring": check_proper,
     "palette": check_palette,
     "parity": check_parity_reduction,
 }
@@ -468,5 +467,5 @@ def run_check(name: str, trace: Trace) -> Verdict:
     try:
         checker = CHECKS[name]
     except KeyError:
-        raise ValueError(f"unknown check {name!r} (expected one of {sorted(set(CHECKS))})")
+        raise ValueError(f"unknown check {name!r} (expected one of {sorted(CHECKS)})")
     return checker(trace)

@@ -120,8 +120,11 @@ def enumerate_complete(algo, n: int, step_bound: int = 8) -> EnumerationResult:
     """Depth-first census of every complete execution on ``clique:n``.
 
     Blocks are nonempty subsets of the currently undecided processes, so
-    a schedule ends exactly when everyone has decided.
+    a schedule ends exactly when everyone has decided.  A negative
+    ``step_bound`` raises :class:`ValueError`.
     """
+    if step_bound < 0:
+        raise ValueError(f"step_bound must be non-negative, got {step_bound}")
     _guard(n <= 3, f"exhaustive enumeration over clique({n}) explodes")
     graph = build_graph(f"clique:{n}")
     inputs = {v: algo.default_input(v) for v in graph.nodes}

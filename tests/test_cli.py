@@ -150,7 +150,7 @@ class TestSearch:
             "--graph",
             "cycle:4",
             "--property",
-            "termination-under-periodic-schedules",
+            "periodic-termination",
             "--budget",
             "5000",
         )
@@ -182,6 +182,33 @@ class TestSearch:
         assert code == 0
         payload = first_json(out)
         assert payload == {"found": False, "examined": 12, "property": "proper"}
+
+    @pytest.mark.parametrize("budget, examined", [("0", 0), ("5", 5)])
+    def test_exhaustive_mode_stops_at_the_budget(self, capsys, budget, examined):
+        code, out, _ = run_cli(
+            capsys, "search", "--algo", "six", "--graph", "path:2",
+            "--sched", "enum:depth=2", "--budget", budget,
+        )
+        assert code == 0
+        assert first_json(out) == {"found": False, "examined": examined, "property": "proper"}
+
+    def test_exhaustive_mode_rejects_a_negative_budget(self, capsys):
+        code, out, err = run_cli(
+            capsys, "search", "--algo", "six", "--graph", "path:2",
+            "--sched", "enum:depth=2", "--budget", "-5",
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == ["error: budget must be non-negative, got -5"]
+
+    @pytest.mark.parametrize("sched", ["random:seed=1", "sync", "explicit:1/2", ""])
+    def test_a_non_enumeration_scheduling_is_rejected(self, capsys, sched):
+        code, out, err = run_cli(
+            capsys, "search", "--algo", "six", "--graph", "cycle:5", "--sched", sched
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == [f"error: search --sched takes enum:depth=D only, got {sched!r}"]
 
     def test_exhaustive_mode_guard(self, capsys):
         code, _, err = run_cli(
@@ -278,6 +305,15 @@ class TestWsb:
         assert payload["closed"] is True
         assert payload["divisible_by_n"] is False
 
+    @pytest.mark.parametrize("command", ["count", "class"])
+    def test_negative_step_bound(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, "wsb", command, "--algo", "const0", "--n", "3", "--step-bound", "-1"
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == ["error: step_bound must be non-negative, got -1"]
+
     def test_class_sizes(self, capsys):
         code, out, _ = run_cli(capsys, "wsb", "class", "--algo", "const0", "--n", "3")
         assert code == 0
@@ -309,6 +345,45 @@ class TestUsageErrors:
         assert code == 2
         assert out == []
         assert err.splitlines() == ["error: budget must be non-negative, got -5"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--algo", "six", "--graph", "cycle:5", "--max-steps", "-3"),
+            ("search", "--algo", "six", "--graph", "cycle:5", "--max-steps", "-1"),
+        ],
+        ids=["run", "search"],
+    )
+    def test_negative_max_steps(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == [f"error: max_steps must be non-negative, got {argv[-1]}"]
+
+    def test_verify_rejects_a_negative_max_steps_header(self, capsys, tmp_path):
+        path = tmp_path / "run.jsonl"
+        run_cli(capsys, "run", "--algo", "six", "--graph", "cycle:4", "--trace", str(path))
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["max_steps"] = -2
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        code, out, err = run_cli(capsys, "verify", "--trace", str(path))
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == ["error: max_steps must be non-negative, got -2"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "--algo", "six", "--graph", "cycle:4", "--property", "proper-coloring"),
+            ("search", "--algo", "buggy5", "--graph", "cycle:4",
+             "--property", "termination-under-periodic-schedules"),
+            ("run", "--algo", "six", "--graph", "cycle:4", "--check", "proper-coloring"),
+        ],
+        ids=["proper-coloring", "termination-under-periodic-schedules", "check"],
+    )
+    def test_one_spelling_per_property(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 2
 
     def test_bad_graph_spec(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--algo", "six", "--graph", "donut:4")

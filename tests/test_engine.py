@@ -123,6 +123,16 @@ class TestExecute:
         assert trace.step_count == 1
         assert not trace.complete
 
+    def test_zero_max_steps_runs_no_step(self):
+        graph, algo = six_on_table_cycle()
+        trace = execute(graph, algo, make_scheduling("sync", graph), max_steps=0)
+        assert (trace.step_count, trace.decisions, trace.complete) == (0, {}, False)
+
+    def test_negative_max_steps_rejected(self):
+        graph, algo = six_on_table_cycle()
+        with pytest.raises(ValueError, match="max_steps must be non-negative, got -1"):
+            execute(graph, algo, make_scheduling("sync", graph), max_steps=-1)
+
     def test_crashed_nodes_stay_undecided(self):
         graph, algo = six_on_table_cycle()
         sched = make_scheduling("sync:crashes=3@1", graph)
@@ -242,7 +252,7 @@ class BlockList:
 
     spec = "custom"
     seed = None
-    crash_times = None
+    crash_times = {}
     support_forever = frozenset()
 
     def __init__(self, blocks):
@@ -256,10 +266,7 @@ class BlockList:
 def hand_built(blocks):
     """A Scheduling made outside the package's constructors: its blocks are not trusted."""
     graph, _ = six_on_table_cycle()
-    return Scheduling(
-        "custom", "custom", graph.nodes, True, graph.node_set, frozenset(), {}, None,
-        lambda: iter(blocks),
-    )
+    return Scheduling("custom", graph.nodes, graph.node_set, {}, None, lambda: iter(blocks))
 
 
 class TestBlockValidation:

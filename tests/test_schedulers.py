@@ -31,8 +31,8 @@ class TestSync:
     def test_full_blocks_forever(self):
         graph = build_graph("cycle:4")
         sched = make_scheduling("sync", graph)
-        assert sched.kind == "sync"
-        assert not sched.finite
+        assert sched.spec == "sync"
+        assert sched.seed is None
         assert take(sched, 3) == [(1, 2, 3, 4)] * 3
         assert sched.support_ever == frozenset({1, 2, 3, 4})
         assert sched.support_forever == frozenset({1, 2, 3, 4})
@@ -56,7 +56,7 @@ class TestSync:
         graph = build_graph("path:2")
         sched = make_scheduling("sync:crashes=1@1|2@2", graph)
         assert list(sched.blocks()) == [(1, 2), (2,)]
-        assert sched.finite
+        assert sched.support_forever == frozenset()
 
     def test_crash_for_unknown_node(self):
         graph = build_graph("path:2")
@@ -187,8 +187,8 @@ class TestExplicitAndReplay:
         graph = build_graph("path:3")
         sched = make_scheduling("explicit:1,3/2", graph)
         assert list(sched.blocks()) == [(1, 3), (2,)]
-        assert sched.finite
         assert sched.support_ever == frozenset({1, 2, 3})
+        assert (sched.crash_times, sched.support_forever) == ({}, frozenset())
 
     def test_explicit_unknown_node(self):
         graph = build_graph("path:2")
@@ -203,10 +203,18 @@ class TestExplicitAndReplay:
         assert read_scheduling(path) == blocks
         sched = make_scheduling(f"replay:{path}", graph)
         assert list(sched.blocks()) == blocks
-        assert sched.finite
+        assert sched.support_forever == frozenset()
         assert sched.spec == "explicit:1,2/3/2,4"  # the blocks, not the file
         path.write_text("1\n")
         assert list(sched.blocks()) == blocks
+
+    def test_replay_blocks_are_read_as_written_and_canonical_when_run(self, tmp_path):
+        path = tmp_path / "sched.txt"
+        path.write_text("3 1 3\n\n2\n")
+        assert read_scheduling(path) == [(3, 1, 3), (2,)]
+        sched = make_scheduling(f"replay:{path}", build_graph("path:3"))
+        assert list(sched.blocks()) == [(1, 3), (2,)]
+        assert sched.spec == "explicit:1,3/2"
 
     def test_replay_malformed_line(self, tmp_path):
         path = tmp_path / "sched.txt"
@@ -224,7 +232,7 @@ class TestEnumeration:
     def test_depth_one_blocks_in_mask_order(self):
         scheds = list(enumerate_schedulings((1, 2), 1))
         assert [list(s.blocks()) for s in scheds] == [[(1,)], [(2,)], [(1, 2)]]
-        assert all(isinstance(s, Scheduling) and s.finite for s in scheds)
+        assert all(isinstance(s, Scheduling) and s.crash_times == {} for s in scheds)
 
     def test_depth_two_counts(self):
         scheds = list(enumerate_schedulings((1, 2), 2))
@@ -272,7 +280,7 @@ class TestEnumeration:
             assert list(a.blocks()) == list(b.blocks())
             assert list(a.blocks()) == list(b.blocks())  # restartable
             assert a.support_ever == b.support_ever
-            assert (a.kind, a.nodes, a.finite, a._checked) == (b.kind, b.nodes, b.finite, b._checked)
+            assert (a.nodes, a._checked) == (b.nodes, b._checked)
             assert (a.support_forever, a.crash_times, a.seed) == (b.support_forever, b.crash_times, b.seed)
 
     def test_enumerated_schedulings_run(self):
@@ -285,13 +293,7 @@ class TestEnumeration:
 
 class TestSearch:
     def test_property_names(self):
-        assert set(SEARCH_PROPERTIES) == {
-            "proper",
-            "proper-coloring",
-            "palette",
-            "termination-under-periodic-schedules",
-            "periodic-termination",
-        }
+        assert SEARCH_PROPERTIES == ("proper", "palette", "periodic-termination")
 
     def test_seeded_specs_cycle_through_parameters(self):
         assert _seeded_spec(0) == "random:seed=0,p=0.5,crash=0.0"
@@ -309,7 +311,7 @@ class TestSearch:
         result = adversary_search(
             make_algorithm("buggy5"),
             graph,
-            property="termination-under-periodic-schedules",
+            property="periodic-termination",
             budget=5000,
         )
         assert result.found
@@ -373,12 +375,30 @@ class TestSearch:
     def test_enumeration_scan_stops_at_the_first_violation(self):
         graph = build_graph("path:2")
         schedulings = enumerate_schedulings(graph.nodes, 2, graph=graph)
-        result = _scan(ConstantOutput(0), graph, "proper", schedulings)
+        result = _scan(ConstantOutput(0), graph, "proper", schedulings, 10)
         assert result.found
         assert result.examined == 3  # {1}, {2}, then {1,2}
         assert result.scheduling_spec == "explicit:1,2"
         assert [rec.block for rec in result.trace.steps] == [(1, 2)]
         assert not result.verdict.ok
+
+    @pytest.mark.parametrize("budget, examined", [(0, 0), (2, 2), (100, 12)])
+    def test_enumeration_scan_stops_at_the_budget(self, budget, examined):
+        graph = build_graph("path:2")
+        schedulings = enumerate_schedulings(graph.nodes, 2, graph=graph)
+        result = _scan(make_algorithm("six"), graph, "proper", schedulings, budget)
+        assert (result.found, result.examined) == (False, examined)
+
+    def test_enumeration_scan_rejects_a_negative_budget(self):
+        graph = build_graph("path:2")
+        schedulings = enumerate_schedulings(graph.nodes, 2, graph=graph)
+        with pytest.raises(ValueError, match="budget must be non-negative, got -5"):
+            _scan(make_algorithm("six"), graph, "proper", schedulings, -5)
+
+    @pytest.mark.parametrize("prop", ["proper-coloring", "termination-under-periodic-schedules"])
+    def test_old_property_spellings_are_gone(self, prop):
+        with pytest.raises(ValueError, match="unknown property"):
+            adversary_search(make_algorithm("six"), build_graph("cycle:3"), property=prop)
 
 
 def test_scheduling_spec_round_trips():

@@ -95,6 +95,14 @@ class TestEnumeration:
         assert result.records == []
         assert result.truncated == 3**3
 
+    def test_zero_step_bound_truncates_the_empty_schedule(self):
+        result = enumerate_complete(NeverDecide(), 2, step_bound=0)
+        assert (result.records, result.truncated) == ([], 1)
+
+    def test_negative_step_bound_rejected(self):
+        with pytest.raises(ValueError, match="step_bound must be non-negative, got -1"):
+            enumerate_complete(ConstantOutput(0), 3, step_bound=-1)
+
     def test_decision_steps_recorded(self):
         result = enumerate_complete(ConstantOutput(0), 2)
         r = record_with_blocks(result, ((2,), (1,)))

@@ -25,14 +25,7 @@ from .algorithms import ALGORITHM_NAMES, make_algorithm
 from .coverfree import construct_family, dump_family, verify_coverfree
 from .engine import DEFAULT_MAX_STEPS, AlgorithmViolation, EngineError, execute
 from .graphs import Graph, GraphError, build_graph, load_graph, random_tree
-from .schedulers import (
-    _TRACE_PROPERTIES,
-    SEARCH_PROPERTIES,
-    _scan,
-    adversary_search,
-    enumerate_schedulings,
-    make_scheduling,
-)
+from .schedulers import SEARCH_PROPERTIES, adversary_search, make_scheduling
 
 __all__ = ["main", "build_parser"]
 
@@ -120,36 +113,20 @@ def cmd_verify(args) -> int:
     return code
 
 
-def _enum_depth(spec: str) -> int:
-    body = spec.split(":", 1)[1] if ":" in spec else ""
-    for part in body.split(","):
-        key, _, value = part.partition("=")
-        if key.strip() == "depth":
-            return int(value)
-    raise ValueError(f"enum scheduling spec needs depth=N, got {spec!r}")
-
-
 def cmd_search(args) -> int:
+    if args.trace and args.property == "periodic-termination":
+        raise ValueError("search --trace does not apply to periodic-termination")
     graph = _resolve_graph(args)
     algo = _resolve_algorithm(args, graph)
-    if args.sched is not None:
-        if args.sched.partition(":")[0] != "enum":
-            raise ValueError(f"search --sched takes enum:depth=D only, got {args.sched!r}")
-        if args.property not in _TRACE_PROPERTIES:
-            raise ValueError("exhaustive enumeration searches trace properties only")
-        schedulings = enumerate_schedulings(graph.nodes, _enum_depth(args.sched), graph=graph)
-        result = _scan(
-            algo, graph, args.property, schedulings, args.budget, max_steps=args.max_steps
-        )
-    else:
-        result = adversary_search(
-            algo,
-            graph,
-            property=args.property,
-            budget=args.budget,
-            seed0=args.seed,
-            max_steps=args.max_steps,
-        )
+    result = adversary_search(
+        algo,
+        graph,
+        property=args.property,
+        budget=args.budget,
+        seed0=args.seed,
+        max_steps=args.max_steps,
+        sched=args.sched,
+    )
     payload = {"found": result.found, "examined": result.examined, "property": result.property}
     if result.found:
         payload["sched"] = result.scheduling_spec
@@ -289,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     search_p.add_argument("--algo", required=True)
     search_p.add_argument("--property", default="proper", choices=SEARCH_PROPERTIES)
     search_p.add_argument("--budget", type=int, default=1000)
-    search_p.add_argument("--seed", type=int, default=0, help="first random-adversary seed")
+    search_p.add_argument("--seed", type=int, help="first random-adversary seed (default 0)")
     search_p.add_argument("--sched", help="enum:depth=D switches to exhaustive enumeration")
-    search_p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    search_p.add_argument("--max-steps", type=int, help=f"default {DEFAULT_MAX_STEPS}")
     search_p.add_argument("--trace", help="dump a found violation trace here")
     search_p.set_defaults(func=cmd_search)
 

@@ -261,6 +261,11 @@ def _nonempty_subsets(nodes: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
+def _block_sequences(blocks, lengths) -> Iterator[tuple]:
+    """Every sequence of ``blocks`` of each length in ``lengths``, lexicographic per length."""
+    return itertools.chain.from_iterable(itertools.product(blocks, repeat=k) for k in lengths)
+
+
 def enumerate_schedulings(nodes, depth: int, graph: Graph | None = None) -> Iterator[Scheduling]:
     """All schedulings of 1..depth blocks over ``nodes``, shortest first.
 
@@ -284,25 +289,22 @@ def enumerate_schedulings(nodes, depth: int, graph: Graph | None = None) -> Iter
     subsets = _nonempty_subsets(nodes)  # subsets[i] holds the nodes of bit mask i+1
     fragments = [",".join(map(str, blk)) for blk in subsets]
     supports = [frozenset(blk) for blk in subsets]
-    for length in range(1, depth + 1):
-        for seq in itertools.product(range(len(subsets)), repeat=length):
-            mask = 0
-            for i in seq:
-                mask |= i + 1
-            yield _explicit(
-                [subsets[i] for i in seq],
-                nodes,
-                "explicit:" + "/".join([fragments[i] for i in seq]),
-                supports[mask - 1],
-            )
+    for seq in _block_sequences(range(len(subsets)), range(1, depth + 1)):
+        mask = 0
+        for i in seq:
+            mask |= i + 1
+        yield _explicit(
+            [subsets[i] for i in seq],
+            nodes,
+            "explicit:" + "/".join([fragments[i] for i in seq]),
+            supports[mask - 1],
+        )
 
 
 # ---------------------------------------------------------------------------
 # adversary search
 
 SEARCH_PROPERTIES = ("proper", "palette", "periodic-termination")
-
-_TRACE_PROPERTIES = ("proper", "palette")
 
 _SEARCH_P = (0.5, 0.3, 0.8, 1.0)
 _SEARCH_CRASH = (0.0, 0.1, 0.25)
@@ -327,80 +329,97 @@ def _seeded_spec(seed: int) -> str:
     return f"random:seed={seed},p={p!r},crash={rate!r}"
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-
-
-def _scan(
-    algo, graph: Graph, property: str, schedulings, budget: int, inputs=None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> SearchResult:
-    """Check a trace property on the first ``budget`` schedulings, up to the first violation.
-
-    A violating scheduling is run again with full recording (its blocks
-    restart from the first) for a replayable witness.  A negative budget
-    raises :class:`ValueError`.
-    """
-    _check_budget(budget)
-    checker = _verify.check_palette if property == "palette" else _verify.check_proper
-    examined = 0
-    for sched in itertools.islice(schedulings, budget):
-        examined += 1
-        trace = execute(graph, algo, sched, inputs=inputs, max_steps=max_steps, record=False)
-        if not checker(trace).ok:
-            witness = execute(graph, algo, sched, inputs=inputs, max_steps=max_steps)
-            return SearchResult(
-                property, examined, True, trace=witness,
-                scheduling_spec=sched.spec, verdict=checker(witness),
-            )
-    return SearchResult(property, examined, False)
+def _enum_depth(sched: str) -> int:
+    """The depth D of an ``enum:depth=D`` spec; any other spec raises."""
+    kind, _, rest = sched.partition(":")
+    if kind != "enum":
+        raise ValueError(f"search --sched takes enum:depth=D only, got {sched!r}")
+    params = _parse_params(rest)
+    unknown = set(params) - {"depth"}
+    if unknown:
+        raise SchedulingError(f"unknown enum parameters {sorted(unknown)}")
+    try:
+        return int(params["depth"])
+    except (KeyError, ValueError):
+        raise ValueError(f"enum spec needs depth=D with an integer D, got {sched!r}") from None
 
 
 def adversary_search(
     algo,
     graph: Graph,
-    inputs=None,
     property: str = "proper",
     budget: int = 1000,
-    seed0: int = 0,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    seed0: int | None = None,
+    max_steps: int | None = None,
+    sched: str | None = None,
 ) -> SearchResult:
     """Search schedulings for a violation of the named property.
 
-    Trace properties (``proper``, ``palette``) scan seeded random
-    adversaries in ascending seed order, so the lowest violating seed
-    wins; a hit is re-executed with full recording for a replayable
-    witness.  ``periodic-termination`` instead enumerates short
-    prefix/period shapes and looks for configuration-repetition
-    livelocks.  ``budget`` bounds the number of candidates examined; a
-    negative budget raises :class:`ValueError`.
+    The first ``budget`` candidates are probed in a fixed order, up to the
+    first violation.  Trace properties (``proper``, ``palette``) run random
+    adversaries in ascending seed order from ``seed0`` (None: 0), so the
+    lowest violating seed wins, or, with ``sched="enum:depth=D"``, the
+    schedulings of :func:`enumerate_schedulings`.  Each runs for
+    ``max_steps`` steps (None: ``DEFAULT_MAX_STEPS``); a violation is run
+    again with full recording for a replayable witness.
+    ``periodic-termination`` probes prefixes of 0..2 blocks, each with
+    periods of 1 and 2 blocks, by :func:`detect_livelock`; it reads no
+    seed and no ``max_steps``.  A negative budget or ``max_steps``, an
+    argument the mode does not read, or a malformed ``sched`` raises
+    :class:`ValueError` (an unknown enum parameter, :class:`SchedulingError`).
     """
-    if property in _TRACE_PROPERTIES:
-        schedulings = (make_scheduling(_seeded_spec(seed0 + i), graph) for i in itertools.count())
-        return _scan(algo, graph, property, schedulings, budget, inputs, max_steps)
+    if property not in SEARCH_PROPERTIES:
+        raise ValueError(f"unknown property {property!r} (expected one of {SEARCH_PROPERTIES})")
+    depth = None if sched is None else _enum_depth(sched)
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+    periodic = property == "periodic-termination"
+    if periodic and depth is not None:
+        raise ValueError("exhaustive enumeration searches trace properties only")
+    if seed0 is not None and (periodic or depth is not None):
+        raise ValueError(f"the {sched or property} search takes no seed")
+    if max_steps is not None and periodic:
+        raise ValueError(f"the {property} search takes no max_steps")
 
-    if property == "periodic-termination":
-        _check_budget(budget)
+    # each mode is a candidate stream and a probe that returns the found fields or None
+    if periodic:
         subsets = _nonempty_subsets(graph.nodes)
-        examined = 0
-        prefixes = itertools.chain(
-            [()],
-            ((b,) for b in subsets),
-            itertools.product(subsets, repeat=2),
+        candidates = (
+            (prefix, period)
+            for prefix in _block_sequences(subsets, range(3))
+            for period in _block_sequences(subsets, (1, 2))
         )
-        for prefix in prefixes:
-            for plen in (1, 2):
-                for period in itertools.product(subsets, repeat=plen):
-                    if examined >= budget:
-                        return SearchResult(property, examined, False)
-                    examined += 1
-                    cert = detect_livelock(graph, algo, prefix, period, inputs=inputs)
-                    if cert is not None:
-                        spec = explicit_scheduling(prefix + period, graph.nodes).spec
-                        return SearchResult(
-                            property, examined, True, certificate=cert, scheduling_spec=spec,
-                        )
-        return SearchResult(property, examined, False)
 
-    raise ValueError(f"unknown property {property!r} (expected one of {SEARCH_PROPERTIES})")
+        def probe(shape):
+            cert = detect_livelock(graph, algo, *shape)
+            if cert is None:
+                return None
+            spec = explicit_scheduling(shape[0] + shape[1], graph.nodes).spec
+            return {"certificate": cert, "scheduling_spec": spec}
+
+    else:
+        if depth is None:
+            seeds = itertools.count(0 if seed0 is None else seed0)
+            candidates = (make_scheduling(_seeded_spec(seed), graph) for seed in seeds)
+        else:
+            candidates = enumerate_schedulings(graph.nodes, depth)
+        checker = _verify.check_palette if property == "palette" else _verify.check_proper
+        steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
+
+        def probe(candidate):
+            if checker(execute(graph, algo, candidate, max_steps=steps, record=False)).ok:
+                return None
+            # the blocks restart from the first, so the witness is the same run, recorded
+            witness = execute(graph, algo, candidate, max_steps=steps)
+            verdict = checker(witness)
+            return {"trace": witness, "scheduling_spec": candidate.spec, "verdict": verdict}
+
+    examined = 0
+    for candidate in itertools.islice(candidates, budget):
+        examined += 1
+        found = probe(candidate)
+        if found is not None:
+            return SearchResult(property, examined, True, **found)
+    return SearchResult(property, examined, False)

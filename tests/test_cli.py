@@ -224,6 +224,35 @@ class TestSearch:
         assert code == 2
         assert "guard" in err.lower() or err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--property", "periodic-termination", "--max-steps", "-1"),
+             "max_steps must be non-negative, got -1"),
+            (("--property", "periodic-termination", "--max-steps", "50"),
+             "the periodic-termination search takes no max_steps"),
+            (("--property", "periodic-termination", "--seed", "7"),
+             "the periodic-termination search takes no seed"),
+            (("--property", "periodic-termination", "--trace", "witness.jsonl"),
+             "search --trace does not apply to periodic-termination"),
+            (("--sched", "enum:depth=2", "--seed", "99"),
+             "the enum:depth=2 search takes no seed"),
+            (("--sched", "enum:depth=2,foo=1"), "unknown enum parameters ['foo']"),
+            (("--sched", "enum:depth=x"),
+             "enum spec needs depth=D with an integer D, got 'enum:depth=x'"),
+            (("--sched", "enum:"), "enum spec needs depth=D with an integer D, got 'enum:'"),
+        ],
+        ids=["periodic-negative-max-steps", "periodic-max-steps", "periodic-seed", "periodic-trace",
+             "enum-seed", "enum-unknown-key", "enum-malformed-depth", "enum-missing-depth"],
+    )
+    def test_an_option_the_mode_does_not_read_is_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(
+            capsys, "search", "--algo", "six", "--graph", "path:2", "--budget", "3", *argv
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_exhaustive_mode_rejects_livelock_properties(self, capsys):
         code, _, _ = run_cli(
             capsys,

@@ -10,7 +10,6 @@ from asynclocal.schedulers import (
     GUARD_ENV,
     SEARCH_PROPERTIES,
     Scheduling,
-    _scan,
     _seeded_spec,
     adversary_search,
     enumerate_schedulings,
@@ -374,8 +373,7 @@ class TestSearch:
 
     def test_enumeration_scan_stops_at_the_first_violation(self):
         graph = build_graph("path:2")
-        schedulings = enumerate_schedulings(graph.nodes, 2, graph=graph)
-        result = _scan(ConstantOutput(0), graph, "proper", schedulings, 10)
+        result = adversary_search(ConstantOutput(0), graph, budget=10, sched="enum:depth=2")
         assert result.found
         assert result.examined == 3  # {1}, {2}, then {1,2}
         assert result.scheduling_spec == "explicit:1,2"
@@ -385,15 +383,97 @@ class TestSearch:
     @pytest.mark.parametrize("budget, examined", [(0, 0), (2, 2), (100, 12)])
     def test_enumeration_scan_stops_at_the_budget(self, budget, examined):
         graph = build_graph("path:2")
-        schedulings = enumerate_schedulings(graph.nodes, 2, graph=graph)
-        result = _scan(make_algorithm("six"), graph, "proper", schedulings, budget)
+        result = adversary_search(
+            make_algorithm("six"), graph, budget=budget, sched="enum:depth=2"
+        )
         assert (result.found, result.examined) == (False, examined)
 
     def test_enumeration_scan_rejects_a_negative_budget(self):
         graph = build_graph("path:2")
-        schedulings = enumerate_schedulings(graph.nodes, 2, graph=graph)
         with pytest.raises(ValueError, match="budget must be non-negative, got -5"):
-            _scan(make_algorithm("six"), graph, "proper", schedulings, -5)
+            adversary_search(make_algorithm("six"), graph, budget=-5, sched="enum:depth=2")
+
+    def test_enumeration_scan_runs_the_enumeration_in_order(self, monkeypatch):
+        graph = build_graph("path:2")
+        specs = []
+
+        def recording(graph, algo, sched, **kwargs):
+            specs.append(sched.spec)
+            return execute(graph, algo, sched, **kwargs)
+
+        # the search looks its callees up on the module, so swapping one reaches it
+        monkeypatch.setattr(schedulers, "execute", recording)
+        adversary_search(make_algorithm("six"), graph, budget=7, sched="enum:depth=2")
+        assert specs == [s.spec for s in itertools.islice(enumerate_schedulings(graph.nodes, 2), 7)]
+
+    def test_periodic_search_probes_every_shape_in_order(self, monkeypatch):
+        graph = build_graph("path:2")
+        shapes = []
+
+        def recording(graph, algo, prefix, period):
+            shapes.append((prefix, period))
+            return None
+
+        monkeypatch.setattr(schedulers, "detect_livelock", recording)
+        result = adversary_search(
+            make_algorithm("six"), graph, property="periodic-termination", budget=1000
+        )
+        # (1 + 3 + 9) prefixes of at most two blocks, each with 3 + 9 periods
+        assert (result.found, result.examined, len(shapes)) == (False, 156, 156)
+        assert shapes[:4] == [
+            ((), ((1,),)), ((), ((2,),)), ((), ((1, 2),)), ((), ((1,), (1,))),
+        ]
+        assert shapes[12] == (((1,),), ((1,),))
+        assert shapes[-1] == (((1, 2), (1, 2)), ((1, 2), (1, 2)))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_steps": -1, "budget": 0},
+            {"max_steps": -1, "budget": 0, "sched": "enum:depth=2"},
+            {"max_steps": -1, "budget": 3, "property": "periodic-termination"},
+        ],
+        ids=["seeded", "enum", "periodic"],
+    )
+    def test_negative_max_steps_is_rejected_in_every_mode(self, kwargs):
+        with pytest.raises(ValueError, match="max_steps must be non-negative, got -1"):
+            adversary_search(make_algorithm("six"), build_graph("path:2"), **kwargs)
+
+    def test_enumeration_scan_reads_max_steps(self):
+        graph = build_graph("path:2")
+        # no step runs, so no node decides and nothing violates
+        result = adversary_search(ConstantOutput(0), graph, max_steps=0, sched="enum:depth=2")
+        assert (result.found, result.examined) == (False, 12)
+
+    def test_periodic_search_takes_no_max_steps(self):
+        with pytest.raises(ValueError, match="periodic-termination search takes no max_steps"):
+            adversary_search(
+                make_algorithm("six"), build_graph("cycle:4"),
+                property="periodic-termination", budget=3, max_steps=50,
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"sched": "enum:depth=2"}, {"property": "periodic-termination"}],
+        ids=["enum", "periodic"],
+    )
+    def test_a_seed_outside_the_seeded_mode_is_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="search takes no seed"):
+            adversary_search(
+                make_algorithm("six"), build_graph("path:2"), budget=2, seed0=99, **kwargs
+            )
+
+    def test_unknown_enum_parameters_are_rejected(self):
+        with pytest.raises(SchedulingError, match=r"unknown enum parameters \['foo'\]"):
+            adversary_search(
+                make_algorithm("six"), build_graph("path:2"), sched="enum:depth=2,foo=1"
+            )
+
+    @pytest.mark.parametrize("sched", ["enum:depth=x", "enum:", "enum"])
+    def test_a_missing_or_malformed_depth_names_the_spec(self, sched):
+        with pytest.raises(ValueError, match="enum spec needs depth=D") as info:
+            adversary_search(make_algorithm("six"), build_graph("path:2"), sched=sched)
+        assert repr(sched) in str(info.value)
 
     @pytest.mark.parametrize("prop", ["proper-coloring", "termination-under-periodic-schedules"])
     def test_old_property_spellings_are_gone(self, prop):

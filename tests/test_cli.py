@@ -474,11 +474,23 @@ STDOUT_PINS = [
         0,
         "fec01b860704be76a25401c7ce9ac49014015b02c48e824655212955acc49c89",
     ),
+    (
+        ("wsb", "count", "--algo", "seen2", "--n", "3", "--trim"),
+        0,
+        "679ae6c348b3f4f09b6ae0d0b7e713df09a55f9ad0254a06f5079895a705ee21",
+    ),
+    (
+        ("wsb", "count", "--algo", "seen1", "--n", "3"),
+        0,
+        "53120b15800b4417a6dca2963b5335ce14cffb2b1aad2da51d2100267e6c4730",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,exit_code,digest", STDOUT_PINS, ids=["table1", "table2", "search-periodic", "run-random"]
+    "argv,exit_code,digest",
+    STDOUT_PINS,
+    ids=["table1", "table2", "search-periodic", "run-random", "wsb-count-trim", "wsb-count"],
 )
 def test_stdout_is_pinned(argv, exit_code, digest, capsys):
     code = main(list(argv))

@@ -274,7 +274,8 @@ def enumerate_schedulings(nodes, depth: int, graph: Graph | None = None) -> Iter
     against combinatorial explosion unless the override env var is set.
     Every scheduling equals ``explicit_scheduling(blocks, nodes)``; the
     blocks are canonical by construction, so they skip its checks, and
-    each subset's spec fragment and support are made once per call.
+    each subset's spec fragment and support are made once per call.  The
+    arguments are checked when it is called, before any scheduling is drawn.
     """
     nodes = tuple(sorted(set(nodes)))
     if not nodes:
@@ -286,6 +287,10 @@ def enumerate_schedulings(nodes, depth: int, graph: Graph | None = None) -> Iter
         f"enumeration over {len(nodes)} nodes at depth {depth} is guarded "
         "(limits: 5 nodes, depth 6)",
     )
+    return _enumerated(nodes, depth)
+
+
+def _enumerated(nodes: tuple[int, ...], depth: int) -> Iterator[Scheduling]:
     subsets = _nonempty_subsets(nodes)  # subsets[i] holds the nodes of bit mask i+1
     fragments = [",".join(map(str, blk)) for blk in subsets]
     supports = [frozenset(blk) for blk in subsets]

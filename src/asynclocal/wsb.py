@@ -12,8 +12,14 @@ facts, all checkable by brute force at small ``n``: trimming preserves the
 count, executions fall into equivalence classes of binomial size, and
 binomials C(n, m) vanish mod prime n.
 
-Enumeration is exponential in every direction, so the exhaustive helpers
-are guarded to tiny ``n`` unless ``ASYNCLOCAL_GUARD_OVERRIDE=1`` is set.
+Signed counts come from a memoised recursion over configurations, never
+from a list of executions, and input families are checked against two
+generators of S_n, so :func:`count_report` and :func:`check_input_family`
+reach ``n <= 8``.  Listing the executions themselves, which
+:func:`classify` and :func:`equivalence_class` need, grows with their
+number (13 at n = 3, 75 at n = 4: the ordered Bell numbers), so
+:func:`enumerate_complete` stays at ``n <= 3``.  Each guard lifts with
+``ASYNCLOCAL_GUARD_OVERRIDE=1``.
 """
 
 from __future__ import annotations
@@ -134,6 +140,7 @@ def enumerate_complete(algo, n: int, step_bound: int = 8) -> EnumerationResult:
 
     records: list[ExecutionRecord] = []
     truncated = 0
+    successors: dict[tuple, list] = {}  # configuration key -> [(block, next configuration)]
 
     def descend(cfg, blocks: tuple, ds: dict[int, int]) -> None:
         nonlocal truncated
@@ -144,8 +151,12 @@ def enumerate_complete(algo, n: int, step_bound: int = 8) -> EnumerationResult:
         if len(blocks) >= step_bound:
             truncated += 1
             return
-        for blk in _nonempty_subsets(undecided):
-            nxt = step(graph, algo, cfg, blk)
+        key = cfg.key()
+        nexts = successors.get(key)
+        if nexts is None:
+            nexts = [(blk, step(graph, algo, cfg, blk)) for blk in _nonempty_subsets(undecided)]
+            successors[key] = nexts
+        for blk, nxt in nexts:
             newly = {
                 v: len(blocks) + 1
                 for v in blk
@@ -226,22 +237,82 @@ class CountReport:
 
 
 def count_report(algo, n: int, step_bound: int = 8) -> CountReport:
-    result = enumerate_complete(algo, n, step_bound)
-    c0 = [r for r in result if set(r.outputs.values()) == {0}]
-    c1 = [r for r in result if set(r.outputs.values()) == {1}]
-    s0 = sum(r.sign for r in c0)
-    s1 = sum(r.sign for r in c1)
+    """The census of :func:`enumerate_complete`, counted without listing it.
+
+    A memoised recursion over the configurations of ``clique:n`` finds,
+    for a configuration with ``left`` blocks still allowed, the number of
+    complete executions and truncated prefixes below it and the sizes and
+    signed sums of its all-0 and all-1 completions; each block's subtree
+    enters the sums with the block's sign.  Truncation depends on
+    ``left``, so results are memoised per ``(configuration, left)``.  A
+    subtree that truncates nothing within its height (its longest
+    schedule) is the same for every ``left`` at least that height, and is
+    memoised per configuration.  A negative ``step_bound`` raises
+    :class:`ValueError`.
+    """
+    if step_bound < 0:
+        raise ValueError(f"step_bound must be non-negative, got {step_bound}")
+    _guard(n <= 8, f"signed counts over clique({n}) explode")
+    graph = build_graph(f"clique:{n}")
+    inputs = {v: algo.default_input(v) for v in graph.nodes}
+    algo.validate(graph, inputs)
+    memo: dict[tuple, tuple[int, ...]] = {}
+    settled: dict[tuple, tuple[int, ...]] = {}
+    signed_blocks: dict[tuple[int, ...], list] = {}  # undecided nodes -> [(block, sign)]
+
+    def solve(cfg, left: int) -> tuple[int, ...]:
+        """(executions, truncated, c0_size, c1_size, c0_sum, c1_sum, height) below ``cfg``."""
+        cfg_key = cfg.key()
+        hit = settled.get(cfg_key)
+        if hit is not None and hit[6] <= left:
+            return hit
+        hit = memo.get((cfg_key, left))
+        if hit is not None:
+            return hit
+        new = cfg.new
+        undecided = tuple([v for v in graph.nodes if new[v][0] != TERMINATED])
+        if not undecided:
+            outputs = set(cfg.decided().values())
+            zero, one = int(outputs == {0}), int(outputs == {1})
+            found = (1, 0, zero, one, zero, one, 0)
+        elif left == 0:
+            found = (0, 1, 0, 0, 0, 0, 0)
+        else:
+            blocks = signed_blocks.get(undecided)
+            if blocks is None:
+                blocks = [(b, 1 if len(b) % 2 else -1) for b in _nonempty_subsets(undecided)]
+                signed_blocks[undecided] = blocks
+            executions = truncated = c0_size = c1_size = c0_sum = c1_sum = height = 0
+            for blk, sgn in blocks:
+                e, t, z, o, zs, os_, h = solve(step(graph, algo, cfg, blk), left - 1)
+                executions += e
+                truncated += t
+                c0_size += z
+                c1_size += o
+                c0_sum += sgn * zs
+                c1_sum += sgn * os_
+                height = max(height, h + 1)
+            found = (executions, truncated, c0_size, c1_size, c0_sum, c1_sum, height)
+        if found[1]:
+            memo[(cfg_key, left)] = found
+        else:
+            settled[cfg_key] = found
+        return found
+
+    executions, truncated, c0_size, c1_size, c0_sum, c1_sum, _ = solve(
+        initial_configuration(graph, algo, inputs), step_bound
+    )
     return CountReport(
         algo=algo.name,
         n=n,
         step_bound=step_bound,
-        executions=len(result.records),
-        truncated=result.truncated,
-        c0_size=len(c0),
-        c1_size=len(c1),
-        c0_sum=s0,
-        c1_sum=s1,
-        count=s0 + (-1) ** (n - 1) * s1,
+        executions=executions,
+        truncated=truncated,
+        c0_size=c0_size,
+        c1_size=c1_size,
+        c0_sum=c0_sum,
+        c1_sum=c1_sum,
+        count=c0_sum + (-1) ** (n - 1) * c1_sum,
     )
 
 
@@ -282,7 +353,7 @@ class Trimmed(Algorithm):
 
     def next(self, payload, snaps):
         activated, inner_payload = payload
-        if all(s is not None for s in snaps):
+        if None not in snaps:
             return ("T", 1 if activated else 0, (True, inner_payload))
         unwrapped = [None if s is None else ("R", s[1][1]) for s in snaps]
         st = self.inner.next(inner_payload, unwrapped)
@@ -388,22 +459,31 @@ class FamilyReport:
 def check_input_family(family: Iterable[InputFunction], n: int) -> FamilyReport:
     """Size, divisibility by n, and closure under conjugation by all of S_n.
 
+    Closure is checked for the transposition (1 2) and the n-cycle
+    (1 2 ... n) only.  They generate S_n, and a permutation that maps a
+    finite family into itself maps it onto itself, so its inverse does
+    too; closure under both is closure under S_n.  The witness of a
+    family that is not closed is one of the two and a member it maps
+    outside the family.
+
     Passes when the family is closed and, for prime n, its size is not a
     multiple of n (the counting argument needs both).
     """
-    _guard(n <= 6, f"closure check runs all {n}! permutations")
+    _guard(n <= 8, f"input family checks over {n} processes explode")
     fam = frozenset(family)
-    witness = None
-    closed = True
-    for images in itertools.permutations(range(1, n + 1)):
-        perm = {i: images[i - 1] for i in range(1, n + 1)}
-        for f in fam:
-            if f.conjugated(perm) not in fam:
-                closed = False
-                witness = (perm, f)
-                break
-        if not closed:
-            break
+    swap = {1: 2, 2: 1} if n >= 2 else {}
+    transposition = {i: swap.get(i, i) for i in range(1, n + 1)}
+    n_cycle = {i: i % n + 1 for i in range(1, n + 1)}
+    witness = next(
+        (
+            (perm, f)
+            for perm in (transposition, n_cycle)
+            for f in fam
+            if f.conjugated(perm) not in fam
+        ),
+        None,
+    )
+    closed = witness is None
     prime = _is_prime(n)
     divisible = len(fam) % n == 0
     ok = closed and not (prime and divisible)
@@ -481,7 +561,7 @@ class OutputAfterSeeing(Algorithm):
         return ("R", ())
 
     def next(self, payload, snaps):
-        visible = sum(1 for s in snaps if s is not None)
+        visible = len(snaps) - snaps.count(None)
         return ("T", self.value if visible >= self.k else 1 - self.value, payload)
 
 

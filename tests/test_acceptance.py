@@ -177,17 +177,20 @@ def test_acceptance_7_wsb_combinatorics():
     parts.append(f"(a) binomial divisibility for n in 2,3,5,7,11: {binom_ok}")
 
     counts_ok = True
-    for n in (2, 3):
+    for n in (2, 3, 5, 7):
         for name, algo in toy_algorithms(n).items():
             if univalued_signed_count(algo, n) != univalued_signed_count(trim(algo, n), n):
                 counts_ok = False
     ok = ok and counts_ok
-    parts.append(f"(b) count(A) == count(T(A)) for every toy at n=2,3: {counts_ok}")
+    parts.append(f"(b) count(A) == count(T(A)) for every toy at n=2,3,5,7: {counts_ok}")
 
-    fam = check_input_family(cycle_input_family(5), 5)
-    fam_ok = fam.ok and fam.size == 24 and not fam.divisible_by_n
-    ok = ok and fam_ok
-    parts.append(f"(c) cyclic input family at n=5 (size {fam.size}): {fam_ok}")
+    sizes = []
+    for n in (5, 7):
+        fam = check_input_family(cycle_input_family(n), n)
+        fam_ok = fam.ok and fam.size == math.factorial(n - 1) and not fam.divisible_by_n
+        ok = ok and fam_ok
+        sizes.append(f"n={n} (size {fam.size}): {fam_ok}")
+    parts.append(f"(c) cyclic input family at {', '.join(sizes)}")
 
     sigma = InputFunction((((), None),) * 3)
     classes_ok = True

@@ -7,6 +7,7 @@ from asynclocal import cli as cli_mod
 from asynclocal import verify as verify_mod
 from asynclocal.cli import main
 from asynclocal.engine import detect_livelock
+from asynclocal.schedulers import GUARD_ENV
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +224,27 @@ class TestSearch:
         )
         assert code == 2
         assert "guard" in err.lower() or err
+
+    @pytest.mark.parametrize(
+        "graph, depth, message",
+        [
+            ("path:2", 0, "depth must be positive, got 0"),
+            ("cycle:6", 2, "enumeration over 6 nodes at depth 2 is guarded (limits: 5 nodes, "
+             f"depth 6) (set {GUARD_ENV}=1 to override)"),
+        ],
+        ids=["depth-zero", "guarded-size"],
+    )
+    def test_enumeration_arguments_are_checked_before_the_budget(
+        self, capsys, monkeypatch, graph, depth, message
+    ):
+        monkeypatch.delenv(GUARD_ENV, raising=False)
+        code, out, err = run_cli(
+            capsys, "search", "--algo", "six", "--graph", graph,
+            "--sched", f"enum:depth={depth}", "--budget", "0",
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -3,11 +3,12 @@ import math
 
 import pytest
 
-from asynclocal.algorithms import Algorithm
+from asynclocal.algorithms import Algorithm, make_algorithm
 from asynclocal.graphs import build_graph
 from asynclocal.schedulers import GUARD_ENV
 from asynclocal.wsb import (
     ConstantOutput,
+    CountReport,
     ExecutionRecord,
     IdParity,
     InputFunction,
@@ -26,7 +27,8 @@ from asynclocal.wsb import (
     univalued_signed_count,
 )
 
-FUBINI = {1: 1, 2: 3, 3: 13, 4: 75}
+# ordered Bell numbers (OEIS A000670): the complete executions on clique(n)
+FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541, 6: 4683, 7: 47293}
 
 
 class NeverDecide(Algorithm):
@@ -47,6 +49,29 @@ def record_with_blocks(result, blocks):
 
 def trivial_sigma(n):
     return InputFunction((((), None),) * n)
+
+
+def enumerated_report(algo, n, step_bound=8):
+    """The report read off the list of every complete execution: the DP's reference."""
+    result = enumerate_complete(algo, n, step_bound)
+    c0 = [r for r in result if set(r.outputs.values()) == {0}]
+    c1 = [r for r in result if set(r.outputs.values()) == {1}]
+    s0 = sum(r.sign for r in c0)
+    s1 = sum(r.sign for r in c1)
+    return CountReport(
+        algo.name, n, step_bound, len(result), result.truncated,
+        len(c0), len(c1), s0, s1, s0 + (-1) ** (n - 1) * s1,
+    )
+
+
+def closed_under_every_permutation(family, n):
+    """Closure by conjugating with all n! permutations: the reference check."""
+    fam = frozenset(family)
+    for images in itertools.permutations(range(1, n + 1)):
+        perm = {i: images[i - 1] for i in range(1, n + 1)}
+        if any(f.conjugated(perm) not in fam for f in fam):
+            return False
+    return True
 
 
 class TestSign:
@@ -187,6 +212,54 @@ class TestCounts:
         assert report.truncated == 0
         assert (report.c0_sum, report.c1_sum) == (0, 1)
         assert report.count == report.c0_sum - report.c1_sum
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_reports_equal_the_enumeration_on_every_toy(self, n):
+        for name, algo in toy_algorithms(n).items():
+            for a in (algo, trim(algo, n)):
+                assert count_report(a, n) == enumerated_report(a, n), a.name
+
+    @pytest.mark.parametrize(
+        "algo,n,step_bound",
+        [(make_algorithm("buggy5"), 3, b) for b in (0, 1, 5, 8)]
+        + [(NeverDecide(), 2, b) for b in (0, 1, 5, 8)]
+        + [(trim(NeverDecide(), 3), 3, 5)],  # listing it at step bound 8 takes a second
+        ids=lambda x: getattr(x, "name", x),
+    )
+    def test_truncated_reports_equal_the_enumeration(self, algo, n, step_bound):
+        report = count_report(algo, n, step_bound)
+        assert report == enumerated_report(algo, n, step_bound)
+        assert report.truncated > 0
+
+    def test_buggy5_at_step_bound_thirty(self):
+        # listing these 43,585 executions takes seconds; the figures were read off that list
+        assert count_report(make_algorithm("buggy5"), 3, 30) == CountReport(
+            "buggy5", 3, 30, 43_585, 4_854, 0, 0, 0, 0, 0
+        )
+
+    def test_negative_step_bound_rejected(self):
+        with pytest.raises(ValueError, match="step_bound must be non-negative, got -1"):
+            count_report(ConstantOutput(0), 3, step_bound=-1)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_census_size_is_the_fubini_number(self, n):
+        report = count_report(ConstantOutput(0), n)
+        assert (report.executions, report.truncated, report.count) == (FUBINI[n], 0, 1)
+
+    @pytest.mark.parametrize(
+        "n,seen1,seen2", [(4, 3, -3), (5, -4, 6), (6, 5, -10), (7, -6, 15)]
+    )
+    def test_seen_counts_beyond_the_enumeration(self, n, seen1, seen2):
+        toys = toy_algorithms(n)
+        assert univalued_signed_count(toys["seen1"], n) == seen1
+        assert univalued_signed_count(toys["seen2"], n) == seen2
+
+    def test_guard_and_override(self, monkeypatch):
+        monkeypatch.delenv(GUARD_ENV, raising=False)
+        with pytest.raises(ValueError, match="clique\\(9\\)"):
+            count_report(ConstantOutput(0), 9)
+        monkeypatch.setenv(GUARD_ENV, "1")
+        assert count_report(ConstantOutput(0), 9, step_bound=0).truncated == 1
 
 
 class TestTrimming:
@@ -342,7 +415,37 @@ class TestInputFamilies:
 
     def test_family_guard(self):
         with pytest.raises(ValueError):
-            check_input_family([trivial_sigma(7)], 7)
+            check_input_family([trivial_sigma(9)], 9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_two_generators_decide_closure_like_every_permutation(self, n):
+        leader = InputFunction(tuple(((1,), "L") if i == 1 else ((), None) for i in range(1, n + 1)))
+        pair = InputFunction(tuple(((), {1: "A", 2: "B"}.get(i)) for i in range(1, n + 1)))
+        swap = {i: i for i in range(1, n + 1)}
+        swap.update({1: 2, 2: 1} if n >= 2 else {})
+        rotate = {i: i % n + 1 for i in range(1, n + 1)}
+        rotations = [pair]
+        for _ in range(n - 1):
+            rotations.append(rotations[-1].conjugated(rotate))
+        families = [
+            [trivial_sigma(n)],
+            [leader],
+            {pair, pair.conjugated(swap)},  # closed under (1 2) only
+            rotations,  # closed under the n-cycle only
+            [
+                InputFunction(tuple(((), int(i in ones)) for i in range(1, n + 1)))
+                for ones in itertools.combinations(range(1, n + 1), n // 2)
+            ],
+            cycle_input_family(n) if n >= 3 else [],
+            sorted(cycle_input_family(n), key=repr)[1:] if n >= 3 else [leader, trivial_sigma(n)],
+        ]
+        verdicts = []
+        for fam in families:
+            closed = closed_under_every_permutation(fam, n)
+            assert check_input_family(fam, n).closed == closed
+            verdicts.append(closed)
+        if n >= 3:
+            assert verdicts == [True, False, False, False, True, True, False]
 
 
 class TestBinomials:

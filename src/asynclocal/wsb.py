@@ -126,8 +126,9 @@ def enumerate_complete(algo, n: int, step_bound: int = 8) -> EnumerationResult:
     """Depth-first census of every complete execution on ``clique:n``.
 
     Blocks are nonempty subsets of the currently undecided processes, so
-    a schedule ends exactly when everyone has decided.  A negative
-    ``step_bound`` raises :class:`ValueError`.
+    a schedule ends exactly when everyone has decided.  Each configuration
+    is stepped once; every path through it reuses its successors.  A
+    negative ``step_bound`` raises :class:`ValueError`.
     """
     if step_bound < 0:
         raise ValueError(f"step_bound must be non-negative, got {step_bound}")
@@ -247,8 +248,9 @@ def count_report(algo, n: int, step_bound: int = 8) -> CountReport:
     ``left``, so results are memoised per ``(configuration, left)``.  A
     subtree that truncates nothing within its height (its longest
     schedule) is the same for every ``left`` at least that height, and is
-    memoised per configuration.  A negative ``step_bound`` raises
-    :class:`ValueError`.
+    memoised per configuration.  The recursion is as deep as the longest
+    schedule it explores, at most ``step_bound`` blocks.  A negative
+    ``step_bound`` raises :class:`ValueError`.
     """
     if step_bound < 0:
         raise ValueError(f"step_bound must be non-negative, got {step_bound}")
@@ -436,6 +438,7 @@ def cycle_input_family(n: int) -> frozenset[InputFunction]:
     """
     if n < 3:
         raise ValueError("cyclic orderings need at least 3 processes")
+    _guard(n <= 8, f"the (n-1)! cyclic orderings of {n} processes explode")
     members = set()
     for rest in itertools.permutations(range(2, n + 1)):
         order = (1,) + rest

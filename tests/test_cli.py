@@ -356,6 +356,40 @@ class TestWsb:
         assert payload["closed"] is True
         assert payload["divisible_by_n"] is False
 
+    @pytest.mark.parametrize(
+        "n,size,prime,divisible", [(7, 720, True, False), (8, 5040, False, True)]
+    )
+    def test_family_reaches_eight_processes(self, capsys, monkeypatch, n, size, prime, divisible):
+        monkeypatch.delenv(GUARD_ENV, raising=False)
+        code, out, _ = run_cli(capsys, "wsb", "family", "--n", str(n))
+        assert code == 0
+        payload = first_json(out)
+        assert (payload["size"], payload["prime"], payload["divisible_by_n"]) == (size, prime, divisible)
+        assert payload["closed"] is True and payload["ok"] is True
+
+    def test_count_reaches_eight_processes(self, capsys, monkeypatch):
+        monkeypatch.delenv(GUARD_ENV, raising=False)
+        code, out, _ = run_cli(capsys, "wsb", "count", "--algo", "const0", "--n", "8")
+        assert code == 0
+        payload = first_json(out)
+        assert (payload["executions"], payload["truncated"], payload["count"]) == (545_835, 0, 1)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("count", "--algo", "const0", "--n", "9"), "signed counts over clique(9) explode"),
+            (("family", "--n", "9"), "the (n-1)! cyclic orderings of 9 processes explode"),
+            (("class", "--algo", "const0", "--n", "4"), "exhaustive enumeration over clique(4) explodes"),
+        ],
+        ids=["count", "family", "class"],
+    )
+    def test_guards(self, capsys, monkeypatch, argv, message):
+        monkeypatch.delenv(GUARD_ENV, raising=False)
+        code, out, err = run_cli(capsys, "wsb", *argv)
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == [f"error: {message} (set {GUARD_ENV}=1 to override)"]
+
     @pytest.mark.parametrize("command", ["count", "class"])
     def test_negative_step_bound(self, capsys, command):
         code, out, err = run_cli(

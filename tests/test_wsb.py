@@ -237,10 +237,6 @@ class TestCounts:
             "buggy5", 3, 30, 43_585, 4_854, 0, 0, 0, 0, 0
         )
 
-    def test_negative_step_bound_rejected(self):
-        with pytest.raises(ValueError, match="step_bound must be non-negative, got -1"):
-            count_report(ConstantOutput(0), 3, step_bound=-1)
-
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_census_size_is_the_fubini_number(self, n):
         report = count_report(ConstantOutput(0), n)
@@ -256,7 +252,7 @@ class TestCounts:
 
     def test_guard_and_override(self, monkeypatch):
         monkeypatch.delenv(GUARD_ENV, raising=False)
-        with pytest.raises(ValueError, match="clique\\(9\\)"):
+        with pytest.raises(ValueError, match="signed counts over clique\\(9\\)"):
             count_report(ConstantOutput(0), 9)
         monkeypatch.setenv(GUARD_ENV, "1")
         assert count_report(ConstantOutput(0), 9, step_bound=0).truncated == 1
@@ -384,6 +380,11 @@ class TestInputFamilies:
         with pytest.raises(ValueError):
             cycle_input_family(2)
 
+    def test_too_many_processes(self, monkeypatch):
+        monkeypatch.delenv(GUARD_ENV, raising=False)
+        with pytest.raises(ValueError, match="cyclic orderings of 9 processes"):
+            cycle_input_family(9)
+
     def test_two_hot_inputs_are_closed_but_divisible(self):
         fam = [
             InputFunction(tuple(((), 1 if i in ones else 0) for i in range(1, 6)))
@@ -442,7 +443,11 @@ class TestInputFamilies:
         verdicts = []
         for fam in families:
             closed = closed_under_every_permutation(fam, n)
-            assert check_input_family(fam, n).closed == closed
+            report = check_input_family(fam, n)
+            assert report.closed == closed
+            if not closed:
+                perm, member = report.witness
+                assert member.conjugated(perm) not in frozenset(fam)
             verdicts.append(closed)
         if n >= 3:
             assert verdicts == [True, False, False, False, True, True, False]

@@ -121,7 +121,10 @@ def _apply_block(adj: dict, nxt, arity: int | None, old: dict, new: dict, block:
     """Publish-then-snapshot for one valid block, in place.
 
     ``adj`` is the graph's adjacency, ``nxt`` the algorithm's ``next`` and
-    ``arity`` its snapshot length.  Returns ``(reads, decided)`` where
+    ``arity`` its snapshot length.  Nodes are named either by identifier
+    (``graph.adj`` with dict registers) or by position (``graph.adj_index``
+    with list registers); ``block`` and the returned keys name them the
+    same way.  Returns ``(reads, decided)`` where
     ``reads`` maps each active node to the snapshot list it consumed and
     ``decided`` maps nodes that decided during this block to their
     outputs.  A node with fewer neighbors than ``arity`` gets its snapshot
@@ -521,6 +524,7 @@ def detect_livelock(
     period: Iterable[Iterable[int]],
     inputs: dict[int, Any] | None = None,
     bound: int = 64,
+    start: Configuration | None = None,
 ) -> LivelockCertificate | None:
     """Search for a configuration repetition under ``prefix + period*``.
 
@@ -529,29 +533,46 @@ def detect_livelock(
     certificate on the first repetition that leaves a node of the period's
     support undecided, and ``None`` if the period's nodes all decide (the
     dynamics then freeze) or no repetition shows up within the bound.
+
+    ``start``, when given, must be the configuration that ``prefix``
+    reaches from the initial configuration of ``algo`` on ``graph`` with
+    ``inputs``, and every block must be canonical (distinct nodes of
+    ``graph``, ascending), as a search's own blocks are.  That is trusted,
+    not checked: the period starts from ``start``, which is left
+    unchanged, and ``inputs`` is not read, so a search can run a prefix
+    once for all its periods.  Without ``start`` every block is checked.
+    The certificate's configuration has step index 0 either way.
     """
-    nodes = graph.node_set
-    pre = tuple(_check_block(b, nodes) for b in prefix)
-    per = tuple(_check_block(b, nodes) for b in period)
+    pre, per = tuple(prefix), tuple(period)
     if not per:
         raise SchedulingError("period must contain at least one block")
-    period_support = frozenset(v for b in per for v in b)
 
-    ins = _resolve_inputs(graph, algo, inputs)
-    algo.validate(graph, ins)
-    cfg = initial_configuration(graph, algo, ins)
-    adj, nxt, arity = graph.adj, algo.next, algo.arity
-    for blk in pre:
-        _apply_block(adj, nxt, arity, cfg.old, cfg.new, blk)
+    run = ()
+    if start is None:
+        node_set = graph.node_set
+        pre = tuple([_check_block(b, node_set) for b in pre])
+        per = tuple([_check_block(b, node_set) for b in per])
+        ins = _resolve_inputs(graph, algo, inputs)
+        algo.validate(graph, ins)
+        start = initial_configuration(graph, algo, ins)
+        run = pre
+    # the period repeats on registers held by node position, keyed by one flat tuple
+    nodes, index = graph.nodes, graph.index
+    old = [start.old[v] for v in nodes]
+    new = [start.new[v] for v in nodes]
+    adj, nxt, arity = graph.adj_index, algo.next, algo.arity
+    for blk in run:
+        _apply_block(adj, nxt, arity, old, new, tuple([index[v] for v in blk]))
+    blocks = [tuple([index[v] for v in blk]) for blk in per]
 
-    seen = {cfg.key(): 0}
+    seen = {(*old, *new): 0}
     for k in range(1, bound + 1):
-        for blk in per:
-            _apply_block(adj, nxt, arity, cfg.old, cfg.new, blk)
-        key = cfg.key()
+        for blk in blocks:
+            _apply_block(adj, nxt, arity, old, new, blk)
+        key = (*old, *new)
         if key in seen:
             undecided = tuple(
-                v for v in sorted(period_support) if cfg.new[v][0] != TERMINATED
+                v for v in sorted(set().union(*per)) if new[index[v]][0] != TERMINATED
             )
             if not undecided:
                 return None
@@ -561,7 +582,7 @@ def detect_livelock(
                 matched_index=seen[key],
                 repeat_index=k,
                 undecided=undecided,
-                configuration=cfg.copy(),
+                configuration=Configuration(dict(zip(nodes, old)), dict(zip(nodes, new))),
             )
         seen[key] = k
     return None

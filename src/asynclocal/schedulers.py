@@ -44,9 +44,12 @@ from .engine import (
     SchedulingError,
     Trace,
     _explicit,
+    _resolve_inputs,
     detect_livelock,
     execute,
     explicit_scheduling,
+    initial_configuration,
+    step,
 )
 from .graphs import Graph
 
@@ -313,6 +316,7 @@ SEARCH_PROPERTIES = ("proper", "palette", "periodic-termination")
 
 _SEARCH_P = (0.5, 0.3, 0.8, 1.0)
 _SEARCH_CRASH = (0.0, 0.1, 0.25)
+_PERIODIC_MAX_NODES = 12  # the periodic search lists every nonempty block first: 4,095 at 12
 
 
 @dataclass
@@ -368,10 +372,15 @@ def adversary_search(
     ``max_steps`` steps (None: ``DEFAULT_MAX_STEPS``); a violation is run
     again with full recording for a replayable witness.
     ``periodic-termination`` probes prefixes of 0..2 blocks, each with
-    periods of 1 and 2 blocks, by :func:`detect_livelock`; it reads no
-    seed and no ``max_steps``.  A negative budget or ``max_steps``, an
-    argument the mode does not read, or a malformed ``sched`` raises
-    :class:`ValueError` (an unknown enum parameter, :class:`SchedulingError`).
+    periods of 1 and 2 blocks, prefix by prefix, with one
+    :func:`detect_livelock` call per shape; it reads no seed and no
+    ``max_steps``.  It resolves the inputs, validates them and builds the
+    initial configuration once per search, runs each prefix once, and
+    starts each of the prefix's periods from that configuration.  It lists
+    all 2^n - 1 blocks first, so it is guarded at 12 nodes.  A negative
+    budget or ``max_steps``, an argument the mode does not read, or a
+    malformed ``sched`` raises :class:`ValueError` (an unknown enum
+    parameter, :class:`SchedulingError`).
     """
     if property not in SEARCH_PROPERTIES:
         raise ValueError(f"unknown property {property!r} (expected one of {SEARCH_PROPERTIES})")
@@ -390,18 +399,33 @@ def adversary_search(
 
     # each mode is a candidate stream and a probe that returns the found fields or None
     if periodic:
-        subsets = _nonempty_subsets(graph.nodes)
-        candidates = (
-            (prefix, period)
-            for prefix in _block_sequences(subsets, range(3))
-            for period in _block_sequences(subsets, (1, 2))
+        _guard(
+            graph.n <= _PERIODIC_MAX_NODES,
+            f"the periodic search over {graph.n} nodes is guarded: it lists all "
+            f"2^n - 1 blocks first (limit: {_PERIODIC_MAX_NODES} nodes)",
         )
+        subsets = _nonempty_subsets(graph.nodes)
+
+        def shapes():
+            # one set-up per search and one run per prefix, shared by all its periods
+            inputs = _resolve_inputs(graph, algo, None)
+            algo.validate(graph, inputs)
+            initial = initial_configuration(graph, algo, inputs)
+            for prefix in _block_sequences(subsets, range(3)):
+                cfg = initial
+                for blk in prefix:
+                    cfg = step(graph, algo, cfg, blk)
+                for period in _block_sequences(subsets, (1, 2)):
+                    yield prefix, period, cfg
+
+        candidates = shapes()
 
         def probe(shape):
-            cert = detect_livelock(graph, algo, *shape)
+            prefix, period, cfg = shape
+            cert = detect_livelock(graph, algo, prefix, period, start=cfg)
             if cert is None:
                 return None
-            spec = explicit_scheduling(shape[0] + shape[1], graph.nodes).spec
+            spec = explicit_scheduling(prefix + period, graph.nodes).spec
             return {"certificate": cert, "scheduling_spec": spec}
 
     else:

@@ -248,62 +248,93 @@ def count_report(algo, n: int, step_bound: int = 8) -> CountReport:
     ``left``, so results are memoised per ``(configuration, left)``.  A
     subtree that truncates nothing within its height (its longest
     schedule) is the same for every ``left`` at least that height, and is
-    memoised per configuration.  The recursion is as deep as the longest
-    schedule it explores, at most ``step_bound`` blocks.  A negative
+    memoised per configuration.  The recursion keeps its own stack, as
+    deep as the longest schedule it explores (at most ``step_bound``
+    blocks), so no step bound meets Python's recursion limit.  A negative
     ``step_bound`` raises :class:`ValueError`.
     """
     if step_bound < 0:
         raise ValueError(f"step_bound must be non-negative, got {step_bound}")
     _guard(n <= 8, f"signed counts over clique({n}) explode")
     graph = build_graph(f"clique:{n}")
-    inputs = {v: algo.default_input(v) for v in graph.nodes}
+    nodes = graph.nodes
+    inputs = {v: algo.default_input(v) for v in nodes}
     algo.validate(graph, inputs)
     memo: dict[tuple, tuple[int, ...]] = {}
     settled: dict[tuple, tuple[int, ...]] = {}
     signed_blocks: dict[tuple[int, ...], list] = {}  # undecided nodes -> [(block, sign)]
 
-    def solve(cfg, left: int) -> tuple[int, ...]:
-        """(executions, truncated, c0_size, c1_size, c0_sum, c1_sum, height) below ``cfg``."""
-        cfg_key = cfg.key()
-        hit = settled.get(cfg_key)
-        if hit is not None and hit[6] <= left:
-            return hit
-        hit = memo.get((cfg_key, left))
-        if hit is not None:
-            return hit
-        new = cfg.new
-        undecided = tuple([v for v in graph.nodes if new[v][0] != TERMINATED])
-        if not undecided:
-            outputs = set(cfg.decided().values())
-            zero, one = int(outputs == {0}), int(outputs == {1})
-            found = (1, 0, zero, one, zero, one, 0)
-        elif left == 0:
-            found = (0, 1, 0, 0, 0, 0, 0)
-        else:
-            blocks = signed_blocks.get(undecided)
-            if blocks is None:
-                blocks = [(b, 1 if len(b) % 2 else -1) for b in _nonempty_subsets(undecided)]
-                signed_blocks[undecided] = blocks
-            executions = truncated = c0_size = c1_size = c0_sum = c1_sum = height = 0
-            for blk, sgn in blocks:
-                e, t, z, o, zs, os_, h = solve(step(graph, algo, cfg, blk), left - 1)
-                executions += e
-                truncated += t
-                c0_size += z
-                c1_size += o
-                c0_sum += sgn * zs
-                c1_sum += sgn * os_
-                height = max(height, h + 1)
-            found = (executions, truncated, c0_size, c1_size, c0_sum, c1_sum, height)
+    def settle(cfg_key: tuple, left: int, found: tuple[int, ...]) -> tuple[int, ...]:
         if found[1]:
             memo[(cfg_key, left)] = found
         else:
             settled[cfg_key] = found
         return found
 
-    executions, truncated, c0_size, c1_size, c0_sum, c1_sum, _ = solve(
-        initial_configuration(graph, algo, inputs), step_bound
-    )
+    def visit(cfg, left: int):
+        """The entry below ``cfg`` when it is memoised or a leaf, else a frame to expand.
+
+        An entry is ``(executions, truncated, c0_size, c1_size, c0_sum,
+        c1_sum, height)``.
+        """
+        old, new = cfg.old, cfg.new
+        # one flat tuple in node order: cheaper than the sorted Configuration.key()
+        cfg_key = (*map(old.__getitem__, nodes), *map(new.__getitem__, nodes))
+        hit = settled.get(cfg_key)
+        if hit is not None and hit[6] <= left:
+            return hit
+        hit = memo.get((cfg_key, left))
+        if hit is not None:
+            return hit
+        undecided = tuple([v for v in nodes if new[v][0] != TERMINATED])
+        if not undecided:
+            outputs = set(cfg.decided().values())
+            zero, one = int(outputs == {0}), int(outputs == {1})
+            return settle(cfg_key, left, (1, 0, zero, one, zero, one, 0))
+        if left == 0:
+            return settle(cfg_key, left, (0, 1, 0, 0, 0, 0, 0))
+        blocks = signed_blocks.get(undecided)
+        if blocks is None:
+            blocks = [(b, 1 if len(b) % 2 else -1) for b in _nonempty_subsets(undecided)]
+            signed_blocks[undecided] = blocks
+        return [cfg, left, cfg_key, iter(blocks), 0, (0, 0, 0, 0, 0, 0, 0)]
+
+    # A stack of frames, not recursion: a schedule may outgrow Python's
+    # recursion limit.  A frame is a configuration whose blocks are being
+    # stepped: [cfg, left, key, its signed blocks, the sign of the block
+    # whose subtree is being expanded, its entry summed so far].
+    found = visit(initial_configuration(graph, algo, inputs), step_bound)
+    stack = []
+    if type(found) is list:
+        stack.append(found)
+        found = None
+    while stack:
+        frame = stack[-1]
+        cfg, left, cfg_key, blocks, sgn, (e, t, z, o, zs, os_, h) = frame
+        while True:
+            if found is not None:  # a subtree entry, reached by a block of sign sgn
+                e += found[0]
+                t += found[1]
+                z += found[2]
+                o += found[3]
+                zs += sgn * found[4]
+                os_ += sgn * found[5]
+                if found[6] >= h:
+                    h = found[6] + 1
+            nxt = next(blocks, None)
+            if nxt is None:
+                stack.pop()
+                found = settle(cfg_key, left, (e, t, z, o, zs, os_, h))
+                break
+            blk, sgn = nxt
+            found = visit(step(graph, algo, cfg, blk), left - 1)
+            if type(found) is list:  # expand it first, then come back for the next block
+                frame[4], frame[5] = sgn, (e, t, z, o, zs, os_, h)
+                stack.append(found)
+                found = None
+                break
+
+    executions, truncated, c0_size, c1_size, c0_sum, c1_sum, _ = found
     return CountReport(
         algo=algo.name,
         n=n,

@@ -225,6 +225,19 @@ class TestSearch:
         assert code == 2
         assert "guard" in err.lower() or err
 
+    def test_periodic_search_guards_the_node_count(self, capsys, monkeypatch):
+        monkeypatch.delenv(GUARD_ENV, raising=False)
+        code, out, err = run_cli(
+            capsys, "search", "--algo", "six", "--graph", "cycle:19",
+            "--property", "periodic-termination", "--budget", "1",
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == [
+            "error: the periodic search over 19 nodes is guarded: it lists all 2^n - 1 "
+            f"blocks first (limit: 12 nodes) (set {GUARD_ENV}=1 to override)"
+        ]
+
     @pytest.mark.parametrize(
         "graph, depth, message",
         [

@@ -246,6 +246,19 @@ class TestDetectLivelock:
         assert data["period"] == [[3, 4]]
         assert data["period_applications"] == 2
 
+    def test_a_shared_start_gives_the_one_shot_certificate_and_stays_unchanged(self):
+        graph = build_graph("cycle:4", ids=(3, 4, 2, 1))
+        algo = make_algorithm("buggy5")
+        prefix, period = ((2, 3, 4), (1, 3, 4)), ((3, 4),)
+        start = initial_configuration(graph, algo, {v: algo.default_input(v) for v in graph.nodes})
+        for blk in prefix:
+            start = step(graph, algo, start, blk)
+        before = start.copy()
+        shared = detect_livelock(graph, algo, prefix, period, start=start)
+        assert shared is not None
+        assert shared.to_json() == detect_livelock(graph, algo, prefix, period).to_json()
+        assert start == before
+
 
 class BlockList:
     """A scheduling object from outside the package: its blocks are not trusted."""

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from asynclocal import schedulers
-from asynclocal.engine import SchedulingError, execute, explicit_scheduling
+from asynclocal.engine import SchedulingError, detect_livelock, execute, explicit_scheduling
 from asynclocal.graphs import build_graph
 from asynclocal.schedulers import (
     GUARD_ENV,
@@ -18,8 +18,12 @@ from asynclocal.schedulers import (
     write_scheduling,
 )
 from asynclocal.algorithms import make_algorithm
-from asynclocal.verify import check_proper
+from asynclocal.verify import TABLE2_GRAPH, check_proper
 from asynclocal.wsb import ConstantOutput
+
+
+def certificate_json(cert):
+    return None if cert is None else cert.to_json()
 
 
 def take(sched, n):
@@ -410,7 +414,7 @@ class TestSearch:
         graph = build_graph("path:2")
         shapes = []
 
-        def recording(graph, algo, prefix, period):
+        def recording(graph, algo, prefix, period, start=None):
             shapes.append((prefix, period))
             return None
 
@@ -425,6 +429,51 @@ class TestSearch:
         ]
         assert shapes[12] == (((1,),), ((1,),))
         assert shapes[-1] == (((1, 2), (1, 2)), ((1, 2), (1, 2)))
+
+    @pytest.mark.parametrize("graph_spec", ["path:2", "cycle:3"])
+    @pytest.mark.parametrize("name", ["six", "save1", "buggy5"])
+    def test_periodic_search_from_shared_starts_equals_one_shot_detection(
+        self, monkeypatch, name, graph_spec
+    ):
+        graph = build_graph(graph_spec)
+        algo = make_algorithm(name, delta=2)
+        results = []
+
+        def both(graph, algo, prefix, period, start=None):
+            assert start is not None
+            shared = detect_livelock(graph, algo, prefix, period, start=start)
+            one_shot = detect_livelock(graph, algo, prefix, period)
+            results.append((certificate_json(shared), certificate_json(one_shot)))
+            return None  # so the search goes on through every shape
+
+        monkeypatch.setattr(schedulers, "detect_livelock", both)
+        result = adversary_search(algo, graph, property="periodic-termination", budget=10**6)
+        blocks = 2 ** graph.n - 1
+        shapes = (1 + blocks + blocks**2) * (blocks + blocks**2)
+        assert result.examined == len(results) == shapes
+        assert [shared for shared, _ in results] == [one_shot for _, one_shot in results]
+        if (name, graph_spec) == ("buggy5", "cycle:3"):  # it livelocks there, so certificates compare too
+            assert any(shared is not None for shared, _ in results)
+
+    def test_table2_certificate_of_the_search_re_detects_one_shot(self):
+        graph = build_graph("cycle:4", ids=TABLE2_GRAPH["ids"])
+        algo = make_algorithm("buggy5")
+        result = adversary_search(algo, graph, property="periodic-termination", budget=241 * 240)
+        assert (result.found, result.examined) == (True, 42)
+        cert = result.certificate
+        again = detect_livelock(graph, algo, cert.prefix, cert.period)
+        assert again is not None and again.to_json() == cert.to_json()
+
+    def test_periodic_search_guards_the_node_count(self, monkeypatch):
+        algo = make_algorithm("six")
+        monkeypatch.delenv(GUARD_ENV, raising=False)
+        with pytest.raises(ValueError, match="periodic search over 13 nodes is guarded"):
+            adversary_search(algo, build_graph("cycle:13"), property="periodic-termination", budget=0)
+        result = adversary_search(algo, build_graph("cycle:12"), property="periodic-termination", budget=1)
+        assert result.examined == 1
+        monkeypatch.setenv(GUARD_ENV, "1")
+        result = adversary_search(algo, build_graph("cycle:13"), property="periodic-termination", budget=1)
+        assert result.examined == 1
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -205,6 +205,10 @@ class TestCounts:
         algo = toy_algorithms(n)[name]
         assert univalued_signed_count(algo, n) == expected
 
+    def test_a_step_bound_beyond_the_recursion_limit(self):
+        report = count_report(NeverDecide(), 2, step_bound=2000)
+        assert (report.executions, report.truncated, report.count) == (0, 3**2000, 0)
+
     def test_report_fields(self):
         report = count_report(ConstantOutput(1), 2)
         assert report.algo == "const1"

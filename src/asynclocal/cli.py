@@ -25,7 +25,7 @@ from .algorithms import ALGORITHM_NAMES, make_algorithm
 from .coverfree import construct_family, dump_family, verify_coverfree
 from .engine import DEFAULT_MAX_STEPS, AlgorithmViolation, EngineError, execute
 from .graphs import Graph, GraphError, build_graph, load_graph, random_tree
-from .schedulers import SEARCH_PROPERTIES, adversary_search, make_scheduling
+from .schedulers import SEARCH_PROPERTIES, _guard, adversary_search, make_scheduling
 
 __all__ = ["main", "build_parser"]
 
@@ -149,7 +149,17 @@ def cmd_repro(args) -> int:
     return 0 if verdict.ok else 1
 
 
+# construction plus verification answers within about 10 s inside this bound
+# (k = 3, m = 50,000: 9.6 s; k = 5, m = 30,000: 6.1 s; k = 10, m = 15,000: 2.6 s)
+_COVERFREE_MAX_SIZE = 150_000
+
+
 def cmd_coverfree(args) -> int:
+    _guard(
+        args.m * max(args.k, 3) <= _COVERFREE_MAX_SIZE,
+        f"a cover-free family of {args.m} sets at k = {args.k} is guarded "
+        f"(limit: m * max(k, 3) <= {_COVERFREE_MAX_SIZE})",
+    )
     family = construct_family(args.k, args.m)
     ok = verify_coverfree(family)
     if args.dump:

@@ -88,9 +88,14 @@ class Configuration:
         return Configuration(dict(self.old), dict(self.new), self.step_index)
 
     def key(self) -> tuple:
-        """Hashable canonical form (ignores the step counter)."""
-        old, new = self.old, self.new
-        return tuple([(v, old[v], new[v]) for v in sorted(old)])
+        """Hashable canonical form (ignores the step counter): every register
+        state, then every pending state, as one flat tuple.
+
+        Canonical because both dicts iterate in ``graph.nodes`` order, as every
+        configuration the engine builds does: :func:`initial_configuration`
+        builds them so, and :meth:`copy` and :func:`step` keep the order.
+        """
+        return (*self.old.values(), *self.new.values())
 
     def decided(self) -> dict[int, Any]:
         return {
@@ -106,6 +111,12 @@ class Configuration:
 
 
 def initial_configuration(graph: Graph, algo, inputs: dict[int, Any]) -> Configuration:
+    """The configuration before any step, its dicts in ``graph.nodes`` order.
+
+    ``algo.validate(graph, inputs)`` runs first, so every execution starts
+    from checked inputs.
+    """
+    algo.validate(graph, inputs)
     nodes = graph.nodes
     init = algo.init
     new = {}
@@ -120,11 +131,10 @@ def initial_configuration(graph: Graph, algo, inputs: dict[int, Any]) -> Configu
 def _apply_block(adj: dict, nxt, arity: int | None, old: dict, new: dict, block: tuple[int, ...]):
     """Publish-then-snapshot for one valid block, in place.
 
-    ``adj`` is the graph's adjacency, ``nxt`` the algorithm's ``next`` and
-    ``arity`` its snapshot length.  Nodes are named either by identifier
-    (``graph.adj`` with dict registers) or by position (``graph.adj_index``
-    with list registers); ``block`` and the returned keys name them the
-    same way.  Returns ``(reads, decided)`` where
+    ``adj`` is ``graph.adj``, ``nxt`` the algorithm's ``next`` and
+    ``arity`` its snapshot length; ``old`` and ``new`` are a configuration's
+    dicts, updated in place without changing their key order.  Returns
+    ``(reads, decided)`` where
     ``reads`` maps each active node to the snapshot list it consumed and
     ``decided`` maps nodes that decided during this block to their
     outputs.  A node with fewer neighbors than ``arity`` gets its snapshot
@@ -409,8 +419,6 @@ def execute(
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     sched, block_iter = _block_source(graph, scheduling)
     ins = _resolve_inputs(graph, algo, inputs)
-    algo.validate(graph, ins)
-
     cfg = initial_configuration(graph, algo, ins)
     old, new = cfg.old, cfg.new
     adj, nxt, arity = graph.adj, algo.next, algo.arity
@@ -528,8 +536,9 @@ def detect_livelock(
 ) -> LivelockCertificate | None:
     """Search for a configuration repetition under ``prefix + period*``.
 
-    Runs the prefix once, then applies the period up to ``bound`` times,
-    hashing the full configuration at every period boundary.  Returns a
+    Runs the prefix once, then applies the period up to ``bound`` times on
+    copies of the configuration's dicts, hashing its :meth:`Configuration.key`
+    at every period boundary.  Returns a
     certificate on the first repetition that leaves a node of the period's
     support undecided, and ``None`` if the period's nodes all decide (the
     dynamics then freeze) or no repetition shows up within the bound.
@@ -541,7 +550,8 @@ def detect_livelock(
     not checked: the period starts from ``start``, which is left
     unchanged, and ``inputs`` is not read, so a search can run a prefix
     once for all its periods.  Without ``start`` every block is checked.
-    The certificate's configuration has step index 0 either way.
+    The certificate wraps the copied dicts, in ``graph.nodes`` order, with
+    step index 0 either way.
     """
     pre, per = tuple(prefix), tuple(period)
     if not per:
@@ -552,28 +562,21 @@ def detect_livelock(
         node_set = graph.node_set
         pre = tuple([_check_block(b, node_set) for b in pre])
         per = tuple([_check_block(b, node_set) for b in per])
-        ins = _resolve_inputs(graph, algo, inputs)
-        algo.validate(graph, ins)
-        start = initial_configuration(graph, algo, ins)
+        start = initial_configuration(graph, algo, _resolve_inputs(graph, algo, inputs))
         run = pre
-    # the period repeats on registers held by node position, keyed by one flat tuple
-    nodes, index = graph.nodes, graph.index
-    old = [start.old[v] for v in nodes]
-    new = [start.new[v] for v in nodes]
-    adj, nxt, arity = graph.adj_index, algo.next, algo.arity
+    old, new = dict(start.old), dict(start.new)
+    adj, nxt, arity = graph.adj, algo.next, algo.arity
     for blk in run:
-        _apply_block(adj, nxt, arity, old, new, tuple([index[v] for v in blk]))
-    blocks = [tuple([index[v] for v in blk]) for blk in per]
+        _apply_block(adj, nxt, arity, old, new, blk)
 
-    seen = {(*old, *new): 0}
+    # (*old.values(), *new.values()) is Configuration.key(), inlined in the hot loop
+    seen = {(*old.values(), *new.values()): 0}
     for k in range(1, bound + 1):
-        for blk in blocks:
+        for blk in per:
             _apply_block(adj, nxt, arity, old, new, blk)
-        key = (*old, *new)
+        key = (*old.values(), *new.values())
         if key in seen:
-            undecided = tuple(
-                v for v in sorted(set().union(*per)) if new[index[v]][0] != TERMINATED
-            )
+            undecided = tuple(v for v in sorted(set().union(*per)) if new[v][0] != TERMINATED)
             if not undecided:
                 return None
             return LivelockCertificate(
@@ -582,7 +585,7 @@ def detect_livelock(
                 matched_index=seen[key],
                 repeat_index=k,
                 undecided=undecided,
-                configuration=Configuration(dict(zip(nodes, old)), dict(zip(nodes, new))),
+                configuration=Configuration(old, new),
             )
         seen[key] = k
     return None

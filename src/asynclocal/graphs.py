@@ -36,9 +36,10 @@ class Graph:
     ``adj`` maps each node identifier to its neighbors in ascending order.
     ``id_bound`` is the public bound N on identifiers (processes only know
     that identifiers are distinct values in ``[1, N]``).  The derived views
-    (``nodes``, ``node_set``, ``edges``, ``max_degree`` and the positional
-    view ``index``, ``adj_index``) are computed on first use and kept,
-    which is sound because a graph never changes.
+    (``nodes``, ``node_set``, ``edges`` and ``max_degree``) are computed on
+    first use and kept, which is sound because a graph never changes.
+    ``nodes`` is ascending, and every configuration keeps its registers in
+    that order.
     """
 
     id_bound: int
@@ -67,18 +68,6 @@ class Graph:
         return tuple(
             (u, v) for u in sorted(self.adj) for v in self.adj[u] if u < v
         )
-
-    @cached_property
-    def index(self) -> dict[int, int]:
-        """Each node's position in ``nodes``."""
-        return {v: i for i, v in enumerate(self.nodes)}
-
-    @cached_property
-    def adj_index(self) -> tuple[tuple[int, ...], ...]:
-        """The positional adjacency: ``adj_index[i]`` holds the positions of
-        the neighbors of ``nodes[i]``, ascending like ``adj``."""
-        index = self.index
-        return tuple(tuple([index[u] for u in self.adj[v]]) for v in self.nodes)
 
     @cached_property
     def max_degree(self) -> int:

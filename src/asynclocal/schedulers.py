@@ -408,9 +408,7 @@ def adversary_search(
 
         def shapes():
             # one set-up per search and one run per prefix, shared by all its periods
-            inputs = _resolve_inputs(graph, algo, None)
-            algo.validate(graph, inputs)
-            initial = initial_configuration(graph, algo, inputs)
+            initial = initial_configuration(graph, algo, _resolve_inputs(graph, algo, None))
             for prefix in _block_sequences(subsets, range(3)):
                 cfg = initial
                 for blk in prefix:

@@ -359,8 +359,16 @@ class LoadedTrace:
         return Graph.from_dict(self.header["graph"])
 
 
-# the header fields a replay reads
-_HEADER_KEYS = ("graph", "graph_hash", "algo", "inputs", "sched", "max_steps")
+# the header fields a replay reads, with their JSON types; ``params`` may be absent
+_HEADER_TYPES = {
+    "graph": dict,
+    "graph_hash": str,
+    "algo": str,
+    "inputs": dict,
+    "sched": str,
+    "max_steps": int,
+}
+_JSON_TYPE_NAMES = {dict: "an object", str: "a string", int: "an integer"}
 
 
 def load_trace(path) -> LoadedTrace:
@@ -395,9 +403,15 @@ def load_trace(path) -> LoadedTrace:
         raise ValueError(f"{path}: trace must contain header and end records")
     if header.get("format") != 1:
         raise ValueError(f"{path}: unsupported trace format {header.get('format')!r}")
-    missing = [key for key in _HEADER_KEYS if key not in header]
+    missing = [key for key in _HEADER_TYPES if key not in header]
     if missing:
         raise ValueError(f"{path}: trace header lacks {', '.join(missing)}")
+    for key, kind in (*_HEADER_TYPES.items(), ("params", dict)):
+        value = header.get(key, {})
+        if type(value) is not kind:  # exact: a JSON true is no integer here
+            raise ValueError(
+                f"{path}: trace header {key} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}"
+            )
     return LoadedTrace(header, steps, end, lines)
 
 

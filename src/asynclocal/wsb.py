@@ -127,45 +127,42 @@ def enumerate_complete(algo, n: int, step_bound: int = 8) -> EnumerationResult:
 
     Blocks are nonempty subsets of the currently undecided processes, so
     a schedule ends exactly when everyone has decided.  Each configuration
-    is stepped once; every path through it reuses its successors.  A
-    negative ``step_bound`` raises :class:`ValueError`.
+    is stepped once; every path through it reuses its successors.  The
+    search keeps its own stack, so no step bound meets Python's recursion
+    limit.  A negative ``step_bound`` raises :class:`ValueError`.
     """
     if step_bound < 0:
         raise ValueError(f"step_bound must be non-negative, got {step_bound}")
     _guard(n <= 3, f"exhaustive enumeration over clique({n}) explodes")
     graph = build_graph(f"clique:{n}")
-    inputs = {v: algo.default_input(v) for v in graph.nodes}
-    algo.validate(graph, inputs)
-    cfg0 = initial_configuration(graph, algo, inputs)
+    cfg0 = initial_configuration(graph, algo, {v: algo.default_input(v) for v in graph.nodes})
     ds0 = {v: 0 for v, st in cfg0.new.items() if st[0] == TERMINATED}
 
     records: list[ExecutionRecord] = []
     truncated = 0
     successors: dict[tuple, list] = {}  # configuration key -> [(block, next configuration)]
-
-    def descend(cfg, blocks: tuple, ds: dict[int, int]) -> None:
-        nonlocal truncated
+    # (configuration, blocks so far, decision steps), children pushed last
+    # first so they pop in block order: the records come out depth first
+    stack = [(cfg0, (), ds0)]
+    while stack:
+        cfg, blocks, ds = stack.pop()
         undecided = [v for v in graph.nodes if cfg.new[v][0] != TERMINATED]
         if not undecided:
             records.append(ExecutionRecord(n, blocks, cfg.decided(), ds))
-            return
+            continue
         if len(blocks) >= step_bound:
             truncated += 1
-            return
+            continue
         key = cfg.key()
         nexts = successors.get(key)
         if nexts is None:
             nexts = [(blk, step(graph, algo, cfg, blk)) for blk in _nonempty_subsets(undecided)]
             successors[key] = nexts
-        for blk, nxt in nexts:
-            newly = {
-                v: len(blocks) + 1
-                for v in blk
-                if nxt.new[v][0] == TERMINATED
-            }
-            descend(nxt, blocks + (blk,), {**ds, **newly})
+        at = len(blocks) + 1
+        for blk, nxt in reversed(nexts):
+            newly = {v: at for v in blk if nxt.new[v][0] == TERMINATED}
+            stack.append((nxt, blocks + (blk,), {**ds, **newly}))
 
-    descend(cfg0, (), ds0)
     return EnumerationResult(records, truncated, step_bound)
 
 
@@ -259,7 +256,6 @@ def count_report(algo, n: int, step_bound: int = 8) -> CountReport:
     graph = build_graph(f"clique:{n}")
     nodes = graph.nodes
     inputs = {v: algo.default_input(v) for v in nodes}
-    algo.validate(graph, inputs)
     memo: dict[tuple, tuple[int, ...]] = {}
     settled: dict[tuple, tuple[int, ...]] = {}
     signed_blocks: dict[tuple[int, ...], list] = {}  # undecided nodes -> [(block, sign)]
@@ -277,9 +273,8 @@ def count_report(algo, n: int, step_bound: int = 8) -> CountReport:
         An entry is ``(executions, truncated, c0_size, c1_size, c0_sum,
         c1_sum, height)``.
         """
-        old, new = cfg.old, cfg.new
-        # one flat tuple in node order: cheaper than the sorted Configuration.key()
-        cfg_key = (*map(old.__getitem__, nodes), *map(new.__getitem__, nodes))
+        new = cfg.new
+        cfg_key = cfg.key()
         hit = settled.get(cfg_key)
         if hit is not None and hit[6] <= left:
             return hit

@@ -6,6 +6,7 @@ import pytest
 from asynclocal import cli as cli_mod
 from asynclocal import verify as verify_mod
 from asynclocal.cli import main
+from asynclocal.coverfree import construct_family
 from asynclocal.engine import detect_livelock
 from asynclocal.schedulers import GUARD_ENV
 
@@ -327,6 +328,27 @@ class TestCoverfree:
         code, _, _ = run_cli(capsys, "coverfree", "--k", "0", "--m", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("k, m", [(1, 50_001), (3, 50_001), (10, 15_001)])
+    def test_a_large_family_is_guarded(self, capsys, monkeypatch, k, m):
+        monkeypatch.delenv(GUARD_ENV, raising=False)
+        code, out, err = run_cli(capsys, "coverfree", "--k", str(k), "--m", str(m))
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == [
+            f"error: a cover-free family of {m} sets at k = {k} is guarded "
+            f"(limit: m * max(k, 3) <= 150000) (set {GUARD_ENV}=1 to override)"
+        ]
+
+    def test_the_override_lifts_the_guard(self, capsys, monkeypatch):
+        monkeypatch.setenv(GUARD_ENV, "1")
+        built = []
+        monkeypatch.setattr(
+            cli_mod, "construct_family", lambda k, m: built.append((k, m)) or construct_family(2, 25)
+        )
+        code, out, _ = run_cli(capsys, "coverfree", "--k", "3", "--m", "50001")
+        assert (code, built) == (0, [(3, 50_001)])
+        assert first_json(out)["verified"] is True
+
 
 class TestWsb:
     def test_binom_prime(self, capsys):
@@ -523,6 +545,29 @@ def test_verify_rejects_a_header_without(key, capsys, tmp_path):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert key in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("inputs", [1, 2, 3, 4], "inputs must be an object, got [1, 2, 3, 4]"),
+        ("max_steps", "10", "max_steps must be an integer, got '10'"),
+        ("sched", 5, "sched must be a string, got 5"),
+        ("params", [1], "params must be an object, got [1]"),
+    ],
+    ids=["inputs", "max_steps", "sched", "params"],
+)
+def test_verify_rejects_a_header_field_of_the_wrong_type(key, value, message, capsys, tmp_path):
+    path = tmp_path / "run.jsonl"
+    run_cli(capsys, "run", "--algo", "six", "--graph", "cycle:4", "--trace", str(path))
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header[key] = value
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    code, out, err = run_cli(capsys, "verify", "--trace", str(path))
+    assert code == 2
+    assert out == []
+    assert err.splitlines() == [f"error: {path}: trace header {message}"]
 
 
 # sha256 of the whole stdout of commands that print through the ``to_json``

@@ -260,6 +260,38 @@ class TestDetectLivelock:
         assert start == before
 
 
+class TestConfigurationKey:
+    def test_every_configuration_iterates_in_node_order(self):
+        graph, algo = six_on_table_cycle()
+        initial = initial_configuration(graph, algo, {v: v for v in graph.nodes})
+        table2 = build_graph("cycle:4", ids=(3, 4, 2, 1))
+        cert = detect_livelock(table2, make_algorithm("buggy5"), [(2, 3, 4), (1, 3, 4)], [(3, 4)])
+        for g, cfg in [
+            (graph, initial),
+            (graph, step(graph, algo, initial, [5, 3, 1])),
+            (graph, execute(graph, algo, [(6, 4), (5,), (1, 3, 5)]).final),
+            (table2, cert.configuration),
+        ]:
+            assert tuple(cfg.old) == tuple(cfg.new) == g.nodes
+            assert cfg.key() == (*(cfg.old[v] for v in g.nodes), *(cfg.new[v] for v in g.nodes))
+
+    @pytest.mark.parametrize("name", ["six", "buggy5", "save1"])
+    def test_a_disconnected_block_equals_its_components_in_either_order(self, name):
+        graph, algo = build_graph("cycle:4"), make_algorithm(name, delta=2)
+        cfg = initial_configuration(graph, algo, {v: algo.default_input(v) for v in graph.nodes})
+        cfg = step(graph, algo, cfg, (2,))
+
+        def key_after(*blocks):
+            out = cfg
+            for blk in blocks:
+                out = step(graph, algo, out, blk)
+            return out.key()
+
+        together = key_after((1, 3))
+        assert together != cfg.key()
+        assert key_after((1,), (3,)) == together == key_after((3,), (1,))
+
+
 class BlockList:
     """A scheduling object from outside the package: its blocks are not trusted."""
 

@@ -131,9 +131,6 @@ def test_cached_views_keep_the_graph_immutable_and_comparable():
     assert g.edges == ((1, 4), (1, 6), (3, 5), (3, 6), (4, 5))
     assert g.max_degree == 2
     assert g.node_set == frozenset(g.nodes)
-    assert g.index == {1: 0, 3: 1, 4: 2, 5: 3, 6: 4}
-    assert g.adj_index == ((2, 4), (3, 4), (0, 3), (1, 2), (0, 1))
-    assert g.adj_index is g.adj_index
     for attr, value in (("nodes", (1,)), ("id_bound", 9), ("adj", {})):
         with pytest.raises(AttributeError):
             setattr(g, attr, value)

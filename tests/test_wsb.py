@@ -209,6 +209,14 @@ class TestCounts:
         report = count_report(NeverDecide(), 2, step_bound=2000)
         assert (report.executions, report.truncated, report.count) == (0, 3**2000, 0)
 
+    def test_an_enumeration_beyond_the_recursion_limit(self):
+        result = enumerate_complete(NeverDecide(), 1, step_bound=3000)
+        assert (result.records, result.truncated) == ([], 1)
+
+    def test_the_enumeration_lists_its_records_depth_first_in_block_order(self):
+        result = enumerate_complete(ConstantOutput(0), 2)
+        assert [r.blocks for r in result] == [((1,), (2,)), ((2,), (1,)), ((1, 2),)]
+
     def test_report_fields(self):
         report = count_report(ConstantOutput(1), 2)
         assert report.algo == "const1"

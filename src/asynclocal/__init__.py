@@ -36,6 +36,7 @@ from .coverfree import (
 from .engine import (
     AlgorithmViolation,
     Configuration,
+    ConfigurationSpace,
     EngineError,
     LivelockCertificate,
     SchedulingError,
@@ -88,6 +89,7 @@ __all__ = [
     "BuggyFive",
     "Composed",
     "Configuration",
+    "ConfigurationSpace",
     "CoverFreeFamily",
     "EngineError",
     "Graph",

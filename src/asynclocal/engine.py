@@ -22,6 +22,7 @@ against the same algorithm and graph reproduces a trace bit for bit.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
@@ -41,6 +42,7 @@ __all__ = [
     "StepRecord",
     "Trace",
     "LivelockCertificate",
+    "ConfigurationSpace",
     "initial_configuration",
     "step",
     "execute",
@@ -525,6 +527,63 @@ class LivelockCertificate:
         }
 
 
+class ConfigurationSpace:
+    """The configurations reached from one start, each stored once.
+
+    Built from a graph, an algorithm and a start configuration (copied, so
+    the caller's is never changed).  Every configuration is interned by its
+    :meth:`Configuration.key` as a dense id in ``ids``, the start being
+    id 0: ``pairs[i]`` holds its ``(old, new)`` dicts, in ``graph.nodes``
+    order, which nobody may change.  ``successors[i]`` memoises the
+    transitions out of id ``i`` as ``{block: id}``, so a block is applied
+    to a configuration at most once however many executions pass through
+    it (the state caching of explicit-state model checkers).  Blocks are
+    trusted to be canonical (distinct nodes of ``graph``, ascending).
+    ``len(space)`` counts the configurations; the space never drops one, so
+    a caller that shares it across many executions bounds its memory by
+    starting a fresh space.
+    """
+
+    def __init__(self, graph: Graph, algo, start: Configuration):
+        self.graph = graph
+        self.algo = algo
+        self.ids: dict[tuple, int] = {start.key(): 0}
+        self.pairs: list[tuple[dict, dict]] = [(dict(start.old), dict(start.new))]
+        self.successors: list[dict[tuple[int, ...], int]] = [{}]
+        self._apply = functools.partial(_apply_block, graph.adj, algo.next, algo.arity)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def successor(self, cid: int, block: tuple[int, ...]) -> int:
+        """The id that ``block`` leads to from id ``cid``, computed on the first call only.
+
+        A miss applies the block to copies of the configuration's dicts and
+        interns the result.
+        """
+        memo = self.successors[cid]
+        nid = memo.get(block)
+        if nid is None:
+            pairs = self.pairs
+            old, new = pairs[cid]
+            old, new = dict(old), dict(new)
+            if not self._apply(old, new, block)[0]:
+                nid = cid  # every node of the block had decided: nothing changed
+            else:
+                # (*old.values(), *new.values()) is Configuration.key(), inlined
+                nid = self.ids.setdefault((*old.values(), *new.values()), len(pairs))
+                if nid == len(pairs):
+                    pairs.append((old, new))
+                    self.successors.append({})
+            memo[block] = nid
+        return nid
+
+    def configuration(self, cid: int) -> Configuration:
+        """A fresh copy of id ``cid``'s configuration, with step index 0."""
+        old, new = self.pairs[cid]
+        return Configuration(dict(old), dict(new))
+
+
 def detect_livelock(
     graph: Graph,
     algo,
@@ -532,60 +591,66 @@ def detect_livelock(
     period: Iterable[Iterable[int]],
     inputs: dict[int, Any] | None = None,
     bound: int = 64,
-    start: Configuration | None = None,
+    space: ConfigurationSpace | None = None,
 ) -> LivelockCertificate | None:
     """Search for a configuration repetition under ``prefix + period*``.
 
-    Runs the prefix once, then applies the period up to ``bound`` times on
-    copies of the configuration's dicts, hashing its :meth:`Configuration.key`
-    at every period boundary.  Returns a
-    certificate on the first repetition that leaves a node of the period's
-    support undecided, and ``None`` if the period's nodes all decide (the
-    dynamics then freeze) or no repetition shows up within the bound.
+    Runs the prefix once, then applies the period up to ``bound`` times,
+    every block through the transitions of a :class:`ConfigurationSpace`,
+    and compares the configuration's id at every period boundary.  Returns
+    a certificate on the first repetition that leaves a node of the
+    period's support undecided, and ``None`` if the period's nodes all
+    decide (the dynamics then freeze) or no repetition shows up within the
+    bound.
 
-    ``start``, when given, must be the configuration that ``prefix``
-    reaches from the initial configuration of ``algo`` on ``graph`` with
-    ``inputs``, and every block must be canonical (distinct nodes of
-    ``graph``, ascending), as a search's own blocks are.  That is trusted,
-    not checked: the period starts from ``start``, which is left
-    unchanged, and ``inputs`` is not read, so a search can run a prefix
-    once for all its periods.  Without ``start`` every block is checked.
-    The certificate wraps the copied dicts, in ``graph.nodes`` order, with
-    step index 0 either way.
+    ``space``, when given, must have been built from ``graph``, ``algo``
+    and the initial configuration of ``algo`` with ``inputs``, and every
+    block must be canonical (distinct nodes of ``graph``, ascending), as a
+    search's own blocks are.  That is trusted, not checked, beyond the
+    space's graph and algorithm being these; ``inputs`` is not read, and
+    the space keeps every configuration and transition the call adds, so a
+    search can share them across all its shapes.  Without ``space`` every
+    block is checked and a private space is built from the resolved
+    inputs.  The certificate's configuration is a fresh copy, in
+    ``graph.nodes`` order, with step index 0 either way.
     """
     pre, per = tuple(prefix), tuple(period)
     if not per:
         raise SchedulingError("period must contain at least one block")
 
-    run = ()
-    if start is None:
+    if space is None:
         node_set = graph.node_set
         pre = tuple([_check_block(b, node_set) for b in pre])
         per = tuple([_check_block(b, node_set) for b in per])
-        start = initial_configuration(graph, algo, _resolve_inputs(graph, algo, inputs))
-        run = pre
-    old, new = dict(start.old), dict(start.new)
-    adj, nxt, arity = graph.adj, algo.next, algo.arity
-    for blk in run:
-        _apply_block(adj, nxt, arity, old, new, blk)
+        initial = initial_configuration(graph, algo, _resolve_inputs(graph, algo, inputs))
+        space = ConfigurationSpace(graph, algo, initial)
+    elif space.graph is not graph or space.algo is not algo:
+        raise ValueError("the configuration space was built for another graph or algorithm")
 
-    # (*old.values(), *new.values()) is Configuration.key(), inlined in the hot loop
-    seen = {(*old.values(), *new.values()): 0}
+    # space.successor, with its hit path inlined in the hot loop
+    successors, successor = space.successors, space.successor
+    cid = 0
+    for blk in pre:
+        nid = successors[cid].get(blk)
+        cid = successor(cid, blk) if nid is None else nid
+
+    seen = {cid: 0}
     for k in range(1, bound + 1):
         for blk in per:
-            _apply_block(adj, nxt, arity, old, new, blk)
-        key = (*old.values(), *new.values())
-        if key in seen:
+            nid = successors[cid].get(blk)
+            cid = successor(cid, blk) if nid is None else nid
+        if cid in seen:
+            new = space.pairs[cid][1]
             undecided = tuple(v for v in sorted(set().union(*per)) if new[v][0] != TERMINATED)
             if not undecided:
                 return None
             return LivelockCertificate(
                 prefix=pre,
                 period=per,
-                matched_index=seen[key],
+                matched_index=seen[cid],
                 repeat_index=k,
                 undecided=undecided,
-                configuration=Configuration(old, new),
+                configuration=space.configuration(cid),
             )
-        seen[key] = k
+        seen[cid] = k
     return None

@@ -39,6 +39,7 @@ from typing import Any, Iterator
 from . import verify as _verify
 from .engine import (
     DEFAULT_MAX_STEPS,
+    ConfigurationSpace,
     LivelockCertificate,
     Scheduling,
     SchedulingError,
@@ -49,7 +50,6 @@ from .engine import (
     execute,
     explicit_scheduling,
     initial_configuration,
-    step,
 )
 from .graphs import Graph
 
@@ -277,12 +277,16 @@ def enumerate_schedulings(nodes, depth: int, graph: Graph | None = None) -> Iter
     against combinatorial explosion unless the override env var is set.
     Every scheduling equals ``explicit_scheduling(blocks, nodes)``; the
     blocks are canonical by construction, so they skip its checks, and
-    each subset's spec fragment and support are made once per call.  The
+    each subset's spec fragment and support are made once per call.  With
+    ``graph`` given, a node outside it raises :class:`ValueError`.  The
     arguments are checked when it is called, before any scheduling is drawn.
     """
     nodes = tuple(sorted(set(nodes)))
     if not nodes:
         raise ValueError("enumeration needs at least one node")
+    if graph is not None and not graph.node_set.issuperset(nodes):
+        bad = next(v for v in nodes if v not in graph.node_set)
+        raise ValueError(f"enumerated node {bad} not in the graph")
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
     _guard(
@@ -317,6 +321,9 @@ SEARCH_PROPERTIES = ("proper", "palette", "periodic-termination")
 _SEARCH_P = (0.5, 0.3, 0.8, 1.0)
 _SEARCH_CRASH = (0.0, 0.1, 0.25)
 _PERIODIC_MAX_NODES = 12  # the periodic search lists every nonempty block first: 4,095 at 12
+# The periodic search's space is replaced once it holds more configurations than
+# this: a C4 search needs about 1,000, and the bound keeps a large ring's memory flat.
+_SPACE_LIMIT = 2**12
 
 
 @dataclass
@@ -375,8 +382,11 @@ def adversary_search(
     periods of 1 and 2 blocks, prefix by prefix, with one
     :func:`detect_livelock` call per shape; it reads no seed and no
     ``max_steps``.  It resolves the inputs, validates them and builds the
-    initial configuration once per search, runs each prefix once, and
-    starts each of the prefix's periods from that configuration.  It lists
+    initial configuration once per search, and all its shapes share one
+    :class:`~asynclocal.engine.ConfigurationSpace`, so a block is applied
+    to a configuration once per space however many shapes pass through
+    it.  Once the space holds more than 2^12 configurations the next shape
+    starts a fresh one, which bounds the memory on large rings.  It lists
     all 2^n - 1 blocks first, so it is guarded at 12 nodes.  A negative
     budget or ``max_steps``, an argument the mode does not read, or a
     malformed ``sched`` raises :class:`ValueError` (an unknown enum
@@ -407,20 +417,20 @@ def adversary_search(
         subsets = _nonempty_subsets(graph.nodes)
 
         def shapes():
-            # one set-up per search and one run per prefix, shared by all its periods
+            # one set-up per search; every shape shares one space, replaced past the limit
             initial = initial_configuration(graph, algo, _resolve_inputs(graph, algo, None))
+            space = ConfigurationSpace(graph, algo, initial)
             for prefix in _block_sequences(subsets, range(3)):
-                cfg = initial
-                for blk in prefix:
-                    cfg = step(graph, algo, cfg, blk)
                 for period in _block_sequences(subsets, (1, 2)):
-                    yield prefix, period, cfg
+                    if len(space) > _SPACE_LIMIT:
+                        space = ConfigurationSpace(graph, algo, initial)
+                    yield prefix, period, space
 
         candidates = shapes()
 
         def probe(shape):
-            prefix, period, cfg = shape
-            cert = detect_livelock(graph, algo, prefix, period, start=cfg)
+            prefix, period, space = shape
+            cert = detect_livelock(graph, algo, prefix, period, space=space)
             if cert is None:
                 return None
             spec = explicit_scheduling(prefix + period, graph.nodes).spec

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from asynclocal.algorithms import Identity, make_algorithm
 from asynclocal.engine import (
     Configuration,
+    ConfigurationSpace,
     EngineError,
     Scheduling,
     SchedulingError,
@@ -251,13 +252,32 @@ class TestDetectLivelock:
         algo = make_algorithm("buggy5")
         prefix, period = ((2, 3, 4), (1, 3, 4)), ((3, 4),)
         start = initial_configuration(graph, algo, {v: algo.default_input(v) for v in graph.nodes})
-        for blk in prefix:
-            start = step(graph, algo, start, blk)
         before = start.copy()
-        shared = detect_livelock(graph, algo, prefix, period, start=start)
+        space = ConfigurationSpace(graph, algo, start)
+        shared = detect_livelock(graph, algo, prefix, period, space=space)
         assert shared is not None
         assert shared.to_json() == detect_livelock(graph, algo, prefix, period).to_json()
         assert start == before
+
+    def test_a_certificate_does_not_alias_its_space(self):
+        graph = build_graph("cycle:4", ids=(3, 4, 2, 1))
+        algo = make_algorithm("buggy5")
+        prefix, period = ((2, 3, 4), (1, 3, 4)), ((3, 4),)
+        start = initial_configuration(graph, algo, {v: algo.default_input(v) for v in graph.nodes})
+        space = ConfigurationSpace(graph, algo, start)
+        first = detect_livelock(graph, algo, prefix, period, space=space)
+        expected = first.to_json()
+        first.configuration.old.clear()
+        first.configuration.new[3] = None
+        assert detect_livelock(graph, algo, prefix, period, space=space).to_json() == expected
+        assert space.configuration(0) == start
+
+    def test_a_space_of_another_algorithm_is_rejected(self):
+        graph = build_graph("cycle:4")
+        six = make_algorithm("six")
+        space = ConfigurationSpace(graph, six, initial_configuration(graph, six, {v: v for v in graph.nodes}))
+        with pytest.raises(ValueError, match="another graph or algorithm"):
+            detect_livelock(graph, make_algorithm("buggy5"), [], [(1,)], space=space)
 
 
 class TestConfigurationKey:

@@ -4,7 +4,17 @@ import random
 import pytest
 
 from asynclocal import schedulers
-from asynclocal.engine import SchedulingError, detect_livelock, execute, explicit_scheduling
+from asynclocal.engine import (
+    TERMINATED,
+    Configuration,
+    LivelockCertificate,
+    SchedulingError,
+    detect_livelock,
+    execute,
+    explicit_scheduling,
+    initial_configuration,
+    step,
+)
 from asynclocal.graphs import build_graph
 from asynclocal.schedulers import (
     GUARD_ENV,
@@ -28,6 +38,46 @@ def certificate_json(cert):
 
 def take(sched, n):
     return list(itertools.islice(sched.blocks(), n))
+
+
+def reference_livelock(graph, algo, prefix, period, bound=64):
+    """The periodic loop in straight lines: fresh configurations through ``step``, keys hashed
+    at every period boundary.  Returns the certificate's JSON, or None."""
+    cfg = initial_configuration(graph, algo, {v: algo.default_input(v) for v in graph.nodes})
+    for blk in prefix:
+        cfg = step(graph, algo, cfg, blk)
+    seen = {cfg.key(): 0}
+    for k in range(1, bound + 1):
+        for blk in period:
+            cfg = step(graph, algo, cfg, blk)
+        key = cfg.key()
+        if key in seen:
+            support = sorted(set().union(*period))
+            undecided = tuple(v for v in support if cfg.new[v][0] != TERMINATED)
+            if not undecided:
+                return None
+            cert = LivelockCertificate(
+                prefix, period, seen[key], k, undecided, Configuration(cfg.old, cfg.new)
+            )
+            return cert.to_json()
+        seen[key] = k
+    return None
+
+
+def table2_ring():
+    return build_graph("cycle:4", ids=TABLE2_GRAPH["ids"])
+
+
+def periodic_spaces(monkeypatch):
+    """Record, for each periodic probe, the space it ran on and its size before the call."""
+    calls = []
+
+    def recording(graph, algo, prefix, period, space=None):
+        calls.append((space, len(space)))
+        return detect_livelock(graph, algo, prefix, period, space=space)
+
+    monkeypatch.setattr(schedulers, "detect_livelock", recording)
+    return calls
 
 
 class TestSync:
@@ -286,6 +336,13 @@ class TestEnumeration:
             assert (a.nodes, a._checked) == (b.nodes, b._checked)
             assert (a.support_forever, a.crash_times, a.seed) == (b.support_forever, b.crash_times, b.seed)
 
+    def test_a_node_outside_the_graph_is_rejected(self):
+        graph = build_graph("path:2")
+        with pytest.raises(ValueError, match="enumerated node 3 not in the graph"):
+            enumerate_schedulings((1, 2, 3), 1, graph=graph)
+        assert len(list(enumerate_schedulings((2, 1), 1, graph=graph))) == 3
+        assert len(list(enumerate_schedulings((1, 2, 3), 1))) == 7  # no graph, no check
+
     def test_enumerated_schedulings_run(self):
         graph = build_graph("path:2")
         algo = make_algorithm("six")
@@ -414,7 +471,7 @@ class TestSearch:
         graph = build_graph("path:2")
         shapes = []
 
-        def recording(graph, algo, prefix, period, start=None):
+        def recording(graph, algo, prefix, period, space=None):
             shapes.append((prefix, period))
             return None
 
@@ -439,9 +496,9 @@ class TestSearch:
         algo = make_algorithm(name, delta=2)
         results = []
 
-        def both(graph, algo, prefix, period, start=None):
-            assert start is not None
-            shared = detect_livelock(graph, algo, prefix, period, start=start)
+        def both(graph, algo, prefix, period, space=None):
+            assert space is not None
+            shared = detect_livelock(graph, algo, prefix, period, space=space)
             one_shot = detect_livelock(graph, algo, prefix, period)
             results.append((certificate_json(shared), certificate_json(one_shot)))
             return None  # so the search goes on through every shape
@@ -455,8 +512,82 @@ class TestSearch:
         if (name, graph_spec) == ("buggy5", "cycle:3"):  # it livelocks there, so certificates compare too
             assert any(shared is not None for shared, _ in results)
 
+    @pytest.mark.parametrize("graph_spec", ["path:2", "cycle:3", "table2"])
+    @pytest.mark.parametrize("name", ["six", "save1", "buggy5"])
+    def test_periodic_search_equals_a_straight_line_reference(self, monkeypatch, name, graph_spec):
+        graph = table2_ring() if graph_spec == "table2" else build_graph(graph_spec)
+        algo = make_algorithm(name, delta=2)
+        budget = 500 if graph_spec == "table2" else 10**6
+        results = []
+
+        def checked(graph, algo, prefix, period, space=None):
+            got = certificate_json(detect_livelock(graph, algo, prefix, period, space=space))
+            results.append((got, reference_livelock(graph, algo, prefix, period)))
+            return None  # so the search goes on through every shape
+
+        monkeypatch.setattr(schedulers, "detect_livelock", checked)
+        result = adversary_search(algo, graph, property="periodic-termination", budget=budget)
+        blocks = 2**graph.n - 1
+        shapes = min(budget, (1 + blocks + blocks**2) * (blocks + blocks**2))
+        assert result.examined == len(results) == shapes
+        assert [got for got, _ in results] == [want for _, want in results]
+        if name == "buggy5" and graph_spec != "path:2":  # it livelocks there
+            assert any(got is not None for got, _ in results)
+
+    def test_every_memoised_transition_is_a_step(self, monkeypatch):
+        graph, algo = build_graph("cycle:4"), make_algorithm("save1", delta=2)
+        calls = periodic_spaces(monkeypatch)
+        result = adversary_search(algo, graph, property="periodic-termination", budget=241 * 240)
+        assert (result.found, result.examined) == (False, 241 * 240)
+        spaces = {id(space): space for space, _ in calls}
+        assert len(spaces) == 1  # C4 stays far below the limit
+        [space] = spaces.values()
+        initial = initial_configuration(graph, algo, {v: algo.default_input(v) for v in graph.nodes})
+        assert space.configuration(0) == initial
+        assert len(space.ids) == len(space) == len(space.successors)
+        transitions = 0
+        for cid, memo in enumerate(space.successors):
+            cfg = space.configuration(cid)
+            assert space.ids[cfg.key()] == cid
+            for blk, nid in memo.items():
+                assert space.configuration(nid).key() == step(graph, algo, cfg, blk).key()
+                transitions += 1
+        assert transitions > len(space)
+
+    @pytest.mark.parametrize(
+        "name, graph_spec, budget, found",
+        [("save1", "cycle:4", 2000, (False, 2000)), ("buggy5", "table2", 241 * 240, (True, 42))],
+    )
+    def test_a_tiny_space_limit_gives_the_same_search(
+        self, monkeypatch, name, graph_spec, budget, found
+    ):
+        graph = table2_ring() if graph_spec == "table2" else build_graph(graph_spec)
+        algo = make_algorithm(name, delta=2)
+
+        def search():
+            result = adversary_search(algo, graph, property="periodic-termination", budget=budget)
+            return result.found, result.examined, certificate_json(result.certificate)
+
+        default = search()
+        assert default[:2] == found
+        monkeypatch.setattr(schedulers, "_SPACE_LIMIT", 8)
+        calls = periodic_spaces(monkeypatch)
+        assert search() == default
+        assert len({id(space) for space, _ in calls}) > 1
+        assert max(size for _, size in calls) <= 8
+
+    def test_a_certificate_does_not_alias_the_search(self):
+        graph, algo = table2_ring(), make_algorithm("buggy5")
+        first = adversary_search(algo, graph, property="periodic-termination", budget=100)
+        expected = first.certificate.to_json()
+        cfg = first.certificate.configuration
+        cfg.old.clear()
+        cfg.new[next(iter(cfg.new))] = None
+        second = adversary_search(algo, graph, property="periodic-termination", budget=100)
+        assert second.certificate.to_json() == expected
+
     def test_table2_certificate_of_the_search_re_detects_one_shot(self):
-        graph = build_graph("cycle:4", ids=TABLE2_GRAPH["ids"])
+        graph = table2_ring()
         algo = make_algorithm("buggy5")
         result = adversary_search(algo, graph, property="periodic-termination", budget=241 * 240)
         assert (result.found, result.examined) == (True, 42)

@@ -598,13 +598,31 @@ STDOUT_PINS = [
         0,
         "53120b15800b4417a6dca2963b5335ce14cffb2b1aad2da51d2100267e6c4730",
     ),
+    (
+        ("wsb", "count", "--algo", "seen1", "--n", "7", "--trim"),
+        0,
+        "2becd9dba45d029a238e5040f6c91cfced517d915114edbf4a77c4ce5700a402",
+    ),
+    (
+        ("wsb", "count", "--algo", "seen2", "--n", "8"),
+        0,
+        "aef7d4479847cddfd3b64471ceffc00cb820a3d9e13e8c818cbdbd525f2efcc8",
+    ),
+    (
+        ("wsb", "class", "--algo", "const0", "--n", "3"),
+        0,
+        "c459fcf181f3845d5166941c09b0a214bdd4d63b7f450cc649c0770a3877a07e",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,exit_code,digest",
     STDOUT_PINS,
-    ids=["table1", "table2", "search-periodic", "run-random", "wsb-count-trim", "wsb-count"],
+    ids=[
+        "table1", "table2", "search-periodic", "run-random", "wsb-count-trim", "wsb-count",
+        "wsb-count-trim-n7", "wsb-count-n8", "wsb-class",
+    ],
 )
 def test_stdout_is_pinned(argv, exit_code, digest, capsys):
     code = main(list(argv))

@@ -58,6 +58,8 @@ def _resolve_graph(args) -> Graph:
             raise GraphError("tree spec needs tree:n,max_degree,seed")
         return random_tree(*parts)
     if os.path.exists(spec):
+        if ids is not None:
+            raise GraphError("--ids does not apply to a graph file")
         return load_graph(spec)
     return build_graph(spec, ids=ids, id_bound=getattr(args, "bound", None))
 

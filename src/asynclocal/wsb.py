@@ -12,14 +12,14 @@ facts, all checkable by brute force at small ``n``: trimming preserves the
 count, executions fall into equivalence classes of binomial size, and
 binomials C(n, m) vanish mod prime n.
 
-Signed counts come from a memoised recursion over configurations, never
-from a list of executions, and input families are checked against two
-generators of S_n, so :func:`count_report` and :func:`check_input_family`
-reach ``n <= 8``.  Listing the executions themselves, which
-:func:`classify` and :func:`equivalence_class` need, grows with their
-number (13 at n = 3, 75 at n = 4: the ordered Bell numbers), so
-:func:`enumerate_complete` stays at ``n <= 3``.  Each guard lifts with
-``ASYNCLOCAL_GUARD_OVERRIDE=1``.
+Signed counts come from a forward pass over schedule lengths on the graph
+of reachable configurations, never from a list of executions, and input
+families are checked against two generators of S_n, so :func:`count_report`
+and :func:`check_input_family` reach ``n <= 8``.  Listing the executions
+themselves, which :func:`classify` and :func:`equivalence_class` need,
+grows with their number (13 at n = 3, 75 at n = 4: the ordered Bell
+numbers), so :func:`enumerate_complete` stays at ``n <= 3``.  Each guard
+lifts with ``ASYNCLOCAL_GUARD_OVERRIDE=1``.
 """
 
 from __future__ import annotations
@@ -122,46 +122,87 @@ class EnumerationResult:
         return len(self.records)
 
 
+class _ScheduleGraph:
+    """The configurations of ``algo`` on ``clique:n`` reached by block schedules.
+
+    Built once per census: the clique, its initial configuration (every
+    process on its default input) and then every configuration reached,
+    interned by :meth:`Configuration.key` as a dense id, the start being
+    id 0.  ``configs[i]`` is the configuration itself and ``undecided[i]``
+    its undecided processes.  :meth:`children` lists the transitions out of
+    an id, computed on its first request only, so each block is stepped at
+    most once per configuration however many schedules pass through it.
+    """
+
+    def __init__(self, algo, n: int):
+        self.algo = algo
+        self.graph = build_graph(f"clique:{n}")
+        self.ids: dict[tuple, int] = {}
+        self.configs: list = []
+        self.undecided: list[tuple[int, ...]] = []
+        self._children: list = []
+        inputs = {v: algo.default_input(v) for v in self.graph.nodes}
+        self._intern(initial_configuration(self.graph, algo, inputs))
+
+    def _intern(self, cfg) -> int:
+        key = cfg.key()
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.configs)
+            self.configs.append(cfg)
+            new = cfg.new
+            self.undecided.append(tuple([v for v in self.graph.nodes if new[v][0] != TERMINATED]))
+            self._children.append(None)
+        return i
+
+    def children(self, i: int) -> list[tuple[tuple[int, ...], int]]:
+        """``(block, child id)`` for every nonempty block of id ``i``'s undecided processes."""
+        out = self._children[i]
+        if out is None:
+            cfg = self.configs[i]
+            out = [
+                (blk, self._intern(step(self.graph, self.algo, cfg, blk)))
+                for blk in _nonempty_subsets(self.undecided[i])
+            ]
+            self._children[i] = out
+        return out
+
+
 def enumerate_complete(algo, n: int, step_bound: int = 8) -> EnumerationResult:
     """Depth-first census of every complete execution on ``clique:n``.
 
     Blocks are nonempty subsets of the currently undecided processes, so
-    a schedule ends exactly when everyone has decided.  Each configuration
-    is stepped once; every path through it reuses its successors.  The
-    search keeps its own stack, so no step bound meets Python's recursion
-    limit.  A negative ``step_bound`` raises :class:`ValueError`.
+    a schedule ends exactly when everyone has decided.  The walk runs over
+    the ids of one schedule graph, so each configuration is stepped once;
+    every path through it reuses its children.  The search keeps its own
+    stack, so no step bound meets Python's recursion limit.  A negative
+    ``step_bound`` raises :class:`ValueError`.
     """
     if step_bound < 0:
         raise ValueError(f"step_bound must be non-negative, got {step_bound}")
     _guard(n <= 3, f"exhaustive enumeration over clique({n}) explodes")
-    graph = build_graph(f"clique:{n}")
-    cfg0 = initial_configuration(graph, algo, {v: algo.default_input(v) for v in graph.nodes})
-    ds0 = {v: 0 for v, st in cfg0.new.items() if st[0] == TERMINATED}
+    schedules = _ScheduleGraph(algo, n)
+    configs, undecided = schedules.configs, schedules.undecided
+    ds0 = {v: 0 for v, st in configs[0].new.items() if st[0] == TERMINATED}
 
     records: list[ExecutionRecord] = []
     truncated = 0
-    successors: dict[tuple, list] = {}  # configuration key -> [(block, next configuration)]
-    # (configuration, blocks so far, decision steps), children pushed last
-    # first so they pop in block order: the records come out depth first
-    stack = [(cfg0, (), ds0)]
+    # (id, blocks so far, decision steps), children pushed last first so
+    # they pop in block order: the records come out depth first
+    stack = [(0, (), ds0)]
     while stack:
-        cfg, blocks, ds = stack.pop()
-        undecided = [v for v in graph.nodes if cfg.new[v][0] != TERMINATED]
-        if not undecided:
-            records.append(ExecutionRecord(n, blocks, cfg.decided(), ds))
+        i, blocks, ds = stack.pop()
+        if not undecided[i]:
+            records.append(ExecutionRecord(n, blocks, configs[i].decided(), ds))
             continue
         if len(blocks) >= step_bound:
             truncated += 1
             continue
-        key = cfg.key()
-        nexts = successors.get(key)
-        if nexts is None:
-            nexts = [(blk, step(graph, algo, cfg, blk)) for blk in _nonempty_subsets(undecided)]
-            successors[key] = nexts
         at = len(blocks) + 1
-        for blk, nxt in reversed(nexts):
-            newly = {v: at for v in blk if nxt.new[v][0] == TERMINATED}
-            stack.append((nxt, blocks + (blk,), {**ds, **newly}))
+        for blk, j in reversed(schedules.children(i)):
+            new = configs[j].new
+            newly = {v: at for v in blk if new[v][0] == TERMINATED}
+            stack.append((j, blocks + (blk,), {**ds, **newly}))
 
     return EnumerationResult(records, truncated, step_bound)
 
@@ -237,109 +278,49 @@ class CountReport:
 def count_report(algo, n: int, step_bound: int = 8) -> CountReport:
     """The census of :func:`enumerate_complete`, counted without listing it.
 
-    A memoised recursion over the configurations of ``clique:n`` finds,
-    for a configuration with ``left`` blocks still allowed, the number of
-    complete executions and truncated prefixes below it and the sizes and
-    signed sums of its all-0 and all-1 completions; each block's subtree
-    enters the sums with the block's sign.  Truncation depends on
-    ``left``, so results are memoised per ``(configuration, left)``.  A
-    subtree that truncates nothing within its height (its longest
-    schedule) is the same for every ``left`` at least that height, and is
-    memoised per configuration.  The recursion keeps its own stack, as
-    deep as the longest schedule it explores (at most ``step_bound``
-    blocks), so no step bound meets Python's recursion limit.  A negative
+    A forward pass over schedule lengths on one schedule graph: layer k
+    maps each configuration reached by k blocks to the number of schedules
+    reaching it and the sum of their signs.  A decided configuration adds
+    its schedules to the executions, and to the all-0 or all-1 size and
+    sum; an undecided one in layer ``step_bound`` adds them to
+    ``truncated``; any other passes them to its children, each with the
+    sign of its block.  The pass stops at the first empty layer, so a rule
+    that always decides answers at any step bound, and it keeps no stack,
+    so no step bound meets Python's recursion limit.  A negative
     ``step_bound`` raises :class:`ValueError`.
     """
     if step_bound < 0:
         raise ValueError(f"step_bound must be non-negative, got {step_bound}")
     _guard(n <= 8, f"signed counts over clique({n}) explode")
-    graph = build_graph(f"clique:{n}")
-    nodes = graph.nodes
-    inputs = {v: algo.default_input(v) for v in nodes}
-    memo: dict[tuple, tuple[int, ...]] = {}
-    settled: dict[tuple, tuple[int, ...]] = {}
-    signed_blocks: dict[tuple[int, ...], list] = {}  # undecided nodes -> [(block, sign)]
+    schedules = _ScheduleGraph(algo, n)
+    configs, undecided = schedules.configs, schedules.undecided
+    executions = truncated = c0_size = c1_size = c0_sum = c1_sum = 0
+    layer = {0: (1, 1)}  # id -> (schedules reaching it, their signed sum)
+    depth = 0
+    while layer:
+        below: dict[int, tuple[int, int]] = {}
+        for i, (ways, signed) in layer.items():
+            if not undecided[i]:
+                executions += ways
+                outputs = set(configs[i].decided().values())
+                if outputs == {0}:
+                    c0_size += ways
+                    c0_sum += signed
+                elif outputs == {1}:
+                    c1_size += ways
+                    c1_sum += signed
+            elif depth == step_bound:
+                truncated += ways
+            else:
+                for blk, j in schedules.children(i):
+                    w, s = below.get(j, (0, 0))
+                    below[j] = (w + ways, s + signed if len(blk) % 2 else s - signed)
+        layer = below
+        depth += 1
 
-    def settle(cfg_key: tuple, left: int, found: tuple[int, ...]) -> tuple[int, ...]:
-        if found[1]:
-            memo[(cfg_key, left)] = found
-        else:
-            settled[cfg_key] = found
-        return found
-
-    def visit(cfg, left: int):
-        """The entry below ``cfg`` when it is memoised or a leaf, else a frame to expand.
-
-        An entry is ``(executions, truncated, c0_size, c1_size, c0_sum,
-        c1_sum, height)``.
-        """
-        new = cfg.new
-        cfg_key = cfg.key()
-        hit = settled.get(cfg_key)
-        if hit is not None and hit[6] <= left:
-            return hit
-        hit = memo.get((cfg_key, left))
-        if hit is not None:
-            return hit
-        undecided = tuple([v for v in nodes if new[v][0] != TERMINATED])
-        if not undecided:
-            outputs = set(cfg.decided().values())
-            zero, one = int(outputs == {0}), int(outputs == {1})
-            return settle(cfg_key, left, (1, 0, zero, one, zero, one, 0))
-        if left == 0:
-            return settle(cfg_key, left, (0, 1, 0, 0, 0, 0, 0))
-        blocks = signed_blocks.get(undecided)
-        if blocks is None:
-            blocks = [(b, 1 if len(b) % 2 else -1) for b in _nonempty_subsets(undecided)]
-            signed_blocks[undecided] = blocks
-        return [cfg, left, cfg_key, iter(blocks), 0, (0, 0, 0, 0, 0, 0, 0)]
-
-    # A stack of frames, not recursion: a schedule may outgrow Python's
-    # recursion limit.  A frame is a configuration whose blocks are being
-    # stepped: [cfg, left, key, its signed blocks, the sign of the block
-    # whose subtree is being expanded, its entry summed so far].
-    found = visit(initial_configuration(graph, algo, inputs), step_bound)
-    stack = []
-    if type(found) is list:
-        stack.append(found)
-        found = None
-    while stack:
-        frame = stack[-1]
-        cfg, left, cfg_key, blocks, sgn, (e, t, z, o, zs, os_, h) = frame
-        while True:
-            if found is not None:  # a subtree entry, reached by a block of sign sgn
-                e += found[0]
-                t += found[1]
-                z += found[2]
-                o += found[3]
-                zs += sgn * found[4]
-                os_ += sgn * found[5]
-                if found[6] >= h:
-                    h = found[6] + 1
-            nxt = next(blocks, None)
-            if nxt is None:
-                stack.pop()
-                found = settle(cfg_key, left, (e, t, z, o, zs, os_, h))
-                break
-            blk, sgn = nxt
-            found = visit(step(graph, algo, cfg, blk), left - 1)
-            if type(found) is list:  # expand it first, then come back for the next block
-                frame[4], frame[5] = sgn, (e, t, z, o, zs, os_, h)
-                stack.append(found)
-                found = None
-                break
-
-    executions, truncated, c0_size, c1_size, c0_sum, c1_sum, _ = found
     return CountReport(
-        algo=algo.name,
-        n=n,
-        step_bound=step_bound,
-        executions=executions,
-        truncated=truncated,
-        c0_size=c0_size,
-        c1_size=c1_size,
-        c0_sum=c0_sum,
-        c1_sum=c1_sum,
+        algo=algo.name, n=n, step_bound=step_bound, executions=executions, truncated=truncated,
+        c0_size=c0_size, c1_size=c1_size, c0_sum=c0_sum, c1_sum=c1_sum,
         count=c0_sum + (-1) ** (n - 1) * c1_sum,
     )
 

@@ -8,6 +8,7 @@ from asynclocal import verify as verify_mod
 from asynclocal.cli import main
 from asynclocal.coverfree import construct_family
 from asynclocal.engine import detect_livelock
+from asynclocal.graphs import build_graph, dump_graph
 from asynclocal.schedulers import GUARD_ENV
 
 
@@ -434,6 +435,14 @@ class TestWsb:
         assert out == []
         assert err.splitlines() == ["error: step_bound must be non-negative, got -1"]
 
+    def test_a_huge_step_bound_on_a_wait_free_rule(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "wsb", "count", "--algo", "const0", "--n", "3", "--step-bound", "1000000000"
+        )
+        assert code == 0
+        payload = first_json(out)
+        assert (payload["executions"], payload["truncated"], payload["step_bound"]) == (13, 0, 10**9)
+
     def test_class_sizes(self, capsys):
         code, out, _ = run_cli(capsys, "wsb", "class", "--algo", "const0", "--n", "3")
         assert code == 0
@@ -524,6 +533,16 @@ class TestUsageErrors:
         assert code == 2
         assert len(err.strip().splitlines()) == 1
         assert "activation probability must be in [0.001, 1]" in err
+
+    def test_ids_with_a_graph_file(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        dump_graph(build_graph("cycle:5"), path)
+        code, out, err = run_cli(
+            capsys, "run", "--algo", "six", "--graph", str(path), "--ids", "5,4,3,2,1"
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == ["error: --ids does not apply to a graph file"]
 
     def test_duplicate_identifiers(self, capsys):
         code, _, err = run_cli(

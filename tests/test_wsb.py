@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
 import math
 
 import pytest
 
+from asynclocal import wsb as wsb_mod
 from asynclocal.algorithms import Algorithm, make_algorithm
+from asynclocal.engine import TERMINATED, initial_configuration
+from asynclocal.engine import step as engine_step
 from asynclocal.graphs import build_graph
 from asynclocal.schedulers import GUARD_ENV
 from asynclocal.wsb import (
@@ -62,6 +66,26 @@ def enumerated_report(algo, n, step_bound=8):
         algo.name, n, step_bound, len(result), result.truncated,
         len(c0), len(c1), s0, s1, s0 + (-1) ** (n - 1) * s1,
     )
+
+
+def undecided_within(algo, n, below):
+    """Keys of the undecided configurations some schedule of fewer than
+    ``below`` blocks reaches: exactly the ones a census must step."""
+    graph = build_graph(f"clique:{n}")
+    cfg = initial_configuration(graph, algo, {v: algo.default_input(v) for v in graph.nodes})
+    layer, found = {cfg.key(): cfg}, set()
+    for _ in range(below):
+        reached = {}
+        for key, here in layer.items():
+            undecided = [v for v in graph.nodes if here.new[v][0] != TERMINATED]
+            if undecided:
+                found.add(key)
+            for size in range(1, len(undecided) + 1):
+                for blk in itertools.combinations(undecided, size):
+                    nxt = engine_step(graph, algo, here, blk)
+                    reached[nxt.key()] = nxt
+        layer = {k: c for k, c in reached.items() if k not in found}
+    return found
 
 
 def closed_under_every_permutation(family, n):
@@ -209,6 +233,11 @@ class TestCounts:
         report = count_report(NeverDecide(), 2, step_bound=2000)
         assert (report.executions, report.truncated, report.count) == (0, 3**2000, 0)
 
+    def test_a_huge_step_bound_on_a_wait_free_rule(self):
+        # the pass stops at its first empty layer, not after 10**9 of them
+        report = count_report(ConstantOutput(0), 3, 10**9)
+        assert report == dataclasses.replace(count_report(ConstantOutput(0), 3), step_bound=10**9)
+
     def test_an_enumeration_beyond_the_recursion_limit(self):
         result = enumerate_complete(NeverDecide(), 1, step_bound=3000)
         assert (result.records, result.truncated) == ([], 1)
@@ -268,6 +297,35 @@ class TestCounts:
             count_report(ConstantOutput(0), 9)
         monkeypatch.setenv(GUARD_ENV, "1")
         assert count_report(ConstantOutput(0), 9, step_bound=0).truncated == 1
+
+
+# the benchmark's wsb job, plus short bounds at which buggy5 first reaches
+# configurations at the bound itself
+STEPPED_CENSUSES = (
+    [(count_report, make_algorithm("buggy5"), 3, b) for b in (1, 5, 30)]
+    + [(count_report, a, 3, 8) for t in toy_algorithms(3).values() for a in (t, trim(t, 3))]
+    + [(enumerate_complete, make_algorithm("buggy5"), 3, 5)]
+    + [(enumerate_complete, trim(OutputAfterSeeing(2), 3), 3, 8)]
+)
+
+
+@pytest.mark.parametrize(
+    "census,algo,n,step_bound",
+    STEPPED_CENSUSES,
+    ids=[f"{c.__name__}-{a.name}-{b}" for c, a, _, b in STEPPED_CENSUSES],
+)
+def test_each_transition_is_stepped_once(monkeypatch, census, algo, n, step_bound):
+    stepped = []
+
+    def recording(graph, algo, cfg, block):
+        stepped.append((cfg.key(), tuple(block)))
+        return engine_step(graph, algo, cfg, block)
+
+    monkeypatch.setattr(wsb_mod, "step", recording)
+    census(algo, n, step_bound)
+    assert len(stepped) == len(set(stepped))
+    # nothing first reached at the step bound is expanded, and nothing short of it is missed
+    assert {key for key, _ in stepped} == undecided_within(algo, n, step_bound)
 
 
 class TestTrimming:

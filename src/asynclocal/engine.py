@@ -528,27 +528,27 @@ class LivelockCertificate:
 
 
 class ConfigurationSpace:
-    """The configurations reached from one start, each stored once.
+    """The configurations reached from one initial configuration, each stored once.
 
-    Built from a graph, an algorithm and a start configuration (copied, so
-    the caller's is never changed).  Every configuration is interned by its
-    :meth:`Configuration.key` as a dense id in ``ids``, the start being
-    id 0: ``pairs[i]`` holds its ``(old, new)`` dicts, in ``graph.nodes``
-    order, which nobody may change.  ``successors[i]`` memoises the
-    transitions out of id ``i`` as ``{block: id}``, so a block is applied
-    to a configuration at most once however many executions pass through
-    it (the state caching of explicit-state model checkers).  Blocks are
-    trusted to be canonical (distinct nodes of ``graph``, ascending).
-    ``len(space)`` counts the configurations; the space never drops one, so
-    a caller that shares it across many executions bounds its memory by
-    starting a fresh space.
+    Built from a graph, an algorithm and its inputs (``None``: the
+    defaults), resolved and validated here as :func:`execute` does.  Every
+    configuration is interned by its :meth:`Configuration.key` as a dense
+    id in ``ids``, the initial one being id 0: ``pairs[i]`` holds its
+    ``(old, new)`` dicts, in ``graph.nodes`` order, which nobody may
+    change.  ``successors[i]`` memoises the transitions out of id ``i`` as
+    ``{block: id}``, so a block is applied to a configuration at most once
+    however many executions pass through it (the state caching of
+    explicit-state model checkers).  Blocks are trusted to be canonical
+    (distinct nodes of ``graph``, ascending).  ``len(space)`` counts the
+    configurations; the space never drops one, so a caller that shares it
+    across many executions bounds its memory by starting a fresh space.
     """
 
-    def __init__(self, graph: Graph, algo, start: Configuration):
-        self.graph = graph
-        self.algo = algo
+    def __init__(self, graph: Graph, algo, inputs: dict[int, Any] | None = None):
+        start = initial_configuration(graph, algo, _resolve_inputs(graph, algo, inputs))
+        self.graph, self.algo = graph, algo
         self.ids: dict[tuple, int] = {start.key(): 0}
-        self.pairs: list[tuple[dict, dict]] = [(dict(start.old), dict(start.new))]
+        self.pairs: list[tuple[dict, dict]] = [(start.old, start.new)]
         self.successors: list[dict[tuple[int, ...], int]] = [{}]
         self._apply = functools.partial(_apply_block, graph.adj, algo.next, algo.arity)
 
@@ -603,16 +603,15 @@ def detect_livelock(
     decide (the dynamics then freeze) or no repetition shows up within the
     bound.
 
-    ``space``, when given, must have been built from ``graph``, ``algo``
-    and the initial configuration of ``algo`` with ``inputs``, and every
-    block must be canonical (distinct nodes of ``graph``, ascending), as a
-    search's own blocks are.  That is trusted, not checked, beyond the
-    space's graph and algorithm being these; ``inputs`` is not read, and
-    the space keeps every configuration and transition the call adds, so a
-    search can share them across all its shapes.  Without ``space`` every
-    block is checked and a private space is built from the resolved
-    inputs.  The certificate's configuration is a fresh copy, in
-    ``graph.nodes`` order, with step index 0 either way.
+    ``space``, when given, must have been built from ``graph`` and
+    ``algo`` (checked) and starts from its own inputs, so ``inputs`` is
+    not read; its blocks are trusted to be canonical (distinct nodes of
+    ``graph``, ascending), as a search's own blocks are.  The space keeps
+    every configuration and transition the call adds, so a search can
+    share them across all its shapes.  Without ``space`` every block is
+    checked and a private space is built from ``inputs``.  The
+    certificate's configuration is a fresh copy, in ``graph.nodes`` order,
+    with step index 0 either way.
     """
     pre, per = tuple(prefix), tuple(period)
     if not per:
@@ -622,8 +621,7 @@ def detect_livelock(
         node_set = graph.node_set
         pre = tuple([_check_block(b, node_set) for b in pre])
         per = tuple([_check_block(b, node_set) for b in per])
-        initial = initial_configuration(graph, algo, _resolve_inputs(graph, algo, inputs))
-        space = ConfigurationSpace(graph, algo, initial)
+        space = ConfigurationSpace(graph, algo, inputs)
     elif space.graph is not graph or space.algo is not algo:
         raise ValueError("the configuration space was built for another graph or algorithm")
 

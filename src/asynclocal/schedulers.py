@@ -20,8 +20,8 @@ Spec strings:
   ``explicit:`` spec, so a trace of it does not depend on the file.
 * ``explicit:1,3/2`` -- blocks inline, slash-separated.
 
-Explicit crash times may be appended as ``crashes=2@0|4@3`` (node@step;
-a node with crash step t appears in no block after the t-th).
+Explicit crash times may be appended as ``crashes=2@0|4@3`` (node@step,
+step >= 0; a node with crash step t appears in no block after the t-th).
 
 Every block a scheduling yields is canonical when it is made (nonempty,
 distinct nodes of the graph, ascending), so the engine runs the blocks of
@@ -45,11 +45,9 @@ from .engine import (
     SchedulingError,
     Trace,
     _explicit,
-    _resolve_inputs,
     detect_livelock,
     execute,
     explicit_scheduling,
-    initial_configuration,
 )
 from .graphs import Graph
 
@@ -110,9 +108,11 @@ def _parse_crashes(text: str) -> dict[int, int]:
 
 
 def _known_crashes(crashes: dict[int, int], graph: Graph) -> dict[int, int]:
-    for v in crashes:
+    for v, t in crashes.items():
         if v not in graph.adj:
             raise SchedulingError(f"crash for unknown node {v}")
+        if t < 0:
+            raise SchedulingError(f"crash step of node {v} must be non-negative, got {t}")
     return crashes
 
 
@@ -156,8 +156,8 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
 
     ``crashes`` adds or overrides explicit crash steps; the returned
     scheduling's ``spec`` is canonical and regenerates it exactly.  A crash
-    entry for a node outside the graph, in ``crashes`` or in the spec's own
-    ``crashes=`` parameter, raises :class:`SchedulingError`.
+    entry with a step below 0 or for a node outside the graph, in
+    ``crashes`` or in the spec's ``crashes=``, raises :class:`SchedulingError`.
     """
     nodes = graph.nodes
     kind, _, rest = spec.partition(":")
@@ -381,16 +381,16 @@ def adversary_search(
     ``periodic-termination`` probes prefixes of 0..2 blocks, each with
     periods of 1 and 2 blocks, prefix by prefix, with one
     :func:`detect_livelock` call per shape; it reads no seed and no
-    ``max_steps``.  It resolves the inputs, validates them and builds the
-    initial configuration once per search, and all its shapes share one
-    :class:`~asynclocal.engine.ConfigurationSpace`, so a block is applied
-    to a configuration once per space however many shapes pass through
-    it.  Once the space holds more than 2^12 configurations the next shape
-    starts a fresh one, which bounds the memory on large rings.  It lists
-    all 2^n - 1 blocks first, so it is guarded at 12 nodes.  A negative
-    budget or ``max_steps``, an argument the mode does not read, or a
-    malformed ``sched`` raises :class:`ValueError` (an unknown enum
-    parameter, :class:`SchedulingError`).
+    ``max_steps``.  All its shapes share one
+    :class:`~asynclocal.engine.ConfigurationSpace` on the default inputs,
+    so a block is applied to a configuration once per space however many
+    shapes pass through it.  Once the space holds more than 2^12
+    configurations the next shape starts a fresh one, which bounds the
+    memory on large rings.  It lists all 2^n - 1 blocks first, so it is
+    guarded at 12 nodes.  A negative budget or ``max_steps``, an argument
+    the mode does not read, or a malformed ``sched`` raises
+    :class:`ValueError` (an unknown enum parameter,
+    :class:`SchedulingError`).
     """
     if property not in SEARCH_PROPERTIES:
         raise ValueError(f"unknown property {property!r} (expected one of {SEARCH_PROPERTIES})")
@@ -417,13 +417,12 @@ def adversary_search(
         subsets = _nonempty_subsets(graph.nodes)
 
         def shapes():
-            # one set-up per search; every shape shares one space, replaced past the limit
-            initial = initial_configuration(graph, algo, _resolve_inputs(graph, algo, None))
-            space = ConfigurationSpace(graph, algo, initial)
+            # every shape shares one space, replaced past the limit
+            space = ConfigurationSpace(graph, algo)
             for prefix in _block_sequences(subsets, range(3)):
                 for period in _block_sequences(subsets, (1, 2)):
                     if len(space) > _SPACE_LIMIT:
-                        space = ConfigurationSpace(graph, algo, initial)
+                        space = ConfigurationSpace(graph, algo)
                     yield prefix, period, space
 
         candidates = shapes()

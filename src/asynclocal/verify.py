@@ -477,9 +477,12 @@ CHECKS = {
 }
 
 
-def run_check(name: str, trace: Trace) -> Verdict:
+def _checker(name: str):
     try:
-        checker = CHECKS[name]
+        return CHECKS[name]
     except KeyError:
         raise ValueError(f"unknown check {name!r} (expected one of {sorted(CHECKS)})")
-    return checker(trace)
+
+
+def run_check(name: str, trace: Trace) -> Verdict:
+    return _checker(name)(trace)

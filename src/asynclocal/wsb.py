@@ -12,14 +12,16 @@ facts, all checkable by brute force at small ``n``: trimming preserves the
 count, executions fall into equivalence classes of binomial size, and
 binomials C(n, m) vanish mod prime n.
 
-Signed counts come from a forward pass over schedule lengths on the graph
-of reachable configurations, never from a list of executions, and input
-families are checked against two generators of S_n, so :func:`count_report`
-and :func:`check_input_family` reach ``n <= 8``.  Listing the executions
-themselves, which :func:`classify` and :func:`equivalence_class` need,
-grows with their number (13 at n = 3, 75 at n = 4: the ordered Bell
-numbers), so :func:`enumerate_complete` stays at ``n <= 3``.  Each guard
-lifts with ``ASYNCLOCAL_GUARD_OVERRIDE=1``.
+:func:`enumerate_complete` and :func:`count_report` walk one
+:class:`~asynclocal.engine.ConfigurationSpace` of the clique per call.
+Signed counts come from a forward pass over schedule lengths on it, never
+from a list of executions, and input families are checked against two
+generators of S_n, so :func:`count_report` and :func:`check_input_family`
+reach ``n <= 8``.  Listing the executions themselves, which
+:func:`classify` and :func:`equivalence_class` need, grows with their
+number (13 at n = 3, 75 at n = 4: the ordered Bell numbers), so
+:func:`enumerate_complete` stays at ``n <= 3``.  Each guard lifts with
+``ASYNCLOCAL_GUARD_OVERRIDE=1``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from typing import Any, Iterable
 
 from .algorithms import Algorithm
 from .coverfree import _is_prime
-from .engine import TERMINATED, initial_configuration, step
+from .engine import TERMINATED, ConfigurationSpace
+from .engine import step  # noqa: F401  -- the benchmark harness wraps ``wsb.step`` by name
 from .graphs import Graph, build_graph
 from .schedulers import _guard, _nonempty_subsets
 from .verify import Verdict
@@ -122,50 +125,15 @@ class EnumerationResult:
         return len(self.records)
 
 
-class _ScheduleGraph:
-    """The configurations of ``algo`` on ``clique:n`` reached by block schedules.
+class _Undecided(dict):
+    """The undecided processes of each id of a space, found on its first lookup."""
 
-    Built once per census: the clique, its initial configuration (every
-    process on its default input) and then every configuration reached,
-    interned by :meth:`Configuration.key` as a dense id, the start being
-    id 0.  ``configs[i]`` is the configuration itself and ``undecided[i]``
-    its undecided processes.  :meth:`children` lists the transitions out of
-    an id, computed on its first request only, so each block is stepped at
-    most once per configuration however many schedules pass through it.
-    """
+    def __init__(self, space: ConfigurationSpace):
+        self.pairs = space.pairs
 
-    def __init__(self, algo, n: int):
-        self.algo = algo
-        self.graph = build_graph(f"clique:{n}")
-        self.ids: dict[tuple, int] = {}
-        self.configs: list = []
-        self.undecided: list[tuple[int, ...]] = []
-        self._children: list = []
-        inputs = {v: algo.default_input(v) for v in self.graph.nodes}
-        self._intern(initial_configuration(self.graph, algo, inputs))
-
-    def _intern(self, cfg) -> int:
-        key = cfg.key()
-        i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.configs)
-            self.configs.append(cfg)
-            new = cfg.new
-            self.undecided.append(tuple([v for v in self.graph.nodes if new[v][0] != TERMINATED]))
-            self._children.append(None)
-        return i
-
-    def children(self, i: int) -> list[tuple[tuple[int, ...], int]]:
-        """``(block, child id)`` for every nonempty block of id ``i``'s undecided processes."""
-        out = self._children[i]
-        if out is None:
-            cfg = self.configs[i]
-            out = [
-                (blk, self._intern(step(self.graph, self.algo, cfg, blk)))
-                for blk in _nonempty_subsets(self.undecided[i])
-            ]
-            self._children[i] = out
-        return out
+    def __missing__(self, i: int) -> tuple[int, ...]:
+        u = self[i] = tuple([v for v, st in self.pairs[i][1].items() if st[0] != TERMINATED])
+        return u
 
 
 def enumerate_complete(algo, n: int, step_bound: int = 8) -> EnumerationResult:
@@ -173,17 +141,19 @@ def enumerate_complete(algo, n: int, step_bound: int = 8) -> EnumerationResult:
 
     Blocks are nonempty subsets of the currently undecided processes, so
     a schedule ends exactly when everyone has decided.  The walk runs over
-    the ids of one schedule graph, so each configuration is stepped once;
-    every path through it reuses its children.  The search keeps its own
+    the ids of one :class:`~asynclocal.engine.ConfigurationSpace` from the
+    default inputs, so each block is applied once per configuration; every
+    path through it reuses its transitions.  The search keeps its own
     stack, so no step bound meets Python's recursion limit.  A negative
     ``step_bound`` raises :class:`ValueError`.
     """
     if step_bound < 0:
         raise ValueError(f"step_bound must be non-negative, got {step_bound}")
     _guard(n <= 3, f"exhaustive enumeration over clique({n}) explodes")
-    schedules = _ScheduleGraph(algo, n)
-    configs, undecided = schedules.configs, schedules.undecided
-    ds0 = {v: 0 for v, st in configs[0].new.items() if st[0] == TERMINATED}
+    space = ConfigurationSpace(build_graph(f"clique:{n}"), algo)
+    pairs, successors, successor = space.pairs, space.successors, space.successor
+    undecided = _Undecided(space)
+    ds0 = {v: 0 for v, st in pairs[0][1].items() if st[0] == TERMINATED}
 
     records: list[ExecutionRecord] = []
     truncated = 0
@@ -193,14 +163,17 @@ def enumerate_complete(algo, n: int, step_bound: int = 8) -> EnumerationResult:
     while stack:
         i, blocks, ds = stack.pop()
         if not undecided[i]:
-            records.append(ExecutionRecord(n, blocks, configs[i].decided(), ds))
+            outputs = {v: st[1] for v, st in pairs[i][1].items()}
+            records.append(ExecutionRecord(n, blocks, outputs, ds))
             continue
         if len(blocks) >= step_bound:
             truncated += 1
             continue
         at = len(blocks) + 1
-        for blk, j in reversed(schedules.children(i)):
-            new = configs[j].new
+        # i's memoised transitions, filled in block order on its first visit
+        out = successors[i] or {b: successor(i, b) for b in _nonempty_subsets(undecided[i])}
+        for blk, j in reversed(out.items()):
+            new = pairs[j][1]
             newly = {v: at for v in blk if new[v][0] == TERMINATED}
             stack.append((j, blocks + (blk,), {**ds, **newly}))
 
@@ -278,22 +251,23 @@ class CountReport:
 def count_report(algo, n: int, step_bound: int = 8) -> CountReport:
     """The census of :func:`enumerate_complete`, counted without listing it.
 
-    A forward pass over schedule lengths on one schedule graph: layer k
-    maps each configuration reached by k blocks to the number of schedules
-    reaching it and the sum of their signs.  A decided configuration adds
-    its schedules to the executions, and to the all-0 or all-1 size and
-    sum; an undecided one in layer ``step_bound`` adds them to
-    ``truncated``; any other passes them to its children, each with the
-    sign of its block.  The pass stops at the first empty layer, so a rule
-    that always decides answers at any step bound, and it keeps no stack,
-    so no step bound meets Python's recursion limit.  A negative
+    A forward pass over schedule lengths on one configuration space: layer
+    k maps each configuration reached by k blocks to the number of
+    schedules reaching it and the sum of their signs.  A decided
+    configuration adds its schedules to the executions, and to the all-0
+    or all-1 size and sum; an undecided one in layer ``step_bound`` adds
+    them to ``truncated``; any other passes them to its children, each
+    with the sign of its block.  The pass stops at the first empty layer,
+    so a rule that always decides answers at any step bound, and it keeps
+    no stack, so no step bound meets Python's recursion limit.  A negative
     ``step_bound`` raises :class:`ValueError`.
     """
     if step_bound < 0:
         raise ValueError(f"step_bound must be non-negative, got {step_bound}")
     _guard(n <= 8, f"signed counts over clique({n}) explode")
-    schedules = _ScheduleGraph(algo, n)
-    configs, undecided = schedules.configs, schedules.undecided
+    space = ConfigurationSpace(build_graph(f"clique:{n}"), algo)
+    pairs, successors, successor = space.pairs, space.successors, space.successor
+    undecided = _Undecided(space)
     executions = truncated = c0_size = c1_size = c0_sum = c1_sum = 0
     layer = {0: (1, 1)}  # id -> (schedules reaching it, their signed sum)
     depth = 0
@@ -302,7 +276,7 @@ def count_report(algo, n: int, step_bound: int = 8) -> CountReport:
         for i, (ways, signed) in layer.items():
             if not undecided[i]:
                 executions += ways
-                outputs = set(configs[i].decided().values())
+                outputs = {st[1] for st in pairs[i][1].values()}
                 if outputs == {0}:
                     c0_size += ways
                     c0_sum += signed
@@ -312,7 +286,8 @@ def count_report(algo, n: int, step_bound: int = 8) -> CountReport:
             elif depth == step_bound:
                 truncated += ways
             else:
-                for blk, j in schedules.children(i):
+                out = successors[i] or {b: successor(i, b) for b in _nonempty_subsets(undecided[i])}
+                for blk, j in out.items():
                     w, s = below.get(j, (0, 0))
                     below[j] = (w + ways, s + signed if len(blk) % 2 else s - signed)
         layer = below

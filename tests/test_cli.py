@@ -525,6 +525,27 @@ class TestUsageErrors:
         assert code == 2
         assert "crash for unknown node 9" in err
 
+    def test_a_negative_crash_step_is_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--algo", "six", "--graph", "cycle:4", "--sched", "sync:crashes=1@-3"
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == ["error: crash step of node 1 must be non-negative, got -3"]
+
+    def test_an_unknown_check_is_rejected_before_the_run(self, capsys, tmp_path):
+        path = tmp_path / "out.jsonl"
+        code, out, err = run_cli(
+            capsys, "run", "--algo", "six", "--graph", "cycle:4",
+            "--check", "proper,bogus", "--trace", str(path),
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == [
+            "error: unknown check 'bogus' (expected one of ['palette', 'parity', 'proper'])"
+        ]
+        assert not path.exists()
+
     def test_vanishing_activation_probability_is_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--algo", "six", "--graph", "cycle:5",

@@ -252,19 +252,18 @@ class TestDetectLivelock:
         algo = make_algorithm("buggy5")
         prefix, period = ((2, 3, 4), (1, 3, 4)), ((3, 4),)
         start = initial_configuration(graph, algo, {v: algo.default_input(v) for v in graph.nodes})
-        before = start.copy()
-        space = ConfigurationSpace(graph, algo, start)
+        space = ConfigurationSpace(graph, algo)
         shared = detect_livelock(graph, algo, prefix, period, space=space)
         assert shared is not None
         assert shared.to_json() == detect_livelock(graph, algo, prefix, period).to_json()
-        assert start == before
+        assert space.configuration(0) == start
 
     def test_a_certificate_does_not_alias_its_space(self):
         graph = build_graph("cycle:4", ids=(3, 4, 2, 1))
         algo = make_algorithm("buggy5")
         prefix, period = ((2, 3, 4), (1, 3, 4)), ((3, 4),)
         start = initial_configuration(graph, algo, {v: algo.default_input(v) for v in graph.nodes})
-        space = ConfigurationSpace(graph, algo, start)
+        space = ConfigurationSpace(graph, algo)
         first = detect_livelock(graph, algo, prefix, period, space=space)
         expected = first.to_json()
         first.configuration.old.clear()
@@ -275,9 +274,33 @@ class TestDetectLivelock:
     def test_a_space_of_another_algorithm_is_rejected(self):
         graph = build_graph("cycle:4")
         six = make_algorithm("six")
-        space = ConfigurationSpace(graph, six, initial_configuration(graph, six, {v: v for v in graph.nodes}))
+        space = ConfigurationSpace(graph, six, {v: v for v in graph.nodes})
         with pytest.raises(ValueError, match="another graph or algorithm"):
             detect_livelock(graph, make_algorithm("buggy5"), [], [(1,)], space=space)
+
+
+class TestConfigurationSpace:
+    @pytest.mark.parametrize("inputs", [None, {1: 2, 2: 1, 3: 2, 4: 1}])
+    def test_id_0_is_the_initial_configuration_of_the_resolved_inputs(self, inputs):
+        graph, algo = build_graph("cycle:4"), make_algorithm("save1", delta=2)
+        space = ConfigurationSpace(graph, algo, inputs)
+        resolved = inputs or {v: algo.default_input(v) for v in graph.nodes}
+        start = initial_configuration(graph, algo, resolved)
+        assert space.configuration(0) == start
+        assert space.ids == {start.key(): 0}
+        assert tuple(space.pairs[0][0]) == tuple(space.pairs[0][1]) == graph.nodes
+
+    @pytest.mark.parametrize(
+        "inputs, error, match",
+        [
+            ({1: 1, 2: 2, 3: 3}, EngineError, "missing inputs for nodes \\[4\\]"),
+            ({1: 1, 2: 1, 3: 3, 4: 4}, ValueError, "input colors must differ"),
+        ],
+        ids=["missing", "improper"],
+    )
+    def test_bad_inputs_raise_when_the_space_is_built(self, inputs, error, match):
+        with pytest.raises(error, match=match):
+            ConfigurationSpace(build_graph("cycle:4"), make_algorithm("save1", delta=2), inputs)
 
 
 class TestConfigurationKey:

@@ -127,7 +127,16 @@ class TestSync:
         with pytest.raises(SchedulingError, match="unknown node 9"):
             make_scheduling(spec, graph)
 
-    @pytest.mark.parametrize("crashes", [{}, {2: 1}, {1: 3, 4: 1}, {1: 2, 2: 2, 3: 2, 4: 5}, {3: -1}])
+    @pytest.mark.parametrize(
+        "spec, crashes",
+        [("sync:crashes=1@-3", None), ("random:seed=1,crashes=2@1|1@-1", None), ("sync", {1: -3})],
+    )
+    def test_a_negative_crash_step_is_rejected(self, spec, crashes):
+        # a node that crashes before step 0 would count as scheduled yet never run
+        with pytest.raises(SchedulingError, match="crash step of node 1 must be non-negative"):
+            make_scheduling(spec, build_graph("cycle:4"), crashes=crashes)
+
+    @pytest.mark.parametrize("crashes", [{}, {2: 1}, {1: 3, 4: 1}, {1: 2, 2: 2, 3: 2, 4: 5}, {3: 0}])
     def test_blocks_match_the_per_step_definition(self, crashes):
         graph = build_graph("cycle:4")
         sched = make_scheduling("sync", graph, crashes=crashes)

@@ -283,6 +283,27 @@ class TestTraceFiles:
         assert verdicts[0].name == "replay"
         assert verdicts[0].witness is not None
 
+    def test_deleted_step_record_is_caught_at_that_record(self, tmp_path):
+        _, path = self.run_and_dump(tmp_path)
+        lines = path.read_text().splitlines()
+        middle = len(lines) // 2
+        assert '"type":"step"' in lines[middle]
+        path.write_text("\n".join(lines[:middle] + lines[middle + 1:]) + "\n")
+        [verdict] = verify_trace_file(path, checks=["proper"])
+        assert not verdict.ok
+        assert verdict.detail == f"re-execution diverges from the file at record {middle}"
+        assert verdict.witness == (lines[middle + 1], lines[middle])
+
+    def test_step_record_after_the_end_is_caught_at_the_replay_length(self, tmp_path):
+        _, path = self.run_and_dump(tmp_path)
+        lines = path.read_text().splitlines()
+        assert '"type":"step"' in lines[-2]
+        path.write_text("\n".join(lines + [lines[-2]]) + "\n")
+        [verdict] = verify_trace_file(path)
+        assert not verdict.ok
+        assert verdict.detail == f"re-execution diverges from the file at record {len(lines)}"
+        assert verdict.witness == (lines[-2], "<missing>")
+
     def test_loaded_header_fields(self, tmp_path):
         trace, path = self.run_and_dump(tmp_path)
         loaded = load_trace(path)

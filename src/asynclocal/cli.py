@@ -41,6 +41,15 @@ def _out(payload) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
+def _report(verdicts) -> int:
+    """Print each verdict as it comes; exit code 1 if any failed."""
+    failed = False
+    for verdict in verdicts:
+        _out(verdict.render())
+        failed = failed or not verdict.ok
+    return int(failed)
+
+
 def _split_checks(raw: str | None) -> list[str]:
     if not raw:
         return []
@@ -98,23 +107,11 @@ def cmd_run(args) -> int:
             "max_runtime": trace.max_runtime,
         }
     )
-    code = 0
-    for checker in checkers:
-        verdict = checker(trace)
-        _out(verdict.render())
-        if not verdict.ok:
-            code = 1
-    return code
+    return _report(checker(trace) for checker in checkers)
 
 
 def cmd_verify(args) -> int:
-    verdicts = verify_mod.verify_trace_file(args.trace, _split_checks(args.check))
-    code = 0
-    for verdict in verdicts:
-        _out(verdict.render())
-        if not verdict.ok:
-            code = 1
-    return code
+    return _report(verify_mod.verify_trace_file(args.trace, _split_checks(args.check)))
 
 
 def cmd_search(args) -> int:

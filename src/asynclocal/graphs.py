@@ -90,14 +90,20 @@ class Graph:
     @classmethod
     def from_dict(cls, data: dict, kind: str = "explicit") -> "Graph":
         try:
-            id_bound = int(data["id_bound"])
+            id_bound = _json_int(data["id_bound"])
             adj = {
-                int(entry["id"]): tuple(sorted(int(u) for u in entry["neighbors"]))
+                _json_int(entry["id"]): tuple(sorted(_json_int(u) for u in entry["neighbors"]))
                 for entry in data["nodes"]
             }
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph record: {exc}") from exc
         return cls(id_bound=id_bound, adj=adj, kind=kind)
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:  # exact: 3.5 and "3" are refused, not truncated; true is no integer
+        raise GraphError(f"malformed graph record: {value!r} is not an integer")
+    return value
 
 
 def _validate(id_bound: int, adj: dict[int, tuple[int, ...]]) -> None:

@@ -10,11 +10,15 @@ old/new register grid for a five-node cycle run of the identifier-pair
 coloring, and a configuration-repetition certificate for the flawed
 5-coloring rule on a four-node cycle.  They are transcribed constants,
 not regenerated output, so any drift in the engine is caught.
+
+A loaded trace file is its header and raw lines, each record checked as
+read; ``verify_trace_file`` looks up check names before it reads the file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Any
 
 from .algorithms import Algorithm, make_algorithm
@@ -349,9 +353,9 @@ def reproduce_table(which: str) -> Verdict:
 
 @dataclass
 class LoadedTrace:
+    """A checked trace file: its header record and its non-empty lines, as read."""
+
     header: dict
-    steps: list[dict]
-    end: dict
     lines: list[str]
 
     @property
@@ -372,11 +376,16 @@ _JSON_TYPE_NAMES = {dict: "an object", str: "a string", int: "an integer"}
 
 
 def load_trace(path) -> LoadedTrace:
+    """Read a trace file, check every record, and keep its header and raw lines.
+
+    Raises ValueError for a line that is no header, step or end record, for a
+    header lacking a field a replay reads or holding it with the wrong JSON type,
+    and for any ``params`` or ``inputs`` value that is not an integer.
+    """
     import json
 
     header = None
-    end = None
-    steps: list[dict] = []
+    has_end = False
     lines: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -385,21 +394,19 @@ def load_trace(path) -> LoadedTrace:
                 continue
             try:
                 rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
+                kind = rec.get("type")
+            except (json.JSONDecodeError, AttributeError) as exc:
                 raise ValueError(f"{path}:{lineno}: not a JSON record") from exc
             lines.append(raw)
-            kind = rec.get("type")
             if kind == "header":
                 if header is not None:
                     raise ValueError(f"{path}:{lineno}: duplicate header")
                 header = rec
-            elif kind == "step":
-                steps.append(rec)
             elif kind == "end":
-                end = rec
-            else:
+                has_end = True
+            elif kind != "step":
                 raise ValueError(f"{path}:{lineno}: unknown record type {kind!r}")
-    if header is None or end is None:
+    if header is None or not has_end:
         raise ValueError(f"{path}: trace must contain header and end records")
     if header.get("format") != 1:
         raise ValueError(f"{path}: unsupported trace format {header.get('format')!r}")
@@ -409,10 +416,14 @@ def load_trace(path) -> LoadedTrace:
     for key, kind in (*_HEADER_TYPES.items(), ("params", dict)):
         value = header.get(key, {})
         if type(value) is not kind:  # exact: a JSON true is no integer here
-            raise ValueError(
-                f"{path}: trace header {key} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}"
-            )
-    return LoadedTrace(header, steps, end, lines)
+            want = _JSON_TYPE_NAMES[kind]
+            raise ValueError(f"{path}: trace header {key} must be {want}, got {value!r}")
+    for key in ("params", "inputs"):  # every registry algorithm takes integers in both
+        for name, value in header.get(key, {}).items():
+            if type(value) is not int:
+                field = f"{key}[{json.dumps(name)}]"
+                raise ValueError(f"{path}: trace header {field} must be an integer, got {value!r}")
+    return LoadedTrace(header, lines)
 
 
 def algorithm_from_header(header: dict) -> Algorithm:
@@ -443,31 +454,21 @@ def replay_trace(loaded: LoadedTrace) -> Trace:
 
 
 def verify_trace_file(path, checks: list[str] | None = None) -> list[Verdict]:
-    """Replay a trace file, compare byte for byte, then run named checks."""
+    """Replay a trace file, compare it line by line, then run the named checks.
+
+    Check names are looked up before the file is read.  The replay's lines are
+    compared as they are serialised, and the first that differs fails the replay.
+    """
+    checkers = [_checker(name) for name in checks or []]
     loaded = load_trace(path)
     trace = replay_trace(loaded)
-    new_lines = list(trace.jsonl_lines())
-    if new_lines != loaded.lines:
-        first = next(
-            (i for i, (a, b) in enumerate(zip(loaded.lines, new_lines)) if a != b),
-            min(len(loaded.lines), len(new_lines)),
-        )
-        verdicts = [
-            Verdict(
-                False,
-                "replay",
-                f"re-execution diverges from the file at record {first}",
-                witness=(
-                    loaded.lines[first] if first < len(loaded.lines) else "<missing>",
-                    new_lines[first] if first < len(new_lines) else "<missing>",
-                ),
-            )
-        ]
-        return verdicts
-    verdicts = [Verdict(True, "replay", f"{len(new_lines)} records reproduced exactly")]
-    for name in checks or []:
-        verdicts.append(run_check(name, trace))
-    return verdicts
+    pairs = zip_longest(loaded.lines, trace.jsonl_lines(), fillvalue="<missing>")
+    for record, (kept, replayed) in enumerate(pairs):
+        if kept != replayed:
+            detail = f"re-execution diverges from the file at record {record}"
+            return [Verdict(False, "replay", detail, witness=(kept, replayed))]
+    verdicts = [Verdict(True, "replay", f"{len(loaded.lines)} records reproduced exactly")]
+    return verdicts + [checker(trace) for checker in checkers]
 
 
 CHECKS = {
@@ -482,7 +483,3 @@ def _checker(name: str):
         return CHECKS[name]
     except KeyError:
         raise ValueError(f"unknown check {name!r} (expected one of {sorted(CHECKS)})")
-
-
-def run_check(name: str, trace: Trace) -> Verdict:
-    return _checker(name)(trace)

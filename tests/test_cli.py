@@ -565,6 +565,17 @@ class TestUsageErrors:
         assert out == []
         assert err.splitlines() == ["error: --ids does not apply to a graph file"]
 
+    def test_graph_file_with_a_fractional_identifier(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        dump_graph(build_graph("cycle:5"), path)
+        data = json.loads(path.read_text())
+        data["nodes"][0]["id"] = 1.5
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "run", "--algo", "six", "--graph", str(path))
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == ["error: malformed graph record: 1.5 is not an integer"]
+
     def test_duplicate_identifiers(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--algo", "six", "--graph", "cycle:5", "--ids", "1,2,3,4,4"
@@ -608,6 +619,47 @@ def test_verify_rejects_a_header_field_of_the_wrong_type(key, value, message, ca
     assert code == 2
     assert out == []
     assert err.splitlines() == [f"error: {path}: trace header {message}"]
+
+
+@pytest.mark.parametrize(
+    "key, name, value",
+    [
+        ("params", "phase1_id_bound", "9"),
+        ("params", "phase2_delta", "2"),
+        ("params", "phase2_delta", 2.5),
+        ("params", "phase2_delta", [2]),
+        ("params", "phase2_delta", True),
+        ("inputs", "1", "a"),
+        ("inputs", "1", [1]),
+    ],
+)
+def test_verify_rejects_a_header_value_that_is_no_integer(key, name, value, capsys, tmp_path):
+    path = tmp_path / "run.jsonl"
+    run_cli(capsys, "run", "--algo", "linial+save1", "--graph", "cycle:6", "--trace", str(path))
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header[key][name] = value
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    code, out, err = run_cli(capsys, "verify", "--trace", str(path))
+    assert code == 2
+    assert out == []
+    assert err.splitlines() == [
+        f'error: {path}: trace header {key}["{name}"] must be an integer, got {value!r}'
+    ]
+
+
+def test_verify_names_an_unknown_check_before_the_replay(capsys, tmp_path):
+    path = tmp_path / "run.jsonl"
+    run_cli(capsys, "run", "--algo", "six", "--graph", "cycle:4", "--trace", str(path))
+    path.write_text(path.read_text().replace('"complete":true', '"complete":false'))
+    code, out, _ = run_cli(capsys, "verify", "--trace", str(path))
+    assert code == 1 and out[0].startswith("replay: FAIL")  # the file diverges
+    code, out, err = run_cli(capsys, "verify", "--trace", str(path), "--check", "bogus")
+    assert code == 2
+    assert out == []
+    assert err.splitlines() == [
+        "error: unknown check 'bogus' (expected one of ['palette', 'parity', 'proper'])"
+    ]
 
 
 # sha256 of the whole stdout of commands that print through the ``to_json``

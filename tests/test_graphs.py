@@ -117,6 +117,30 @@ def test_json_round_trip(tmp_path):
     assert g2.hash == g.hash
 
 
+@pytest.mark.parametrize(
+    "path_to, value",
+    [
+        (("id_bound",), 3.5),
+        (("id_bound",), "3"),
+        (("id_bound",), True),
+        (("nodes", 0, "id"), 1.5),
+        (("nodes", 0, "id"), "1"),
+        (("nodes", 1, "neighbors", 0), 1.0),
+        (("nodes", 1, "neighbors"), "1"),
+    ],
+)
+def test_graph_record_numbers_must_be_exact_integers(path_to, value):
+    data = build_graph("path:2").to_dict()
+    data["nodes"] = [dict(entry, neighbors=list(entry["neighbors"])) for entry in data["nodes"]]
+    *parents, last = path_to
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(GraphError, match=f"malformed graph record: {value!r} is not an integer"):
+        Graph.from_dict(data)
+
+
 def test_hash_tracks_structure():
     a = build_graph("cycle:5")
     b = build_graph("cycle:5")

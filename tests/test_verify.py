@@ -16,7 +16,6 @@ from asynclocal.verify import (
     load_trace,
     parity_verdict,
     reproduce_table,
-    run_check,
     verify_trace_file,
 )
 
@@ -311,7 +310,7 @@ class TestTraceFiles:
         assert loaded.header["sched"] == trace.sched_spec
         assert loaded.header["format"] == 1
         assert loaded.graph.hash == trace.graph.hash
-        assert len(loaded.steps) == trace.step_count
+        assert len(loaded.lines) == trace.step_count + 2
 
     def test_duplicate_header_rejected(self, tmp_path):
         _, path = self.run_and_dump(tmp_path)
@@ -337,6 +336,13 @@ class TestTraceFiles:
     def test_non_json_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
+        with pytest.raises(ValueError, match="not a JSON record"):
+            load_trace(path)
+
+    def test_json_line_that_is_no_object_rejected(self, tmp_path):
+        _, path = self.run_and_dump(tmp_path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("[1]\n")
         with pytest.raises(ValueError, match="not a JSON record"):
             load_trace(path)
 
@@ -370,6 +376,6 @@ class TestAlgorithmFromHeader:
         assert again.palette == algo.palette
 
 
-def test_run_check_unknown_name():
-    with pytest.raises(ValueError):
-        run_check("chromatic", table1_trace())
+def test_unknown_check_name_is_refused_before_the_file_is_read(tmp_path):
+    with pytest.raises(ValueError, match="unknown check 'bogus'"):
+        verify_trace_file(tmp_path / "absent.jsonl", ["bogus"])

@@ -338,10 +338,11 @@ class Trace:
                 fh.write(line + "\n")
 
 
-def _dumps(obj) -> str:
-    # Engine values go in as they are: json.dumps writes tuples as arrays.
-    # Node keys are passed as text, so sort_keys orders them as text.
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# One encoder for every trace line, with the bytes of json.dumps(obj, sort_keys=True,
+# separators=(",", ":")).  Engine values go in as they are: tuples are written as
+# arrays, and node keys are passed as text, so sort_keys orders them as text.  A
+# tuple cannot contain itself, so the per-container cycle check is skipped.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 def state_from_json(data):

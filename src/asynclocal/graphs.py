@@ -91,10 +91,12 @@ class Graph:
     def from_dict(cls, data: dict, kind: str = "explicit") -> "Graph":
         try:
             id_bound = _json_int(data["id_bound"])
-            adj = {
-                _json_int(entry["id"]): tuple(sorted(_json_int(u) for u in entry["neighbors"]))
-                for entry in data["nodes"]
-            }
+            adj = {}
+            for entry in data["nodes"]:
+                v = _json_int(entry["id"])
+                if v in adj:  # a dict would keep the later entry silently
+                    raise GraphError(f"duplicate node identifier {v}")
+                adj[v] = tuple(sorted(_json_int(u) for u in entry["neighbors"]))
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph record: {exc}") from exc
         return cls(id_bound=id_bound, adj=adj, kind=kind)
@@ -110,8 +112,6 @@ def _validate(id_bound: int, adj: dict[int, tuple[int, ...]]) -> None:
     if not adj:
         raise GraphError("graph has no nodes")
     nodes = set(adj)
-    if len(nodes) != len(adj):
-        raise GraphError("duplicate node identifiers")
     for v in nodes:
         if not (1 <= v <= id_bound):
             raise GraphError(f"identifier {v} outside [1, {id_bound}]")

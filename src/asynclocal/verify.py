@@ -11,15 +11,18 @@ coloring, and a configuration-repetition certificate for the flawed
 5-coloring rule on a four-node cycle.  They are transcribed constants,
 not regenerated output, so any drift in the engine is caught.
 
-A loaded trace file is its header and raw lines, each record checked as
-read; ``verify_trace_file`` looks up check names before it reads the file.
+A loaded trace file is its header and raw lines; ``load_trace`` checks each
+record as read.  ``verify_trace_file`` looks up check names before it reads
+the file, then compares bytes first: it parses only the header on line 1,
+and parses the other lines only when something does not reproduce.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .algorithms import Algorithm, make_algorithm
 from .engine import (
@@ -375,39 +378,40 @@ _HEADER_TYPES = {
 _JSON_TYPE_NAMES = {dict: "an object", str: "a string", int: "an integer"}
 
 
-def load_trace(path) -> LoadedTrace:
-    """Read a trace file, check every record, and keep its header and raw lines.
-
-    Raises ValueError for a line that is no header, step or end record, for a
-    header lacking a field a replay reads or holding it with the wrong JSON type,
-    and for any ``params`` or ``inputs`` value that is not an integer.
-    """
-    import json
-
-    header = None
-    has_end = False
-    lines: list[str] = []
+def _read_lines(path) -> Iterator[tuple[int, str]]:
+    """The non-empty lines of a trace file, newline stripped, with their line numbers."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            try:
-                rec = json.loads(raw)
-                kind = rec.get("type")
-            except (json.JSONDecodeError, AttributeError) as exc:
-                raise ValueError(f"{path}:{lineno}: not a JSON record") from exc
-            lines.append(raw)
-            if kind == "header":
-                if header is not None:
-                    raise ValueError(f"{path}:{lineno}: duplicate header")
-                header = rec
-            elif kind == "end":
-                has_end = True
-            elif kind != "step":
-                raise ValueError(f"{path}:{lineno}: unknown record type {kind!r}")
-    if header is None or not has_end:
-        raise ValueError(f"{path}: trace must contain header and end records")
+            if raw:
+                yield lineno, raw
+
+
+def _check_records(path, numbered: Iterable[tuple[int, str]]) -> tuple[dict | None, bool, list[str]]:
+    """Parse each line as a header, step or end record: the header, whether an end came, the lines."""
+    header = None
+    has_end = False
+    lines: list[str] = []
+    for lineno, raw in numbered:
+        try:
+            rec = json.loads(raw)
+            kind = rec.get("type")
+        except (json.JSONDecodeError, AttributeError) as exc:
+            raise ValueError(f"{path}:{lineno}: not a JSON record") from exc
+        lines.append(raw)
+        if kind == "header":
+            if header is not None:
+                raise ValueError(f"{path}:{lineno}: duplicate header")
+            header = rec
+        elif kind == "end":
+            has_end = True
+        elif kind != "step":
+            raise ValueError(f"{path}:{lineno}: unknown record type {kind!r}")
+    return header, has_end, lines
+
+
+def _check_header(path, header: dict) -> None:
+    """Every field a replay reads is present with its JSON type; params and inputs are integers."""
     if header.get("format") != 1:
         raise ValueError(f"{path}: unsupported trace format {header.get('format')!r}")
     missing = [key for key in _HEADER_TYPES if key not in header]
@@ -423,7 +427,25 @@ def load_trace(path) -> LoadedTrace:
             if type(value) is not int:
                 field = f"{key}[{json.dumps(name)}]"
                 raise ValueError(f"{path}: trace header {field} must be an integer, got {value!r}")
+
+
+def _checked(path, numbered: Iterable[tuple[int, str]]) -> LoadedTrace:
+    """Every line checked as a record, then the header, as ``load_trace`` does."""
+    header, has_end, lines = _check_records(path, numbered)
+    if header is None or not has_end:
+        raise ValueError(f"{path}: trace must contain header and end records")
+    _check_header(path, header)
     return LoadedTrace(header, lines)
+
+
+def load_trace(path) -> LoadedTrace:
+    """Read a trace file, check every record, and keep its header and raw lines.
+
+    Raises ValueError for a line that is no header, step or end record, for a
+    header lacking a field a replay reads or holding it with the wrong JSON type,
+    and for any ``params`` or ``inputs`` value that is not an integer.
+    """
+    return _checked(path, _read_lines(path))
 
 
 def algorithm_from_header(header: dict) -> Algorithm:
@@ -456,19 +478,46 @@ def replay_trace(loaded: LoadedTrace) -> Trace:
 def verify_trace_file(path, checks: list[str] | None = None) -> list[Verdict]:
     """Replay a trace file, compare it line by line, then run the named checks.
 
-    Check names are looked up before the file is read.  The replay's lines are
-    compared as they are serialised, and the first that differs fails the replay.
+    Check names are looked up before the file is read.  The file is read once,
+    and only its first record is parsed (as the header) before the replay: a
+    line equal to the replay's is a well-formed record and needs no parse.  If
+    anything goes wrong (the first record is no header or fails a header check,
+    the replay raises, or a line differs), every held line is first checked as
+    ``load_trace`` checks it, so each error, verdict and witness is the one that
+    loading, replaying and comparing give.
     """
     checkers = [_checker(name) for name in checks or []]
-    loaded = load_trace(path)
-    trace = replay_trace(loaded)
-    pairs = zip_longest(loaded.lines, trace.jsonl_lines(), fillvalue="<missing>")
+    held: list[tuple[int, str]] = []
+    try:
+        for numbered in _read_lines(path):
+            held.append(numbered)
+    except (OSError, ValueError):  # e.g. bytes that are no UTF-8: a bad record read before them wins
+        _check_records(path, held)
+        raise
+    lines = [raw for _, raw in held]
+    try:
+        trace = replay_trace(LoadedTrace(_leading_header(path, lines), lines))
+    except Exception:  # any failure takes the eager path below
+        trace = None
+    if trace is None:  # load_trace's error comes first; a header further down replays as before
+        trace = replay_trace(_checked(path, held))
+    pairs = zip_longest(lines, trace.jsonl_lines(), fillvalue="<missing>")
     for record, (kept, replayed) in enumerate(pairs):
         if kept != replayed:
+            _checked(path, held)  # a malformed line is an error before it is a divergence
             detail = f"re-execution diverges from the file at record {record}"
             return [Verdict(False, "replay", detail, witness=(kept, replayed))]
-    verdicts = [Verdict(True, "replay", f"{len(loaded.lines)} records reproduced exactly")]
+    verdicts = [Verdict(True, "replay", f"{len(lines)} records reproduced exactly")]
     return verdicts + [checker(trace) for checker in checkers]
+
+
+def _leading_header(path, lines: list[str]) -> dict:
+    """The first record, parsed and checked as the header; raises if it is none."""
+    header = json.loads(lines[0])
+    if header["type"] != "header":
+        raise ValueError("the first record is no header")
+    _check_header(path, header)
+    return header
 
 
 CHECKS = {

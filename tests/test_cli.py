@@ -576,6 +576,17 @@ class TestUsageErrors:
         assert out == []
         assert err.splitlines() == ["error: malformed graph record: 1.5 is not an integer"]
 
+    def test_graph_file_listing_a_node_twice(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "id_bound": 3,
+            "nodes": [{"id": 1, "neighbors": [2]}, {"id": 2, "neighbors": [1]}, {"id": 1, "neighbors": [2]}],
+        }))
+        code, out, err = run_cli(capsys, "run", "--algo", "six", "--graph", str(path))
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == ["error: duplicate node identifier 1"]
+
     def test_duplicate_identifiers(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--algo", "six", "--graph", "cycle:5", "--ids", "1,2,3,4,4"

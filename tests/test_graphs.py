@@ -141,6 +141,17 @@ def test_graph_record_numbers_must_be_exact_integers(path_to, value):
         Graph.from_dict(data)
 
 
+REPEATED_NODE = {
+    "id_bound": 3,
+    "nodes": [{"id": 1, "neighbors": [2]}, {"id": 2, "neighbors": [1]}, {"id": 1, "neighbors": [2]}],
+}
+
+
+def test_a_graph_record_listing_a_node_twice_is_refused():
+    with pytest.raises(GraphError, match=r"^duplicate node identifier 1$"):
+        Graph.from_dict(REPEATED_NODE)
+
+
 def test_hash_tracks_structure():
     a = build_graph("cycle:5")
     b = build_graph("cycle:5")

@@ -24,7 +24,7 @@ from . import wsb as wsb_mod
 from .algorithms import ALGORITHM_NAMES, make_algorithm
 from .coverfree import construct_family, dump_family, verify_coverfree
 from .engine import DEFAULT_MAX_STEPS, AlgorithmViolation, EngineError, execute
-from .graphs import Graph, GraphError, build_graph, load_graph, random_tree
+from .graphs import Graph, GraphError, build_graph, load_graph
 from .schedulers import SEARCH_PROPERTIES, _guard, adversary_search, make_scheduling
 
 __all__ = ["main", "build_parser"]
@@ -57,26 +57,19 @@ def _split_checks(raw: str | None) -> list[str]:
 
 
 def _resolve_graph(args) -> Graph:
-    spec = args.graph
-    ids = [int(tok) for tok in args.ids.split(",")] if getattr(args, "ids", None) else None
-    if spec.startswith("tree:"):
-        if ids is not None:
-            raise GraphError("--ids does not apply to random trees")
-        parts = [int(p) for p in spec.split(":", 1)[1].split(",")]
-        if len(parts) != 3:
-            raise GraphError("tree spec needs tree:n,max_degree,seed")
-        return random_tree(*parts)
-    if os.path.exists(spec):
-        if ids is not None:
-            raise GraphError("--ids does not apply to a graph file")
-        return load_graph(spec)
-    return build_graph(spec, ids=ids, id_bound=getattr(args, "bound", None))
+    ids = [int(tok) for tok in args.ids.split(",")] if args.ids else None
+    if os.path.exists(args.graph):
+        for option, value in (("--ids", ids), ("--bound", args.bound)):
+            if value is not None:
+                raise GraphError(f"{option} does not apply to a graph file")
+        return load_graph(args.graph)
+    return build_graph(args.graph, ids=ids, id_bound=args.bound)
 
 
 def _resolve_algorithm(args, graph: Graph):
     return make_algorithm(
         args.algo,
-        id_bound=args.bound if args.bound is not None else graph.id_bound,
+        id_bound=graph.id_bound,
         delta=args.delta if args.delta is not None else graph.max_degree,
     )
 

@@ -88,7 +88,7 @@ class Graph:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, kind: str = "explicit") -> "Graph":
+    def from_dict(cls, data: dict) -> "Graph":
         try:
             id_bound = _json_int(data["id_bound"])
             adj = {}
@@ -99,7 +99,7 @@ class Graph:
                 adj[v] = tuple(sorted(_json_int(u) for u in entry["neighbors"]))
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph record: {exc}") from exc
-        return cls(id_bound=id_bound, adj=adj, kind=kind)
+        return cls(id_bound=id_bound, adj=adj)
 
 
 def _json_int(value) -> int:
@@ -150,14 +150,15 @@ def _canonical_hash(id_bound: int, adj: dict[int, tuple[int, ...]]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _ring_adjacency(ids: list[int], close: bool) -> dict[int, tuple[int, ...]]:
+def _band_adjacency(ids: list[int], k: int, close: bool) -> dict[int, tuple[int, ...]]:
+    """Join position i to positions i+1..i+k, taken mod n when ``close`` (needs n > 2k)."""
     n = len(ids)
-    adj: dict[int, set[int]] = {v: set() for v in ids}
-    last = n if close else n - 1
-    for i in range(last):
-        u, v = ids[i], ids[(i + 1) % n]
-        adj[u].add(v)
-        adj[v].add(u)
+    adj: dict[int, list[int]] = {v: [] for v in ids}
+    for i, u in enumerate(ids):
+        for j in range(i + 1, i + k + 1 if close else min(i + k + 1, n)):
+            v = ids[j % n]
+            adj[u].append(v)
+            adj[v].append(u)
     return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
 
@@ -166,16 +167,23 @@ def build_graph(
     ids: list[int] | None = None,
     id_bound: int | None = None,
 ) -> Graph:
-    """Build a named graph family member.
+    """Build a named graph family member from a spec.
 
-    ``spec`` is one of ``cycle:n``, ``path:n``, ``clique:n`` or
-    ``circulant:n,k`` (nodes ``u_0..u_{n-1}`` with ``u_i ~ u_{i+-1..k}``,
-    requires ``n > 2k``).  Identifiers default to ``1..n`` in construction
-    order; ``ids`` overrides them positionally (e.g. a cycle with ids
-    ``(3,5,4,1,6)`` lists consecutive ring positions).  ``id_bound``
-    defaults to ``max(n, max(ids))``.
+    ``spec`` is one of ``cycle:n`` (needs ``n >= 3``), ``path:n``,
+    ``clique:n``, ``circulant:n,k`` (nodes ``u_0..u_{n-1}`` with
+    ``u_i ~ u_{i+-1..k}``, needs ``n > 2k``) or ``tree:n,d,seed`` (the
+    ``random_tree(n, d, seed)``).  Identifiers default to ``1..n`` in
+    construction order; ``ids`` overrides them positionally (e.g. a cycle
+    with ids ``(3,5,4,1,6)`` lists consecutive ring positions), and a tree,
+    whose ids are drawn, refuses them.  ``id_bound`` defaults to
+    ``max(n, max(ids))``; a given one below the largest id raises.
     """
-    kind, n, k = parse_graph_spec(spec)
+    kind, n, *args = parse_graph_spec(spec)
+    if kind == "tree":
+        if ids is not None:
+            raise GraphError(f"graph spec {spec!r} draws its own identifiers; ids do not apply")
+        tree = random_tree(n, *args)
+        return tree if id_bound is None else Graph(id_bound=id_bound, adj=tree.adj, kind=kind)
     if ids is None:
         ids = list(range(1, n + 1))
     if len(ids) != n:
@@ -186,60 +194,53 @@ def build_graph(
     if id_bound is None:
         id_bound = max(n, max(ids))
 
-    if kind == "cycle":
-        if n < 3:
-            raise GraphError("cycle needs at least 3 nodes")
-        adj = _ring_adjacency(ids, close=True)
-    elif kind == "path":
-        if n < 1:
-            raise GraphError("path needs at least 1 node")
-        adj = _ring_adjacency(ids, close=False) if n > 1 else {ids[0]: ()}
-    elif kind == "clique":
+    if kind == "clique":
         adj = {v: tuple(sorted(u for u in ids if u != v)) for v in ids}
-    elif kind == "circulant":
-        if n <= 2 * k:
-            raise GraphError(f"circulant:{n},{k} requires n > 2k")
-        adj_sets: dict[int, set[int]] = {v: set() for v in ids}
-        for i in range(n):
-            for off in range(1, k + 1):
-                u, v = ids[i], ids[(i + off) % n]
-                adj_sets[u].add(v)
-                adj_sets[v].add(u)
-        adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj_sets.items()}
-    else:  # pragma: no cover - parse_graph_spec filters kinds
-        raise GraphError(f"unknown graph kind {kind!r}")
+    else:
+        k = args[0] if kind == "circulant" else 1
+        close = kind != "path"
+        if close and n <= 2 * k:
+            raise GraphError(f"graph spec {spec!r} needs n > {2 * k}")
+        adj = _band_adjacency(ids, k, close)
     return Graph(id_bound=id_bound, adj=adj, kind=kind)
 
 
-def parse_graph_spec(spec: str) -> tuple[str, int, int]:
-    """Parse ``kind:args`` into ``(kind, n, k)`` (k only for circulant)."""
+_SPEC_FIELDS = {"cycle": "n", "path": "n", "clique": "n", "circulant": "n,k", "tree": "n,d,seed"}
+
+
+def parse_graph_spec(spec: str) -> tuple:
+    """Parse ``kind:args`` into its kind and integers, refusing ``n < 1``.
+
+    ``cycle``, ``path``, ``clique`` and ``circulant`` give ``(kind, n, k)``,
+    with ``k`` the circulant's band width and 0 for the other three;
+    ``tree:n,d,seed`` gives ``("tree", n, d, seed)``.
+    """
     kind, _, args = spec.partition(":")
     kind = kind.strip()
-    if kind not in {"cycle", "path", "clique", "circulant"}:
+    if kind not in _SPEC_FIELDS:
         raise GraphError(f"unknown graph spec {spec!r}")
     try:
         parts = [int(p) for p in args.split(",") if p.strip()]
     except ValueError as exc:
         raise GraphError(f"bad graph spec {spec!r}") from exc
-    if kind == "circulant":
-        if len(parts) != 2:
-            raise GraphError("circulant spec needs n,k")
-        n, k = parts
-    else:
-        if len(parts) != 1:
-            raise GraphError(f"{kind} spec needs a single size")
-        n, k = parts[0], 0
-    if n < 1 or (kind == "circulant" and k < 1):
+    fields = _SPEC_FIELDS[kind]
+    if len(parts) != fields.count(",") + 1:
+        raise GraphError(f"graph spec {spec!r} needs {kind}:{fields}")
+    if parts[0] < 1 or (kind == "circulant" and parts[1] < 1):
         raise GraphError(f"bad sizes in graph spec {spec!r}")
-    return kind, n, k
+    if len(parts) == 1:
+        parts.append(0)
+    return (kind, *parts)
 
 
 def random_tree(n: int, max_degree: int, seed: int) -> Graph:
     """Seeded random tree on ``n`` nodes with all degrees <= ``max_degree``.
 
-    Built by random attachment: each new node joins a uniformly chosen
-    existing node that still has spare degree, which keeps the draw
-    deterministic for a given ``(n, max_degree, seed)``.
+    The ids ``1..n`` are shuffled into a join order; each later node joins
+    a uniformly chosen earlier node that still has spare degree.  The open
+    nodes are kept in join order as they join and fill up, so the draw is
+    deterministic for a given ``(n, max_degree, seed)``.  ``id_bound`` is
+    ``n``; ``build_graph("tree:n,d,seed")`` builds the same tree.
     """
     if n < 1:
         raise GraphError("tree needs at least one node")
@@ -251,11 +252,15 @@ def random_tree(n: int, max_degree: int, seed: int) -> Graph:
     order = list(range(1, n + 1))
     rng.shuffle(order)
     adj: dict[int, set[int]] = {order[0]: set()}
+    open_nodes = [order[0]]
     for v in order[1:]:
-        open_nodes = [u for u in adj if len(adj[u]) < max_degree]
         u = rng.choice(open_nodes)
         adj[u].add(v)
         adj[v] = {u}
+        if len(adj[u]) == max_degree:
+            open_nodes.remove(u)
+        if max_degree > 1:
+            open_nodes.append(v)
     return Graph(
         id_bound=n,
         adj={v: tuple(sorted(nbrs)) for v, nbrs in adj.items()},

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -69,6 +70,23 @@ class TestRun:
         code, out, _ = run_cli(
             capsys, "verify", "--trace", str(path), "--check", "proper,palette"
         )
+        assert code == 0
+        assert out[0].startswith("replay: pass")
+        assert out[1].startswith("proper: pass")
+        assert out[2].startswith("palette: pass")
+
+    def test_a_tree_run_takes_its_bound_and_verifies(self, capsys, tmp_path):
+        path = tmp_path / "tree.jsonl"
+        code, out, _ = run_cli(
+            capsys, "run", "--algo", "linial+save", "--graph", "tree:40,4,7", "--bound", "50",
+            "--sched", "random:seed=5,p=0.5,crash=0.1", "--trace", str(path),
+        )
+        assert code == 0
+        assert first_json(out)["graph"] == "tree"
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["graph"]["id_bound"] == 50
+        assert header["graph_hash"] == build_graph("tree:40,4,7", id_bound=50).hash
+        code, out, _ = run_cli(capsys, "verify", "--trace", str(path), "--check", "proper,palette")
         assert code == 0
         assert out[0].startswith("replay: pass")
         assert out[1].startswith("proper: pass")
@@ -564,6 +582,33 @@ class TestUsageErrors:
         assert code == 2
         assert out == []
         assert err.splitlines() == ["error: --ids does not apply to a graph file"]
+
+    def test_bound_with_a_graph_file(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        dump_graph(build_graph("cycle:5"), path)
+        code, out, err = run_cli(
+            capsys, "run", "--algo", "six", "--graph", str(path), "--bound", "9"
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == ["error: --bound does not apply to a graph file"]
+
+    def test_bound_below_the_ids_of_a_tree(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--algo", "save", "--graph", "tree:6,2,1", "--bound", "3"
+        )
+        assert code == 2
+        assert out == []
+        assert re.fullmatch(r"error: identifier [4-6] outside \[1, 3\]", err.strip())
+
+    def test_ids_with_a_tree(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--algo", "save", "--graph", "tree:3,2,1", "--ids", "1,2,3"
+        )
+        assert code == 2
+        assert out == []
+        assert len(err.splitlines()) == 1
+        assert "ids do not apply" in err
 
     def test_graph_file_with_a_fractional_identifier(self, capsys, tmp_path):
         path = tmp_path / "g.json"

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from asynclocal.graphs import (
@@ -62,6 +65,7 @@ class TestSpecParsing:
     def test_parse(self):
         assert parse_graph_spec("cycle:12") == ("cycle", 12, 0)
         assert parse_graph_spec("circulant:7,2") == ("circulant", 7, 2)
+        assert parse_graph_spec("tree:12,4,2") == ("tree", 12, 4, 2)
 
     @pytest.mark.parametrize("bad", ["ring:5", "cycle:", "cycle:a", "circulant:7", "cycle:0"])
     def test_rejects(self, bad):
@@ -174,3 +178,133 @@ def test_cached_views_keep_the_graph_immutable_and_comparable():
     assert g == fresh and fresh == g
     assert g.hash == fresh.hash
     assert g != build_graph("cycle:5")
+
+
+# -- reference builders: copies of the constructions before cycle, path and
+# circulant were folded into one band, and of the random tree's first loop.
+
+
+def _reference_ring(ids, close):
+    n = len(ids)
+    adj = {v: set() for v in ids}
+    last = n if close else n - 1
+    for i in range(last):
+        u, v = ids[i], ids[(i + 1) % n]
+        adj[u].add(v)
+        adj[v].add(u)
+    return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+
+
+def _reference_graph(kind, n, k, ids):
+    if kind == "cycle":
+        if n < 3:
+            raise GraphError("cycle needs at least 3 nodes")
+        adj = _reference_ring(ids, close=True)
+    elif kind == "path":
+        if n < 1:
+            raise GraphError("path needs at least 1 node")
+        adj = _reference_ring(ids, close=False) if n > 1 else {ids[0]: ()}
+    elif kind == "clique":
+        adj = {v: tuple(sorted(u for u in ids if u != v)) for v in ids}
+    else:
+        if n <= 2 * k:
+            raise GraphError(f"circulant:{n},{k} requires n > 2k")
+        adj_sets = {v: set() for v in ids}
+        for i in range(n):
+            for off in range(1, k + 1):
+                u, v = ids[i], ids[(i + off) % n]
+                adj_sets[u].add(v)
+                adj_sets[v].add(u)
+        adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj_sets.items()}
+    return Graph(id_bound=max([n, *ids]), adj=adj, kind=kind)
+
+
+def _reference_tree_adjacency(n, max_degree, seed):
+    rng = random.Random(seed)
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    adj = {order[0]: set()}
+    for v in order[1:]:
+        open_nodes = [u for u in adj if len(adj[u]) < max_degree]
+        u = rng.choice(open_nodes)
+        adj[u].add(v)
+        adj[v] = {u}
+    return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+
+
+def _sweep(family):
+    """Yield (spec, kind, n, k, ids) for one family of the graph-hash sweep."""
+    kind, _, order = family.partition("/")
+    if kind == "circulant":
+        sizes = [(f"circulant:{n},{k}", n, k) for n in range(1, 25) for k in range(1, 6)]
+    else:
+        sizes = [(f"{kind}:{n}", n, 0) for n in range(25)]
+    for spec, n, k in sizes:
+        ids = list(range(1, n + 1))
+        if order == "shuffled":
+            ids = random.Random(n * 10 + k).sample(range(1, 2 * n + 1), n)
+        yield spec, kind, n, k, ids
+
+
+@pytest.mark.parametrize(
+    "family",
+    [f"{kind}/{order}" for kind in ("cycle", "path", "clique", "circulant")
+     for order in ("default", "shuffled")] + ["tree"],
+)
+def test_every_graph_hashes_as_the_reference_construction(family):
+    if family == "tree":
+        for n, d, seed in [(1, 0, 0), (2, 1, 3), (7, 2, 1), (60, 3, 5), (200, 4, 7), (1000, 4, 11)]:
+            graph = build_graph(f"tree:{n},{d},{seed}")
+            reference = Graph(id_bound=n, adj=_reference_tree_adjacency(n, d, seed), kind="tree")
+            assert (graph.kind, graph.hash) == ("tree", reference.hash)
+        return
+    built = refused = 0
+    for spec, kind, n, k, ids in _sweep(family):
+        try:
+            reference = _reference_graph(kind, n, k, ids)
+        except GraphError:
+            with pytest.raises(GraphError):
+                build_graph(spec, ids=ids)
+            refused += 1
+            continue
+        graph = build_graph(spec, ids=ids)
+        assert (graph.kind, graph.id_bound, graph.hash) == (kind, reference.id_bound, reference.hash), spec
+        built += 1
+    assert built and refused  # the sweep reaches both sides of every size check
+
+
+def test_random_tree_draws_the_trees_of_the_rebuilt_open_list():
+    cases = [(n, d, seed) for n in range(1, 61) for d in range(1, 6) if d > 1 or n <= 2 for seed in range(8)]
+    cases += [(1000, d, seed) for d in (2, 4) for seed in (0, 1)] + [(1, 0, 0)]
+    for n, d, seed in cases:
+        assert random_tree(n, d, seed).adj == _reference_tree_adjacency(n, d, seed), (n, d, seed)
+
+
+class TestTreeSpec:
+    @pytest.mark.parametrize("n, d, seed", [(1, 3, 0), (2, 1, 4), (12, 4, 2), (200, 3, 9)])
+    def test_builds_the_random_tree(self, n, d, seed):
+        graph, tree = build_graph(f"tree:{n},{d},{seed}"), random_tree(n, d, seed)
+        assert (graph.adj, graph.id_bound, graph.kind, graph.hash) == (
+            tree.adj, tree.id_bound, tree.kind, tree.hash
+        )
+
+    def test_an_explicit_id_bound_is_applied(self):
+        graph = build_graph("tree:6,2,1", id_bound=9)
+        assert graph.id_bound == 9
+        assert graph.adj == random_tree(6, 2, 1).adj
+
+    def test_an_id_bound_below_the_largest_id_raises(self):
+        with pytest.raises(GraphError, match=r"outside \[1, 5\]"):
+            build_graph("tree:6,2,1", id_bound=5)
+
+    def test_ids_are_refused(self):
+        with pytest.raises(GraphError, match="ids do not apply"):
+            build_graph("tree:3,2,1", ids=[1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "spec", ["tree:5", "tree:a,b,c", "tree:0,2,1", "cycle:2", "circulant:4,2", "path:0"]
+)
+def test_a_refused_spec_is_named(spec):
+    with pytest.raises(GraphError, match=re.escape(repr(spec))):
+        build_graph(spec)

@@ -299,6 +299,10 @@ class Algorithm:
     decisions lie in and the largest degree they accept; :meth:`validate`
     enforces the degree bound and, where the input is a coloring, that it
     is proper.
+
+    An algorithm object is read-only once built: the engine keeps the start
+    it validated and initialised for the last (graph, algorithm) pair and
+    reuses it for the next run of the same two objects.
     """
 
     name = "abstract"

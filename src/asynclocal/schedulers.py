@@ -9,11 +9,11 @@ is returned together with a spec that regenerates it.
 Spec strings:
 
 * ``sync`` -- every step schedules all non-crashed nodes.
-* ``random:seed=S,p=P,crash=R`` -- each step includes each alive node
-  independently with probability P, 0.001 <= P <= 1 (empty draws are
-  redrawn); each node
-  is faulty with probability R, and faulty nodes stop appearing after a
-  sampled crash step (possibly 0 = never appear).
+* ``random:seed=S,p=P,crash=R`` -- seed S >= 0; each step includes each
+  alive node independently with probability P, 0.001 <= P <= 1 (empty
+  draws are redrawn); each node is faulty with probability R, and faulty
+  nodes stop appearing after a sampled crash step (possibly 0 = never
+  appear).
 * ``replay:PATH`` -- blocks read from a scheduling file (one line per
   block, sorted ids, space-separated).  The file is read once: the
   scheduling is the explicit one of its blocks, with their
@@ -192,6 +192,8 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
             rate = float(params.get("crash", "0.0"))
         except ValueError as exc:
             raise SchedulingError(f"malformed random parameters in {spec!r}") from exc
+        if seed < 0:  # random.Random(-s) is random.Random(s): one stream, two specs
+            raise SchedulingError(f"random seed must be non-negative, got {seed}")
         if not _MIN_P <= p <= 1.0:
             raise SchedulingError(f"activation probability must be in [{_MIN_P}, 1], got {p}")
         if not 0.0 <= rate < 1.0:
@@ -387,8 +389,8 @@ def adversary_search(
     shapes pass through it.  Once the space holds more than 2^12
     configurations the next shape starts a fresh one, which bounds the
     memory on large rings.  It lists all 2^n - 1 blocks first, so it is
-    guarded at 12 nodes.  A negative budget or ``max_steps``, an argument
-    the mode does not read, or a malformed ``sched`` raises
+    guarded at 12 nodes.  A negative budget, ``seed0`` or ``max_steps``,
+    an argument the mode does not read, or a malformed ``sched`` raises
     :class:`ValueError` (an unknown enum parameter,
     :class:`SchedulingError`).
     """
@@ -397,6 +399,8 @@ def adversary_search(
     depth = None if sched is None else _enum_depth(sched)
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
+    if seed0 is not None and seed0 < 0:
+        raise ValueError(f"seed0 must be non-negative, got {seed0}")
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     periodic = property == "periodic-termination"

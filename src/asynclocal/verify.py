@@ -101,15 +101,20 @@ def check_palette(trace: Trace) -> Verdict:
     palette = trace.palette
     if palette is None:
         raise ValueError(f"algorithm {trace.algo_name} names no palette to check against")
-    for v, out in sorted(trace.decisions.items()):
-        key = tuple(out) if isinstance(out, (list, tuple)) else out
-        if key not in palette:
-            return Verdict(
-                False,
-                "palette",
-                f"node {v} decided {out!r}, outside the {len(palette)}-value palette",
-                witness=(v, out),
-            )
+    # decisions are scanned unsorted; only the offenders are ordered, to name the lowest
+    outside = [
+        (v, out)
+        for v, out in trace.decisions.items()
+        if (tuple(out) if isinstance(out, (list, tuple)) else out) not in palette
+    ]
+    if outside:
+        v, out = min(outside)  # node ids are distinct: the lowest node wins
+        return Verdict(
+            False,
+            "palette",
+            f"node {v} decided {out!r}, outside the {len(palette)}-value palette",
+            witness=(v, out),
+        )
     return Verdict(True, "palette", f"{len(trace.decisions)} decisions within {len(palette)} values")
 
 

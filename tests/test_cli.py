@@ -507,6 +507,22 @@ class TestUsageErrors:
         assert out == []
         assert err.splitlines() == [f"error: max_steps must be non-negative, got {argv[-1]}"]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("run", "--algo", "six", "--graph", "cycle:5", "--sched", "random:seed=-3"),
+             "error: random seed must be non-negative, got -3"),
+            (("search", "--algo", "six", "--graph", "cycle:5", "--seed", "-5"),
+             "error: seed0 must be non-negative, got -5"),
+        ],
+        ids=["run", "search"],
+    )
+    def test_a_negative_seed_is_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == [message]
+
     def test_verify_rejects_a_negative_max_steps_header(self, capsys, tmp_path):
         path = tmp_path / "run.jsonl"
         run_cli(capsys, "run", "--algo", "six", "--graph", "cycle:4", "--trace", str(path))

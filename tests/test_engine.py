@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asynclocal.algorithms import Identity, make_algorithm
+from asynclocal.algorithms import Identity, SixColoring, make_algorithm
 from asynclocal.engine import (
     Configuration,
     ConfigurationSpace,
@@ -162,6 +162,84 @@ class TestExecute:
         assert slim.decisions == full.decisions
         assert slim.runtimes == full.runtimes
         assert slim.step_count == full.step_count
+
+
+class CountingSix(SixColoring):
+    """The 6-coloring, counting its set-up calls."""
+
+    def __init__(self):
+        self.validations = self.inits = 0
+
+    def validate(self, graph, inputs):
+        self.validations += 1
+        super().validate(graph, inputs)
+
+    def init(self, node, value):
+        self.inits += 1
+        return super().init(node, value)
+
+
+def trace_bytes(trace):
+    return list(trace.jsonl_lines()), trace.final
+
+
+class TestStartMemo:
+    def test_a_run_of_the_instance_before_it_sets_up_nothing(self):
+        graph, algo = build_graph("cycle:7"), CountingSix()
+        for seed in range(100):
+            sched = make_scheduling(f"random:seed={seed}", graph)
+            assert execute(graph, algo, sched, record=False).complete
+        assert (algo.validations, algo.inits) == (1, graph.n)
+
+    def test_interleaved_instances_run_as_freshly_built_ones(self):
+        def instances():
+            return [
+                (build_graph("cycle:6"), make_algorithm("linial+save1", id_bound=6, delta=2)),
+                (build_graph("circulant:7,2"), make_algorithm("linial+save", id_bound=7, delta=4)),
+                (build_graph("cycle:4"), Identity()),
+            ]
+
+        def run(graph, algo, seed):
+            return execute(graph, algo, make_scheduling(f"random:seed={seed},crash=0.2", graph))
+
+        order = [0, 0, 1, 1, 0, 2, 1, 2, 2, 0]
+        want = [trace_bytes(run(*instances()[i], seed)) for seed, i in enumerate(order)]
+        shared = instances()
+        assert [trace_bytes(run(*shared[i], seed)) for seed, i in enumerate(order)] == want
+
+    def test_explicit_inputs_build_afresh(self):
+        graph, algo = build_graph("cycle:4"), CountingSix()
+        execute(graph, algo, make_scheduling("sync", graph))
+        inputs = {1: 7, 2: 8, 3: 9, 4: 6}
+        for k in range(1, 4):
+            trace = execute(graph, algo, make_scheduling("sync", graph), inputs=inputs)
+            assert trace.inputs == inputs
+            assert (algo.validations, algo.inits) == (1 + k, graph.n * (1 + k))
+        save = make_algorithm("save", delta=2)
+        execute(graph, save, make_scheduling("sync", graph))
+        with pytest.raises(ValueError, match="input colors must differ"):
+            execute(graph, save, make_scheduling("sync", graph), inputs={1: 1, 2: 1, 3: 2, 4: 2})
+
+    def test_a_failing_validate_raises_on_every_call(self):
+        graph, algo = build_graph("clique:4"), make_algorithm("six")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="six requires degree <= 2"):
+                execute(graph, algo, make_scheduling("sync", graph))
+            with pytest.raises(ValueError, match="six requires degree <= 2"):
+                ConfigurationSpace(graph, algo)
+
+    @pytest.mark.parametrize(
+        "algo", [Identity(), make_algorithm("six")], ids=["decided-at-init", "six"]
+    )
+    def test_changing_a_trace_leaves_the_next_run_alone(self, algo):
+        graph = build_graph("cycle:5")
+        want = trace_bytes(execute(build_graph("cycle:5"), algo, make_scheduling("sync", graph)))
+        trace = execute(graph, algo, make_scheduling("sync", graph))
+        space = ConfigurationSpace(graph, algo)
+        for states in (trace.inputs, trace.decisions, trace.decision_steps, trace.params,
+                       trace.final.old, trace.final.new, *space.pairs[0]):
+            states[1] = "changed"
+        assert trace_bytes(execute(graph, algo, make_scheduling("sync", graph))) == want
 
 
 class TestTraceFiles:

@@ -243,6 +243,11 @@ class TestRandom:
         with pytest.raises(SchedulingError):
             make_scheduling("random:seed=1,p=1.5", graph)
 
+    def test_a_negative_seed_is_rejected(self):
+        # random.Random seeds from |n|: seed=-3 would replay seed=3 under another spec
+        with pytest.raises(SchedulingError, match="random seed must be non-negative, got -3"):
+            make_scheduling("random:seed=-3,p=0.5,crash=0.25", build_graph("cycle:8"))
+
 
 class TestExplicitAndReplay:
     def test_explicit_blocks(self):
@@ -412,6 +417,10 @@ class TestSearch:
     def test_negative_budget_is_rejected(self, prop):
         with pytest.raises(ValueError, match="budget must be non-negative"):
             adversary_search(make_algorithm("six"), build_graph("cycle:3"), property=prop, budget=-5)
+
+    def test_negative_seed0_is_rejected(self):
+        with pytest.raises(ValueError, match="seed0 must be non-negative, got -5"):
+            adversary_search(make_algorithm("six"), build_graph("cycle:3"), seed0=-5)
 
     @pytest.mark.parametrize("prop", ["proper", "periodic-termination"])
     def test_zero_budget_examines_nothing(self, prop):

@@ -116,6 +116,14 @@ class TestPalette:
         assert not verdict.ok
         assert verdict.witness == (1, (2, 0))
 
+    def test_the_lowest_offender_is_named_whatever_the_decision_order(self):
+        # decisions in descending node order, the lowest offender last
+        decisions = {5: (2, 0), 4: (0, 0), 3: (0, 2), 2: (1, 1), 1: (2, 0)}
+        verdict = check_palette(fake_trace("save1", {"delta": 2}, decisions))
+        assert not verdict.ok
+        assert verdict.witness == (1, (2, 0))
+        assert verdict.detail == "node 1 decided (2, 0), outside the 5-value palette"
+
     def test_pair_sum_bound(self):
         trace = fake_trace(
             "linial+save", {"phase1_id_bound": 9, "phase1_delta": 2, "phase2_delta": 2}, {1: (2, 1)}

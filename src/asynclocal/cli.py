@@ -57,7 +57,10 @@ def _split_checks(raw: str | None) -> list[str]:
 
 
 def _resolve_graph(args) -> Graph:
-    ids = [int(tok) for tok in args.ids.split(",")] if args.ids else None
+    try:
+        ids = [int(tok) for tok in args.ids.split(",")] if args.ids else None
+    except ValueError:
+        raise GraphError(f"--ids must be comma-separated integers, got {args.ids!r}") from None
     if os.path.exists(args.graph):
         for option, value in (("--ids", ids), ("--bound", args.bound)):
             if value is not None:
@@ -211,9 +214,9 @@ def cmd_wsb_class(args) -> int:
     sizes: dict[int, int] = {}
     for record in result:
         sim = wsb_mod.classify(record).sim
-        members = wsb_mod.equivalence_class(record, sigma)
-        sizes[len(sim)] = len(members)
-        if len(members) != math.comb(args.n, len(sim)):
+        distinct = {(m.blocks, inputs) for m, inputs in wsb_mod.equivalence_class(record, sigma)}
+        sizes[len(sim)] = len(distinct)
+        if len(distinct) != math.comb(args.n, len(sim)):
             mismatches.append({"blocks": record.blocks, "sim": sorted(sim)})
     _out(
         {

@@ -399,9 +399,8 @@ def _start(graph: Graph, algo, inputs) -> tuple[dict, dict, dict, dict]:
     if inputs is None and last is not None and last[0] is graph and last[1] is algo:
         return last[2]
     ins = _resolve_inputs(graph, algo, inputs)
-    new = initial_configuration(graph, algo, ins).new
-    decisions = {v: st[1] for v, st in new.items() if st[0] == TERMINATED}
-    start = (ins, new, decisions, dict(algo.params()))
+    cfg = initial_configuration(graph, algo, ins)
+    start = (ins, cfg.new, cfg.decided(), dict(algo.params()))
     if inputs is None:
         _last_start = (graph, algo, start)
     return start
@@ -562,6 +561,14 @@ class LivelockCertificate:
         }
 
 
+def _nonempty_subsets(nodes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every nonempty subset of ``nodes``, in bit-mask order: item ``m - 1`` holds mask ``m``."""
+    out = [()]
+    for v in nodes:  # the masks below 2^i, then the same masks with bit i set
+        out += [s + (v,) for s in out]
+    return out[1:]
+
+
 class ConfigurationSpace:
     """The configurations reached from one initial configuration, each stored once.
 
@@ -569,12 +576,13 @@ class ConfigurationSpace:
     defaults), resolved and validated here as :func:`execute` does.  Every
     configuration is interned by its :meth:`Configuration.key` as a dense
     id in ``ids``, the initial one being id 0: ``pairs[i]`` holds its
-    ``(old, new)`` dicts, in ``graph.nodes`` order, which nobody may
-    change.  ``successors[i]`` memoises the transitions out of id ``i`` as
-    ``{block: id}``, so a block is applied to a configuration at most once
-    however many executions pass through it (the state caching of
-    explicit-state model checkers).  Blocks are trusted to be canonical
-    (distinct nodes of ``graph``, ascending).  ``len(space)`` counts the
+    ``(old, new)`` dicts, in ``graph.nodes`` order, and ``successors[i]``
+    memoises the transitions out of id ``i`` as ``{block: id}``, so a block
+    is applied to a configuration at most once (the state caching of
+    explicit-state model checkers).  Only this class reads the two; walkers
+    use :meth:`successor`, :meth:`undecided`, :meth:`children` and
+    :meth:`configuration`.  Blocks are trusted to be canonical (distinct
+    nodes of ``graph``, ascending).  ``len(space)`` counts the
     configurations; the space never drops one, so a caller that shares it
     across many executions bounds its memory by starting a fresh space.
     """
@@ -586,6 +594,7 @@ class ConfigurationSpace:
         self.ids: dict[tuple, int] = {start.key(): 0}
         self.pairs: list[tuple[dict, dict]] = [(start.old, start.new)]
         self.successors: list[dict[tuple[int, ...], int]] = [{}]
+        self._undecided: dict[int, tuple[int, ...]] = {}
         self._apply = functools.partial(_apply_block, graph.adj, algo.next, algo.arity)
 
     def __len__(self) -> int:
@@ -614,6 +623,22 @@ class ConfigurationSpace:
             memo[block] = nid
         return nid
 
+    def undecided(self, cid: int) -> tuple[int, ...]:
+        """The undecided nodes of id ``cid`` in ``graph.nodes`` order, found on the first call."""
+        u = self._undecided.get(cid)
+        if u is None:
+            new = self.pairs[cid][1]
+            u = self._undecided[cid] = tuple([v for v, st in new.items() if st[0] != TERMINATED])
+        return u
+
+    def children(self, cid: int) -> dict[tuple[int, ...], int]:
+        """``{block: id}`` over every nonempty block of :meth:`undecided`, in bit-mask order.
+
+        Each id comes from :meth:`successor`, so the order does not depend on
+        what stepped ``cid`` before, and the transitions are kept in its memo only.
+        """
+        return {b: self.successor(cid, b) for b in _nonempty_subsets(self.undecided(cid))}
+
     def configuration(self, cid: int) -> Configuration:
         """A fresh copy of id ``cid``'s configuration, with step index 0."""
         old, new = self.pairs[cid]
@@ -637,7 +662,7 @@ def detect_livelock(
     a certificate on the first repetition that leaves a node of the
     period's support undecided, and ``None`` if the period's nodes all
     decide (the dynamics then freeze) or no repetition shows up within the
-    bound.
+    bound.  A negative ``bound`` raises :class:`ValueError`.
 
     ``space``, when given, must have been built from ``graph`` and
     ``algo`` (checked) and starts from its own inputs, so ``inputs`` is
@@ -649,6 +674,8 @@ def detect_livelock(
     certificate's configuration is a fresh copy, in ``graph.nodes`` order,
     with step index 0 either way.
     """
+    if bound < 0:
+        raise ValueError(f"bound must be non-negative, got {bound}")
     pre, per = tuple(prefix), tuple(period)
     if not per:
         raise SchedulingError("period must contain at least one block")
@@ -674,8 +701,7 @@ def detect_livelock(
             nid = successors[cid].get(blk)
             cid = successor(cid, blk) if nid is None else nid
         if cid in seen:
-            new = space.pairs[cid][1]
-            undecided = tuple(v for v in sorted(set().union(*per)) if new[v][0] != TERMINATED)
+            undecided = tuple(sorted(set().union(*per).intersection(space.undecided(cid))))
             if not undecided:
                 return None
             return LivelockCertificate(

@@ -45,6 +45,7 @@ from .engine import (
     SchedulingError,
     Trace,
     _explicit,
+    _nonempty_subsets,
     detect_livelock,
     execute,
     explicit_scheduling,
@@ -257,13 +258,6 @@ def write_scheduling(blocks, path) -> None:
 
 # ---------------------------------------------------------------------------
 # bounded exhaustive enumeration
-
-
-def _nonempty_subsets(nodes: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out = []
-    for mask in range(1, 1 << len(nodes)):
-        out.append(tuple(nodes[i] for i in range(len(nodes)) if mask >> i & 1))
-    return out
 
 
 def _block_sequences(blocks, lengths) -> Iterator[tuple]:

@@ -265,20 +265,9 @@ TABLE2_REPEATED_STATES = {
 }
 
 
-def _table1_instance():
+def _reproduce_table1() -> Verdict:
     graph = build_graph("cycle:5", ids=TABLE1_GRAPH["ids"])
     algo = make_algorithm("six")
-    return graph, algo
-
-
-def _table2_instance():
-    graph = build_graph("cycle:4", ids=TABLE2_GRAPH["ids"])
-    algo = make_algorithm("buggy5")
-    return graph, algo
-
-
-def _reproduce_table1() -> Verdict:
-    graph, algo = _table1_instance()
     cfg = initial_configuration(graph, algo, {v: v for v in graph.nodes})
     for step_index, expected in enumerate(TABLE1_GRID):
         if step_index > 0:
@@ -307,7 +296,8 @@ def _reproduce_table1() -> Verdict:
 
 
 def _reproduce_table2() -> Verdict:
-    graph, algo = _table2_instance()
+    graph = build_graph("cycle:4", ids=TABLE2_GRAPH["ids"])
+    algo = make_algorithm("buggy5")
     cert = detect_livelock(graph, algo, TABLE2_PREFIX, TABLE2_PERIOD)
     if cert is None:
         return Verdict(False, "table2", "no livelock certificate found")

@@ -36,7 +36,7 @@ from .coverfree import _is_prime
 from .engine import TERMINATED, ConfigurationSpace
 from .engine import step  # noqa: F401  -- the benchmark harness wraps ``wsb.step`` by name
 from .graphs import Graph, build_graph
-from .schedulers import _guard, _nonempty_subsets
+from .schedulers import _guard
 from .verify import Verdict
 
 __all__ = [
@@ -125,15 +125,12 @@ class EnumerationResult:
         return len(self.records)
 
 
-class _Undecided(dict):
-    """The undecided processes of each id of a space, found on its first lookup."""
-
-    def __init__(self, space: ConfigurationSpace):
-        self.pairs = space.pairs
-
-    def __missing__(self, i: int) -> tuple[int, ...]:
-        u = self[i] = tuple([v for v, st in self.pairs[i][1].items() if st[0] != TERMINATED])
-        return u
+def _clique_space(algo, n: int, step_bound: int, small: bool, explodes: str) -> ConfigurationSpace:
+    """The space of ``algo`` on ``clique:n``, after the step-bound check and the guard."""
+    if step_bound < 0:
+        raise ValueError(f"step_bound must be non-negative, got {step_bound}")
+    _guard(small, explodes)
+    return ConfigurationSpace(build_graph(f"clique:{n}"), algo)
 
 
 def enumerate_complete(algo, n: int, step_bound: int = 8) -> EnumerationResult:
@@ -147,13 +144,10 @@ def enumerate_complete(algo, n: int, step_bound: int = 8) -> EnumerationResult:
     stack, so no step bound meets Python's recursion limit.  A negative
     ``step_bound`` raises :class:`ValueError`.
     """
-    if step_bound < 0:
-        raise ValueError(f"step_bound must be non-negative, got {step_bound}")
-    _guard(n <= 3, f"exhaustive enumeration over clique({n}) explodes")
-    space = ConfigurationSpace(build_graph(f"clique:{n}"), algo)
-    pairs, successors, successor = space.pairs, space.successors, space.successor
-    undecided = _Undecided(space)
-    ds0 = {v: 0 for v, st in pairs[0][1].items() if st[0] == TERMINATED}
+    explodes = f"exhaustive enumeration over clique({n}) explodes"
+    space = _clique_space(algo, n, step_bound, n <= 3, explodes)
+    undecided = space.undecided
+    ds0 = dict.fromkeys(space.configuration(0).decided(), 0)
 
     records: list[ExecutionRecord] = []
     truncated = 0
@@ -162,19 +156,17 @@ def enumerate_complete(algo, n: int, step_bound: int = 8) -> EnumerationResult:
     stack = [(0, (), ds0)]
     while stack:
         i, blocks, ds = stack.pop()
-        if not undecided[i]:
-            outputs = {v: st[1] for v, st in pairs[i][1].items()}
+        if not undecided(i):
+            outputs = space.configuration(i).decided()
             records.append(ExecutionRecord(n, blocks, outputs, ds))
             continue
         if len(blocks) >= step_bound:
             truncated += 1
             continue
         at = len(blocks) + 1
-        # i's memoised transitions, filled in block order on its first visit
-        out = successors[i] or {b: successor(i, b) for b in _nonempty_subsets(undecided[i])}
-        for blk, j in reversed(out.items()):
-            new = pairs[j][1]
-            newly = {v: at for v in blk if new[v][0] == TERMINATED}
+        for blk, j in reversed(space.children(i).items()):
+            left = undecided(j)
+            newly = {v: at for v in blk if v not in left}
             stack.append((j, blocks + (blk,), {**ds, **newly}))
 
     return EnumerationResult(records, truncated, step_bound)
@@ -197,22 +189,15 @@ class SimClassification:
 
 
 def classify(record: ExecutionRecord) -> SimClassification:
-    nodes = set(range(1, record.n + 1))
-    seen: set[int] = set()
-    i_star = None
-    for i, blk in enumerate(record.blocks, start=1):
-        seen |= set(blk)
-        if seen == nodes:
-            i_star = i
-            break
-    if i_star is None:
-        raise ValueError("classification needs every process activated at least once")
     first_act: dict[int, int] = {}
     for i, blk in enumerate(record.blocks, start=1):
         for v in blk:
             first_act.setdefault(v, i)
+    if not first_act or first_act.keys() != set(range(1, record.n + 1)):
+        raise ValueError("classification needs every process activated at least once")
+    i_star = max(first_act.values())  # the step that activates the last process first
     classes = {}
-    for v in sorted(nodes):
+    for v in sorted(first_act):
         decided_at = record.decision_steps.get(v)
         if decided_at is not None and decided_at < i_star:
             classes[v] = 3
@@ -262,21 +247,17 @@ def count_report(algo, n: int, step_bound: int = 8) -> CountReport:
     no stack, so no step bound meets Python's recursion limit.  A negative
     ``step_bound`` raises :class:`ValueError`.
     """
-    if step_bound < 0:
-        raise ValueError(f"step_bound must be non-negative, got {step_bound}")
-    _guard(n <= 8, f"signed counts over clique({n}) explode")
-    space = ConfigurationSpace(build_graph(f"clique:{n}"), algo)
-    pairs, successors, successor = space.pairs, space.successors, space.successor
-    undecided = _Undecided(space)
+    space = _clique_space(algo, n, step_bound, n <= 8, f"signed counts over clique({n}) explode")
+    undecided, children = space.undecided, space.children
     executions = truncated = c0_size = c1_size = c0_sum = c1_sum = 0
     layer = {0: (1, 1)}  # id -> (schedules reaching it, their signed sum)
     depth = 0
     while layer:
         below: dict[int, tuple[int, int]] = {}
         for i, (ways, signed) in layer.items():
-            if not undecided[i]:
+            if not undecided(i):
                 executions += ways
-                outputs = {st[1] for st in pairs[i][1].values()}
+                outputs = set(space.configuration(i).decided().values())
                 if outputs == {0}:
                     c0_size += ways
                     c0_sum += signed
@@ -286,8 +267,7 @@ def count_report(algo, n: int, step_bound: int = 8) -> CountReport:
             elif depth == step_bound:
                 truncated += ways
             else:
-                out = successors[i] or {b: successor(i, b) for b in _nonempty_subsets(undecided[i])}
-                for blk, j in out.items():
+                for blk, j in children(i).items():
                     w, s = below.get(j, (0, 0))
                     below[j] = (w + ways, s + signed if len(blk) % 2 else s - signed)
         layer = below

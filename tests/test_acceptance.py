@@ -197,7 +197,9 @@ def test_acceptance_7_wsb_combinatorics():
     for name, algo in toy_algorithms(3).items():
         for record in enumerate_complete(algo, 3):
             sim = classify(record).sim
-            if len(equivalence_class(record, sigma)) != math.comb(3, len(sim)):
+            # distinct members: a class that lists one member twice is too small
+            members = {(r.blocks, inputs) for r, inputs in equivalence_class(record, sigma)}
+            if len(members) != math.comb(3, len(sim)):
                 classes_ok = False
     ok = ok and classes_ok
     parts.append(f"(d) class sizes C(3,|SIM|) on all executions: {classes_ok}")

@@ -1,7 +1,9 @@
 """Every exported name resolves, so a deleted definition cannot linger in ``__all__``."""
 
 import importlib
+import inspect
 import pkgutil
+import re
 import types
 
 import pytest
@@ -40,3 +42,9 @@ def test_every_public_name_of_the_package_is_exported():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(public - set(asynclocal.__all__)) == []
+
+
+@pytest.mark.parametrize("module_name", [m for m in MODULES if m != "asynclocal.engine"])
+def test_only_the_engine_reads_how_a_space_stores_configurations(module_name):
+    source = inspect.getsource(importlib.import_module(module_name))
+    assert re.findall(r"\.(?:pairs|successors)\b", source) == []

@@ -6,6 +6,7 @@ import pytest
 
 from asynclocal import cli as cli_mod
 from asynclocal import verify as verify_mod
+from asynclocal import wsb as wsb_mod
 from asynclocal.cli import main
 from asynclocal.coverfree import construct_family
 from asynclocal.engine import detect_livelock
@@ -324,6 +325,41 @@ class TestSearch:
         assert code == 2
 
 
+class TestSearchTrace:
+    """``search --trace`` writes a violation that ``verify`` replays and re-judges."""
+
+    @pytest.fixture
+    def improper(self, monkeypatch):
+        # every node decides 1 at its first activation: adjacent nodes clash
+        def make(name, id_bound=None, delta=None):
+            return wsb_mod.ConstantOutput(1)
+
+        monkeypatch.setattr(cli_mod, "make_algorithm", make)
+        monkeypatch.setattr(verify_mod, "make_algorithm", make)
+
+    def test_a_found_violation_is_written_and_verifies(self, capsys, tmp_path, improper):
+        path = tmp_path / "found.jsonl"
+        code, out, err = run_cli(
+            capsys, "search", "--algo", "six", "--graph", "cycle:4",
+            "--property", "proper", "--trace", str(path),
+        )
+        assert code == 1
+        payload = first_json(out)
+        assert payload["found"] and payload["examined"] == 1
+        assert payload["verdict"].startswith("proper: FAIL (adjacent nodes")
+        assert err.splitlines() == [f"violation trace written to {path}"]
+        assert json.loads(path.read_text().splitlines()[0])["algo"] == "const1"
+
+        code, out, _ = run_cli(capsys, "verify", "--trace", str(path))
+        assert code == 0
+        assert out[0].startswith("replay: pass")
+
+        code, out, _ = run_cli(capsys, "verify", "--trace", str(path), "--check", "proper")
+        assert code == 1
+        assert out[0].startswith("replay: pass")
+        assert out[1] == payload["verdict"]
+
+
 class TestCoverfree:
     def test_construct_verify_and_dump(self, capsys, tmp_path):
         path = tmp_path / "family.txt"
@@ -468,6 +504,20 @@ class TestWsb:
         assert payload["executions"] == 13
         assert payload["class_size_by_sim"] == {"0": 1, "1": 3, "2": 3}
         assert payload["mismatches"] == []
+
+    def test_a_class_listing_one_member_twice_fails(self, capsys, monkeypatch):
+        real = wsb_mod.equivalence_class
+
+        def repeating(record, sigma):
+            members = real(record, sigma)
+            return [members[0]] * len(members)  # as many members, one distinct
+
+        monkeypatch.setattr(wsb_mod, "equivalence_class", repeating)
+        code, out, _ = run_cli(capsys, "wsb", "class", "--algo", "const0", "--n", "3")
+        assert code == 1
+        payload = first_json(out)
+        assert payload["class_size_by_sim"] == {"0": 1, "1": 1, "2": 1}
+        assert len(payload["mismatches"]) == 12  # every record but the one with SIM empty
 
 
 class TestUsageErrors:
@@ -647,6 +697,53 @@ class TestUsageErrors:
         assert code == 2
         assert out == []
         assert err.splitlines() == ["error: duplicate node identifier 1"]
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("random:seed", "malformed scheduling parameter 'seed'"),
+            ("sync:crashes=1x2", "malformed crash entry '1x2'"),
+            ("replay:", "replay needs a file path, e.g. replay:sched.txt"),
+            ("explicit:1,a", "malformed explicit scheduling 'explicit:1,a'"),
+            ("random:seed=x", "malformed random parameters in 'random:seed=x'"),
+            ("random:seed=1,crash=1.5", "crash rate must be in [0,1), got 1.5"),
+        ],
+    )
+    def test_a_malformed_scheduling_spec_is_refused(self, capsys, spec, message):
+        code, out, err = run_cli(
+            capsys, "run", "--algo", "six", "--graph", "cycle:5", "--sched", spec
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_ids_that_are_no_integers(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--algo", "six", "--graph", "cycle:5", "--ids", "a,b"
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == ["error: --ids must be comma-separated integers, got 'a,b'"]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("graph_hash", "0" * 64, "trace header graph does not match its recorded hash"),
+            ("format", 2, "{path}: unsupported trace format 2"),
+        ],
+        ids=["graph_hash", "format"],
+    )
+    def test_verify_refuses_an_edited_header(self, capsys, tmp_path, key, value, message):
+        path = tmp_path / "run.jsonl"
+        run_cli(capsys, "run", "--algo", "six", "--graph", "cycle:4", "--trace", str(path))
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header[key] = value
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        code, out, err = run_cli(capsys, "verify", "--trace", str(path))
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == ["error: " + message.format(path=path)]
 
     def test_duplicate_identifiers(self, capsys):
         code, _, err = run_cli(

@@ -356,6 +356,20 @@ class TestDetectLivelock:
         with pytest.raises(ValueError, match="another graph or algorithm"):
             detect_livelock(graph, make_algorithm("buggy5"), [], [(1,)], space=space)
 
+    def test_a_negative_bound_is_rejected(self):
+        graph, algo = build_graph("cycle:4", ids=(3, 4, 2, 1)), make_algorithm("buggy5")
+        with pytest.raises(ValueError, match="bound must be non-negative, got -1"):
+            detect_livelock(graph, algo, [(2, 3, 4), (1, 3, 4)], [(3, 4)], bound=-1)
+
+    def test_the_bound_caps_the_period_applications(self):
+        # the Table-2 configuration repeats after two applications of the period
+        graph, algo = build_graph("cycle:4", ids=(3, 4, 2, 1)), make_algorithm("buggy5")
+        prefix, period = [(2, 3, 4), (1, 3, 4)], [(3, 4)]
+        assert detect_livelock(graph, algo, prefix, period, bound=0) is None
+        assert detect_livelock(graph, algo, prefix, period, bound=1) is None
+        cert = detect_livelock(graph, algo, prefix, period, bound=2)
+        assert (cert.matched_index, cert.repeat_index, cert.undecided) == (0, 2, (3, 4))
+
 
 class TestConfigurationSpace:
     @pytest.mark.parametrize("inputs", [None, {1: 2, 2: 1, 3: 2, 4: 1}])
@@ -379,6 +393,58 @@ class TestConfigurationSpace:
     def test_bad_inputs_raise_when_the_space_is_built(self, inputs, error, match):
         with pytest.raises(error, match=match):
             ConfigurationSpace(build_graph("cycle:4"), make_algorithm("save1", delta=2), inputs)
+
+    def test_undecided_lists_the_running_nodes_in_node_order_once_per_id(self):
+        graph = build_graph("cycle:5", ids=(3, 5, 4, 1, 6))
+        space = ConfigurationSpace(graph, make_algorithm("six"))
+        assert space.undecided(0) == graph.nodes
+        # Table 1's first block decides node 1 only
+        cid = space.successor(0, (1, 3, 5))
+        assert space.undecided(cid) == (3, 4, 5, 6)
+        assert space.undecided(cid) is space.undecided(cid)
+        assert space.undecided(cid) == tuple(
+            v for v in graph.nodes if v not in space.configuration(cid).decided()
+        )
+
+    def test_children_are_every_block_of_the_undecided_nodes_in_bit_mask_order(self):
+        graph = build_graph("cycle:4", ids=(3, 4, 2, 1))
+        space = ConfigurationSpace(graph, make_algorithm("buggy5"))
+        kids = space.children(0)
+        assert list(kids) == [
+            (1,), (2,), (1, 2), (3,), (1, 3), (2, 3), (1, 2, 3),
+            (4,), (1, 4), (2, 4), (1, 2, 4), (3, 4), (1, 3, 4), (2, 3, 4), (1, 2, 3, 4),
+        ]
+        for blk, cid in kids.items():
+            cfg = step(graph, space.algo, space.configuration(0), blk)
+            assert space.configuration(cid) == Configuration(cfg.old, cfg.new)
+        assert space.children(0) == kids and space.children(0) is not kids
+
+    def test_children_keep_their_order_whatever_stepped_the_id_first(self):
+        graph = build_graph("cycle:5", ids=(3, 5, 4, 1, 6))
+        fresh, shared = (ConfigurationSpace(graph, make_algorithm("six")) for _ in range(2))
+        cid = shared.successor(0, (1, 3, 5))  # node 1 decides
+        assert cid == fresh.successor(0, (1, 3, 5))
+        # blocks out of bit-mask order, one holding the decided node 1
+        for blk in [(3, 4, 5, 6), (1, 6), (4,)]:
+            shared.successor(cid, blk)
+        want = fresh.children(cid)
+        assert list(want) == [(3,), (4,), (3, 4), (5,), (3, 5), (4, 5), (3, 4, 5), (6,),
+                              (3, 6), (4, 6), (3, 4, 6), (5, 6), (3, 5, 6), (4, 5, 6),
+                              (3, 4, 5, 6)]
+        got = shared.children(cid)
+        assert list(got) == list(want)
+        assert [shared.configuration(i) for i in got.values()] == [
+            fresh.configuration(i) for i in want.values()
+        ]
+        # the transitions are kept once, in the memo, which still holds the extra block
+        assert shared.successors[cid] == {**got, (1, 6): shared.successor(cid, (1, 6))}
+        shared.successor(cid, (1, 3))  # a block added after the first expansion
+        assert shared.children(cid) == got
+
+    def test_a_decided_id_has_no_children(self):
+        space = ConfigurationSpace(build_graph("cycle:4"), Identity())  # decides at init
+        assert space.undecided(0) == ()
+        assert space.children(0) == {}
 
 
 class TestConfigurationKey:

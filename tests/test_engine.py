@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -564,3 +566,45 @@ class TestBlockValidation:
         trace = execute(graph, make_algorithm("six"), sched)
         assert trace.step_count == 3
         assert trace.complete
+
+    def test_foreign_schedulings_keep_their_runs(self):
+        # hand-built schedulings whose blocks name nodes past their crash
+        # step or outside support_ever; the digest pins every run's outcome
+        rng = random.Random(19)
+        runs = []
+        stopped_on_crashes = decided_after_crash = decided_unscheduled = 0
+        for _ in range(400):
+            name, spec = rng.choice([("six", "cycle:5"), ("six", "path:4"), ("buggy5", "cycle:4")])
+            graph, algo = build_graph(spec), make_algorithm(name)
+            nodes = graph.nodes
+            support = frozenset(v for v in nodes if rng.random() < 0.7)
+            crash_times = {
+                v: rng.choice([None, 0, 1, 2, 3, 5]) for v in nodes if rng.random() < 0.6
+            }
+            blocks = [
+                tuple(rng.sample(nodes, rng.randint(1, len(nodes))))
+                for _ in range(rng.randint(0, 12))
+            ]
+            sched = Scheduling("custom", nodes, support, crash_times, None, lambda b=blocks: iter(b))
+            trace = execute(graph, algo, sched, max_steps=rng.randint(0, 14))
+            stopped_on_crashes += (
+                not trace.complete and trace.step_count < min(len(blocks), trace.max_steps)
+            )
+            decided_after_crash += any(
+                crash_times.get(v) is not None and s > crash_times[v]
+                for v, s in trace.decision_steps.items()
+            )
+            decided_unscheduled += not support.issuperset(trace.decisions)
+            runs.append(
+                (
+                    trace.step_count,
+                    trace.complete,
+                    sorted(trace.decisions.items()),
+                    sorted(trace.decision_steps.items()),
+                    sorted(trace.runtimes.items()),
+                )
+            )
+        # the set reaches each case the stop rule must get right
+        assert min(stopped_on_crashes, decided_after_crash, decided_unscheduled) > 0
+        digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+        assert digest == "c5e0284db6fc298ed44ff91397d69cdf703a5443b186b321dd40ad6cf7ec1462"

@@ -12,6 +12,7 @@ from asynclocal.schedulers import GUARD_ENV
 from asynclocal.wsb import (
     ConstantOutput,
     CountReport,
+    EnumerationResult,
     ExecutionRecord,
     IdParity,
     InputFunction,
@@ -65,6 +66,29 @@ def enumerated_report(algo, n, step_bound=8):
         algo.name, n, step_bound, len(result), result.truncated,
         len(c0), len(c1), s0, s1, s0 + (-1) ** (n - 1) * s1,
     )
+
+
+def incremental_census(algo, n, step_bound):
+    """The census with each path's decision steps carried down the walk,
+    extended by the processes each block makes decide: the reference."""
+    space = ConfigurationSpace(build_graph(f"clique:{n}"), algo)
+    ds0 = dict.fromkeys(space.configuration(0).decided(), 0)
+    records, truncated = [], 0
+    stack = [(0, (), ds0)]
+    while stack:
+        i, blocks, ds = stack.pop()
+        if not space.undecided(i):
+            records.append(ExecutionRecord(n, blocks, space.configuration(i).decided(), ds))
+            continue
+        if len(blocks) >= step_bound:
+            truncated += 1
+            continue
+        at = len(blocks) + 1
+        for blk, j in reversed(space.children(i).items()):
+            left = space.undecided(j)
+            newly = {v: at for v in blk if v not in left}
+            stack.append((j, blocks + (blk,), {**ds, **newly}))
+    return EnumerationResult(records, truncated, step_bound)
 
 
 def undecided_within(algo, n, below):
@@ -156,6 +180,18 @@ class TestEnumeration:
         r = record_with_blocks(result, ((2,), (1,)))
         assert r.decision_steps == {2: 1, 1: 2}
         assert r.outputs == {1: 0, 2: 0}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_records_equal_an_incremental_walk(self, n):
+        rules = [*toy_algorithms(n).values(), NeverDecide()]
+        for algo in [*rules, *(trim(a, n) for a in rules)]:
+            step_bound = 3 if algo.name == "never" else 8  # untrimmed, it never halts
+            reference = incremental_census(algo, n, step_bound)
+            result = enumerate_complete(algo, n, step_bound)
+            assert result.truncated == reference.truncated, algo.name
+            assert [(r.blocks, r.outputs, r.decision_steps) for r in result] == [
+                (r.blocks, r.outputs, r.decision_steps) for r in reference
+            ], algo.name
 
 
 class TestClassify:

@@ -440,10 +440,9 @@ def execute(
     A negative ``max_steps`` raises :class:`ValueError`; 0 runs no step.
 
     Stops as soon as every node that appears in the scheduling has
-    decided, when the scheduling itself is exhausted, when the only
-    undecided scheduled nodes have all crashed, or after ``max_steps``
-    blocks, whichever comes first.  The returned trace is flagged
-    ``complete`` exactly when all appearing nodes decided.
+    decided or crashed, when the scheduling itself is exhausted, or after
+    ``max_steps`` blocks, whichever comes first.  The returned trace is
+    flagged ``complete`` exactly when all appearing nodes decided.
 
     With ``record=False`` the per-step records are not retained (used for
     large campaigns); decisions, runtimes and the final configuration are
@@ -468,25 +467,21 @@ def execute(
     decision_steps: dict[int, int] = dict.fromkeys(start_decisions, 0)
     runtimes: dict[int, int] = dict.fromkeys(graph.nodes, 0)
 
-    # pending: scheduled nodes still undecided; crashed: those of them whose
-    # crash step has passed.  The run stops once the two sets are equal.
+    # live: the scheduled nodes that have neither decided nor crashed.
     # crashes: the (step, node) crashes still to come, the next one last.
-    pending = set(support.difference(decisions))
-    crashed: set[int] = set()
+    live = set(support.difference(decisions))
     crashes = sorted(
-        ((t, v) for v, t in sched.crash_times.items() if t is not None and v in pending),
+        ((t, v) for v, t in sched.crash_times.items() if t is not None and v in live),
         reverse=True,
     )
 
     steps: list[StepRecord] | None = [] if record else None
 
     step_index = 0
-    while step_index < max_steps and pending:
+    while step_index < max_steps and live:
         while crashes and crashes[-1][0] <= step_index:
-            v = crashes.pop()[1]
-            if v in pending:
-                crashed.add(v)
-        if crashed and len(crashed) == len(pending):
+            live.discard(crashes.pop()[1])
+        if not live:
             break  # every still-undecided scheduled node has crashed
         blk = next(block_iter, None)
         if blk is None:
@@ -498,8 +493,7 @@ def execute(
         for v, out in decided_now.items():
             decisions[v] = out
             decision_steps[v] = step_index
-            pending.discard(v)
-            crashed.discard(v)
+            live.discard(v)
         if record:
             steps.append(StepRecord(step_index, blk, reads, {v: new[v] for v in reads}, decided_now))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 __all__ = [
@@ -36,8 +36,9 @@ class Graph:
     ``adj`` maps each node identifier to its neighbors in ascending order.
     ``id_bound`` is the public bound N on identifiers (processes only know
     that identifiers are distinct values in ``[1, N]``).  The derived views
-    (``nodes``, ``node_set``, ``edges`` and ``max_degree``) are computed on
-    first use and kept, which is sound because a graph never changes.
+    (``nodes``, ``node_set``, ``edges``, ``max_degree`` and ``hash``) are
+    computed on first use and kept, which is sound because a graph never
+    changes.
     ``nodes`` is ascending, and every configuration keeps its registers in
     that order.
     """
@@ -45,11 +46,9 @@ class Graph:
     id_bound: int
     adj: dict[int, tuple[int, ...]]
     kind: str = "explicit"
-    _hash: str = field(init=False, default="", repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _validate(self.id_bound, self.adj)
-        object.__setattr__(self, "_hash", _canonical_hash(self.id_bound, self.adj))
 
     @cached_property
     def nodes(self) -> tuple[int, ...]:
@@ -76,10 +75,15 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
 
-    @property
+    @cached_property
     def hash(self) -> str:
         """Hex digest of the canonical (id_bound, adjacency) encoding."""
-        return self._hash
+        payload = json.dumps(
+            {"id_bound": self.id_bound, "adj": {str(v): self.adj[v] for v in self.nodes}},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_dict(self) -> dict:
         return {
@@ -139,15 +143,6 @@ def _validate(id_bound: int, adj: dict[int, tuple[int, ...]]) -> None:
                 frontier.append(u)
     if seen != nodes:
         raise GraphError("graph is not connected")
-
-
-def _canonical_hash(id_bound: int, adj: dict[int, tuple[int, ...]]) -> str:
-    payload = json.dumps(
-        {"id_bound": id_bound, "adj": {str(v): adj[v] for v in sorted(adj)}},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _band_adjacency(ids: list[int], k: int, close: bool) -> dict[int, tuple[int, ...]]:

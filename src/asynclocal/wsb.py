@@ -146,28 +146,27 @@ def enumerate_complete(algo, n: int, step_bound: int = 8) -> EnumerationResult:
     """
     explodes = f"exhaustive enumeration over clique({n}) explodes"
     space = _clique_space(algo, n, step_bound, n <= 3, explodes)
-    undecided = space.undecided
-    ds0 = dict.fromkeys(space.configuration(0).decided(), 0)
 
     records: list[ExecutionRecord] = []
     truncated = 0
-    # (id, blocks so far, decision steps), children pushed last first so
-    # they pop in block order: the records come out depth first
-    stack = [(0, (), ds0)]
+    # (id, blocks so far), children pushed last first so they pop in block
+    # order: the records come out depth first
+    stack = [(0, ())]
     while stack:
-        i, blocks, ds = stack.pop()
-        if not undecided(i):
+        i, blocks = stack.pop()
+        if not space.undecided(i):
             outputs = space.configuration(i).decided()
+            # blocks name undecided processes only, so each process decided
+            # in the last block naming it, or at init if none does
+            last = {v: at for at, blk in enumerate(blocks, 1) for v in blk}
+            ds = {v: last.get(v, 0) for v in outputs}
             records.append(ExecutionRecord(n, blocks, outputs, ds))
             continue
         if len(blocks) >= step_bound:
             truncated += 1
             continue
-        at = len(blocks) + 1
         for blk, j in reversed(space.children(i).items()):
-            left = undecided(j)
-            newly = {v: at for v in blk if v not in left}
-            stack.append((j, blocks + (blk,), {**ds, **newly}))
+            stack.append((j, blocks + (blk,)))
 
     return EnumerationResult(records, truncated, step_bound)
 

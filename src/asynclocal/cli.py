@@ -82,12 +82,15 @@ def _resolve_algorithm(args, graph: Graph):
 
 
 def cmd_run(args) -> int:
-    # checks are looked up first, so an unknown name runs, writes and prints nothing
+    # checks are looked up first, so an unknown name runs, writes and prints
+    # nothing; they run before the dump, so one that does not apply to the
+    # run writes and prints nothing either
     checkers = [verify_mod._checker(name) for name in _split_checks(args.check)]
     graph = _resolve_graph(args)
     algo = _resolve_algorithm(args, graph)
     sched = make_scheduling(args.sched, graph)
     trace = execute(graph, algo, sched, max_steps=args.max_steps)
+    verdicts = [checker(trace) for checker in checkers]
     if args.trace:
         trace.dump(args.trace)
         _err(f"trace written to {args.trace}")
@@ -103,7 +106,7 @@ def cmd_run(args) -> int:
             "max_runtime": trace.max_runtime,
         }
     )
-    return _report(checker(trace) for checker in checkers)
+    return _report(verdicts)
 
 
 def cmd_verify(args) -> int:
@@ -211,20 +214,21 @@ def cmd_wsb_class(args) -> int:
     result = wsb_mod.enumerate_complete(algo, args.n, args.step_bound)
     sigma = wsb_mod.InputFunction(tuple(((), None) for _ in range(args.n)))
     mismatches = []
-    sizes: dict[int, int] = {}
+    sizes: dict[int, set[int]] = {}  # |SIM| -> the class sizes seen with it
     for record in result:
         sim = wsb_mod.classify(record).sim
         distinct = {(m.blocks, inputs) for m, inputs in wsb_mod.equivalence_class(record, sigma)}
-        sizes[len(sim)] = len(distinct)
+        sizes.setdefault(len(sim), set()).add(len(distinct))
         if len(distinct) != math.comb(args.n, len(sim)):
-            mismatches.append({"blocks": record.blocks, "sim": sorted(sim)})
+            mismatches.append({"blocks": record.blocks, "sim": sorted(sim), "size": len(distinct)})
     _out(
         {
             "algo": algo.name,
             "n": args.n,
             "executions": len(result.records),
             "truncated": result.truncated,
-            "class_size_by_sim": {str(k): v for k, v in sorted(sizes.items())},
+            # only the sizes shared by every class of their |SIM|
+            "class_size_by_sim": {str(k): min(v) for k, v in sorted(sizes.items()) if len(v) == 1},
             "mismatches": mismatches,
         }
     )

@@ -448,16 +448,31 @@ class LoadedFamily:
 
 
 def load_family(path) -> LoadedFamily:
-    """Read a family written by :func:`dump_family`."""
+    """Read a family written by :func:`dump_family`.
+
+    A header with k < 1, m < 1 or a ground size other than q^2, an element
+    outside 1..ground, a missing set or a non-empty line after the m-th set
+    raises :class:`ValueError` naming ``path``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 5:
-            raise ValueError("malformed family header")
+            raise ValueError(f"{path}: malformed family header")
         k, m, d, q, ground = (int(x) for x in header)
+        if k < 1 or m < 1:
+            raise ValueError(f"{path}: k and m must be positive, got k = {k}, m = {m}")
+        if ground != q * q:
+            raise ValueError(f"{path}: ground size {ground} is not q^2 = {q * q}")
         sets = []
         for _ in range(m):
             line = fh.readline()
             if not line:
-                raise ValueError("family file ended before all sets were read")
-            sets.append(frozenset(int(x) for x in line.split()))
+                raise ValueError(f"{path}: family file ended before all sets were read")
+            elements = frozenset(int(x) for x in line.split())
+            for e in elements:
+                if not 1 <= e <= ground:
+                    raise ValueError(f"{path}: element {e} outside 1..{ground}")
+            sets.append(elements)
+        if any(line.strip() for line in fh):
+            raise ValueError(f"{path}: non-empty line after the {m} sets")
     return LoadedFamily(k, m, d, q, ground, tuple(sets))

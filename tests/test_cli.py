@@ -519,6 +519,25 @@ class TestWsb:
         assert payload["class_size_by_sim"] == {"0": 1, "1": 1, "2": 1}
         assert len(payload["mismatches"]) == 12  # every record but the one with SIM empty
 
+    def test_class_sizes_that_differ_under_one_sim_size_are_all_shown(self, capsys, monkeypatch):
+        real = wsb_mod.equivalence_class
+
+        def collapsing(record, sigma):
+            members = real(record, sigma)
+            return [members[0]] * len(members) if record.blocks[0] == (1,) else members
+
+        monkeypatch.setattr(wsb_mod, "equivalence_class", collapsing)
+        code, out, _ = run_cli(capsys, "wsb", "class", "--algo", "const0", "--n", "3")
+        assert code == 1
+        payload = first_json(out)
+        # classes of size 1 and 3 share |SIM| 1 and 2, so only |SIM| 0 has one size
+        assert payload["class_size_by_sim"] == {"0": 1}
+        assert payload["mismatches"] == [
+            {"blocks": [[1], [2], [3]], "sim": [1, 2], "size": 1},
+            {"blocks": [[1], [3], [2]], "sim": [1, 3], "size": 1},
+            {"blocks": [[1], [2, 3]], "sim": [1], "size": 1},
+        ]
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
@@ -628,6 +647,17 @@ class TestUsageErrors:
         assert err.splitlines() == [
             "error: unknown check 'bogus' (expected one of ['palette', 'parity', 'proper'])"
         ]
+        assert not path.exists()
+
+    def test_a_check_that_does_not_apply_is_rejected_before_any_output(self, capsys, tmp_path):
+        path = tmp_path / "out.jsonl"
+        code, out, err = run_cli(
+            capsys, "run", "--algo", "six", "--graph", "cycle:4",
+            "--check", "parity", "--trace", str(path),
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == ["error: parity reduction applies to odd cycles only"]
         assert not path.exists()
 
     def test_vanishing_activation_probability_is_rejected(self, capsys):

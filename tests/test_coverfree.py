@@ -385,6 +385,30 @@ class TestFamilyFiles:
         with pytest.raises(ValueError):
             load_family(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 -5 1 2 4\n", "k and m must be positive, got k = 1, m = -5"),
+            ("0 1 1 2 4\n1 3\n", "k and m must be positive, got k = 0, m = 1"),
+            ("1 1 1 2 5\n1 3\n", "ground size 5 is not q^2 = 4"),
+            ("1 1 1 2 4\n1 3\n2 4\n", "non-empty line after the 1 sets"),
+            ("1 2 1 2 4\n1 3\n2 5\n", "element 5 outside 1..4"),
+            ("1 2 1 2 4\n0 3\n2 4\n", "element 0 outside 1..4"),
+        ],
+        ids=["negative-m", "zero-k", "ground", "extra-set", "element-above", "element-zero"],
+    )
+    def test_a_malformed_family_is_refused(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_family(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_blank_lines_after_the_last_set_are_allowed(self, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text("1 1 1 2 4\n1 3\n\n  \n")
+        assert load_family(path).sets == (frozenset({1, 3}),)
+
 
 def test_family_repr_mentions_parameters():
     fam = construct_family(2, 25)

@@ -45,6 +45,16 @@ class NeverDecide(Algorithm):
         return ("R", payload)
 
 
+class OddDecideAtInit(Algorithm):
+    name = "odd-at-init"
+
+    def init(self, node, value):
+        return ("T", 0) if node % 2 else ("R", ())
+
+    def next(self, payload, snaps):
+        return ("T", 1)
+
+
 def record_with_blocks(result, blocks):
     matches = [r for r in result if r.blocks == blocks]
     assert len(matches) == 1
@@ -184,7 +194,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_records_equal_an_incremental_walk(self, n):
         rules = [*toy_algorithms(n).values(), NeverDecide()]
-        for algo in [*rules, *(trim(a, n) for a in rules)]:
+        for algo in [*rules, *(trim(a, n) for a in rules), OddDecideAtInit()]:
             step_bound = 3 if algo.name == "never" else 8  # untrimmed, it never halts
             reference = incremental_census(algo, n, step_bound)
             result = enumerate_complete(algo, n, step_bound)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from asynclocal.algorithms import Identity, SixColoring, make_algorithm
 from asynclocal.engine import (
+    DEFAULT_MAX_STEPS,
     Configuration,
     ConfigurationSpace,
     EngineError,
@@ -16,12 +17,13 @@ from asynclocal.engine import (
     SchedulingError,
     detect_livelock,
     execute,
+    explicit_scheduling,
     initial_configuration,
     state_from_json,
     step,
 )
 from asynclocal.graphs import build_graph
-from asynclocal.schedulers import make_scheduling
+from asynclocal.schedulers import enumerate_schedulings, make_scheduling
 
 
 def six_on_table_cycle():
@@ -608,3 +610,61 @@ class TestBlockValidation:
         assert min(stopped_on_crashes, decided_after_crash, decided_unscheduled) > 0
         digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
         assert digest == "c5e0284db6fc298ed44ff91397d69cdf703a5443b186b321dd40ad6cf7ec1462"
+
+
+def _run_mix():
+    """A seeded mix of runs: (graph, algorithm, a fresh scheduling per call, max_steps)."""
+    rng = random.Random(20)
+    c4 = build_graph("cycle:4", ids=(3, 1, 4, 2))
+    runs = []
+    for _ in range(60):
+        name, spec, delta = rng.choice(
+            [("six", "cycle:5", None), ("buggy5", "cycle:4", None), ("save1", "cycle:6", 2),
+             ("linial+save1", "cycle:7", 2), ("linial+save", "circulant:7,2", 4)]
+        )
+        graph = build_graph(spec)
+        algo = make_algorithm(name, id_bound=graph.id_bound, delta=delta)
+        sched = f"random:seed={rng.randrange(10**6)},p={rng.choice([0.3, 0.5, 1.0])!r}"
+        sched += f",crash={rng.choice([0.0, 0.0, 0.2, 0.5])!r}"
+        runs.append((graph, algo, lambda g=graph, s=sched: make_scheduling(s, g), rng.randint(0, 60)))
+        crashes = "|".join(f"{v}@{rng.randint(0, 4)}" for v in graph.nodes if rng.random() < 0.4)
+        runs.append((graph, algo, lambda g=graph, s=f"sync:crashes={crashes}": make_scheduling(s, g), 50))
+        blocks = [rng.sample(graph.nodes, rng.randint(1, 3)) for _ in range(rng.randint(0, 10))]
+        runs.append((graph, algo, lambda b=blocks, g=graph: explicit_scheduling(b, g.nodes), 20))
+        support = frozenset(v for v in graph.nodes if rng.random() < 0.8)
+        crash_times = {v: rng.choice([None, 0, 2, 4]) for v in graph.nodes if rng.random() < 0.5}
+        foreign = [tuple(rng.sample(graph.nodes, rng.randint(1, 3))) for _ in range(rng.randint(0, 12))]
+        runs.append(
+            (graph, algo, lambda b=foreign, g=graph, s=support, c=crash_times: Scheduling(
+                "custom", g.nodes, s, c, None, lambda: iter(b)), 10)
+        )
+    six = make_algorithm("six")
+    for sched in enumerate_schedulings(c4.nodes, 3, graph=c4):
+        runs.append((c4, six, lambda s=sched: s, DEFAULT_MAX_STEPS))
+    return runs
+
+
+def _outcome(trace):
+    return (
+        trace.step_count,
+        trace.complete,
+        sorted(trace.decisions.items()),
+        sorted(trace.decision_steps.items()),
+        sorted(trace.runtimes.items()),
+        sorted(trace.final.old.items()),
+        sorted(trace.final.new.items()),
+        sorted(trace.support_forever),
+    )
+
+
+def test_recorded_and_unrecorded_runs_agree_and_keep_their_results():
+    outcomes = []
+    for graph, algo, make, max_steps in _run_mix():
+        full = execute(graph, algo, make(), max_steps=max_steps)
+        slim = execute(graph, algo, make(), max_steps=max_steps, record=False)
+        assert slim.steps is None and len(full.steps) == full.step_count
+        assert _outcome(slim) == _outcome(full)
+        outcomes.append(_outcome(slim))
+    assert len(outcomes) == 240 + 3615
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "52b0ff2aeb43390222911ce8561523920026103ab93549032955bec28bb0691d"

@@ -175,8 +175,9 @@ class CoverFreeFamily:
 
     Color c (1-based) names the polynomial with index c-1; its set is the
     polynomial's graph {x*q + p(x) + 1 : x in GF(q)}, of size exactly q.
-    Sets are materialized lazily and cached per color, so families with
-    millions of colors stay cheap when only a few colors are touched.
+    Sets are materialized lazily, one block of q colors at a time, and
+    cached per color, so families with millions of colors stay cheap when
+    only a few colors are touched.
     """
 
     __slots__ = ("k", "m", "q", "d", "_field", "_sets")
@@ -209,30 +210,28 @@ class CoverFreeFamily:
         return tuple(out)
 
     def set_for(self, color: int) -> frozenset[int]:
-        """Ground-set elements assigned to ``color``.
+        """Ground-set elements assigned to ``color``, made with all q colors that share c_1..c_d.
 
-        Horner's rule as in :meth:`Field.eval_poly`, with the field
-        arithmetic inlined: ``(acc*x + c) % q`` for a prime q, rows of the
-        addition and multiplication tables for a tabulated prime power.
+        With p(x) = c_0 + x*h(x), Horner's rule gives b = x*h(x) once per
+        point x; the values b + c_0 of the q colors at x are then a row of a
+        tabulated field's addition table, or b, b+1, ... cyclically mod a prime q.
         """
         s = self._sets.get(color)
         if s is None:
-            q = self.q
-            high_first = self.coefficients(color)[::-1]
-            add, mul = self._field._add, self._field._mul
-            points = []
+            c0, *high = self.coefficients(color)
+            q, first, add, mul = self.q, color - c0, self._field._add, self._field._mul
+            cyclic = list(range(q)) * 2
+            columns = []  # per point x, the elements of the q colors
             for x in range(q):
                 acc = 0
-                if add is None:
-                    for c in high_first:
-                        acc = (acc * x + c) % q
-                else:
-                    by_x = mul[x]  # multiplication commutes: mul[acc][x] == mul[x][acc]
-                    for c in high_first:
-                        acc = add[by_x[acc]][c]
-                points.append(x * q + acc + 1)
-            s = frozenset(points)
-            self._sets[color] = s
+                for c in reversed(high):
+                    acc = (acc * x + c) % q if add is None else add[mul[x][acc]][c]
+                b = acc * x % q if add is None else mul[x][acc]
+                values = cyclic[b : b + q] if add is None else add[b]
+                columns.append(map((x * q + 1).__add__, values))
+            for c, points in zip(range(first, min(first + q, self.m + 1)), zip(*columns)):
+                self._sets[c] = frozenset(points)
+            s = self._sets[color]
         return s
 
     @property
@@ -452,23 +451,38 @@ def load_family(path) -> LoadedFamily:
 
     A header with k < 1, m < 1 or a ground size other than q^2, an element
     outside 1..ground, a missing set or a non-empty line after the m-th set
-    raises :class:`ValueError` naming ``path``.
+    raises :class:`ValueError` naming ``path``.  So does, naming the line
+    too, a token that is not an integer, a header with k*d >= q or fewer
+    than m polynomials of degree d (q^(d+1) < m), and a set line whose size
+    is not q or that repeats an element.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 5:
             raise ValueError(f"{path}: malformed family header")
-        k, m, d, q, ground = (int(x) for x in header)
+        k, m, d, q, ground = _integers(header, path, 1)
         if k < 1 or m < 1:
             raise ValueError(f"{path}: k and m must be positive, got k = {k}, m = {m}")
         if ground != q * q:
             raise ValueError(f"{path}: ground size {ground} is not q^2 = {q * q}")
+        if k * d >= q:
+            raise ValueError(f"{path}: line 1: need k*d < q, got k={k} d={d} q={q}")
+        if q ** (d + 1) < m:
+            raise ValueError(
+                f"{path}: line 1: only {q ** (d + 1)} degree-{d} polynomials over GF({q}), need {m}"
+            )
         sets = []
-        for _ in range(m):
+        for lineno in range(2, m + 2):
             line = fh.readline()
             if not line:
                 raise ValueError(f"{path}: family file ended before all sets were read")
-            elements = frozenset(int(x) for x in line.split())
+            tokens = _integers(line.split(), path, lineno)
+            elements = frozenset(tokens)
+            if len(tokens) != q:
+                raise ValueError(f"{path}: line {lineno}: set size {len(tokens)} is not q = {q}")
+            if len(elements) != q:
+                again = next(e for i, e in enumerate(tokens) if e in tokens[:i])
+                raise ValueError(f"{path}: line {lineno}: element {again} repeated")
             for e in elements:
                 if not 1 <= e <= ground:
                     raise ValueError(f"{path}: element {e} outside 1..{ground}")
@@ -476,3 +490,14 @@ def load_family(path) -> LoadedFamily:
         if any(line.strip() for line in fh):
             raise ValueError(f"{path}: non-empty line after the {m} sets")
     return LoadedFamily(k, m, d, q, ground, tuple(sets))
+
+
+def _integers(tokens: list[str], path, lineno: int) -> list[int]:
+    """``tokens`` as integers; the first that is not one raises ValueError naming its line."""
+    out = []
+    for token in tokens:
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: {token!r} is not an integer") from None
+    return out

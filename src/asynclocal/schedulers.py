@@ -297,16 +297,16 @@ def _enumerated(nodes: tuple[int, ...], depth: int) -> Iterator[Scheduling]:
     subsets = _nonempty_subsets(nodes)  # subsets[i] holds the nodes of bit mask i+1
     fragments = [",".join(map(str, blk)) for blk in subsets]
     supports = [frozenset(blk) for blk in subsets]
-    for seq in _block_sequences(range(len(subsets)), range(1, depth + 1)):
+    # a schedule of k + 1 blocks is one of k, its blocks, spec and mask made once, and one more
+    for prefix in _block_sequences(range(len(subsets)), range(depth)):
+        blocks = tuple([subsets[i] for i in prefix])
+        spec = "explicit:" + "".join([fragments[i] + "/" for i in prefix])
         mask = 0
-        for i in seq:
+        for i in prefix:
             mask |= i + 1
-        yield _explicit(
-            [subsets[i] for i in seq],
-            nodes,
-            "explicit:" + "/".join([fragments[i] for i in seq]),
-            supports[mask - 1],
-        )
+        for i, blk in enumerate(subsets):
+            support = supports[(mask | i + 1) - 1]
+            yield _explicit(blocks + (blk,), nodes, spec + fragments[i], support)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
     """Outcome of a single check; ``witness`` explains any failure."""
 

@@ -250,6 +250,8 @@ def count_report(algo, n: int, step_bound: int = 8) -> CountReport:
     undecided, children = space.undecided, space.children
     executions = truncated = c0_size = c1_size = c0_sum = c1_sum = 0
     layer = {0: (1, 1)}  # id -> (schedules reaching it, their signed sum)
+    # id -> [(|block| odd, child id), ...], listed once however many layers reach the id
+    expanded: dict[int, list[tuple[int, int]]] = {}
     depth = 0
     while layer:
         below: dict[int, tuple[int, int]] = {}
@@ -266,9 +268,12 @@ def count_report(algo, n: int, step_bound: int = 8) -> CountReport:
             elif depth == step_bound:
                 truncated += ways
             else:
-                for blk, j in children(i).items():
+                kids = expanded.get(i)
+                if kids is None:
+                    kids = expanded[i] = [(len(blk) % 2, j) for blk, j in children(i).items()]
+                for odd, j in kids:
                     w, s = below.get(j, (0, 0))
-                    below[j] = (w + ways, s + signed if len(blk) % 2 else s - signed)
+                    below[j] = (w + ways, s + signed if odd else s - signed)
         layer = below
         depth += 1
 

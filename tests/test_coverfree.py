@@ -288,6 +288,42 @@ class TestSetFor:
                 assert fam.set_for(color) == expected
 
 
+    def test_sets_and_set_for_match_per_color_horner(self):
+        families = [construct_family(k, m) for k in (1, 2, 3) for m in range(2, 201)]
+        families += [
+            CoverFreeFamily(1, min(q ** (d + 1), q * q + q // 2 + 1), q, d)
+            for q in TABULATED_ORDERS
+            for d in (1, 2, 3)
+            if d < q
+        ]
+        rng = random.Random(5)
+        for fam in families:
+            expected = [horner_set(fam, color) for color in range(1, fam.m + 1)]
+            assert fam.sets == expected
+            colors = list(range(1, fam.m + 1))
+            rng.shuffle(colors)
+            fresh = CoverFreeFamily(fam.k, fam.m, fam.q, fam.d)
+            assert [fresh.set_for(color) for color in colors] == [expected[c - 1] for c in colors]
+
+
+def horner_set(fam, color):
+    """Reference: one color's set by Horner's rule over all its d + 1 coefficients."""
+    q = fam.q
+    f = field(q)
+    high_first = fam.coefficients(color)[::-1]
+    points = []
+    for x in range(q):
+        acc = 0
+        if f._add is None:
+            for c in high_first:
+                acc = (acc * x + c) % q
+        else:
+            for c in high_first:
+                acc = f._add[f._mul[x][acc]][c]
+        points.append(x * q + acc + 1)
+    return frozenset(points)
+
+
 class TestPrimes:
     def test_is_prime_matches_a_sieve(self):
         n = 10_000
@@ -394,8 +430,20 @@ class TestFamilyFiles:
             ("1 1 1 2 4\n1 3\n2 4\n", "non-empty line after the 1 sets"),
             ("1 2 1 2 4\n1 3\n2 5\n", "element 5 outside 1..4"),
             ("1 2 1 2 4\n0 3\n2 4\n", "element 0 outside 1..4"),
+            ("1 2 1 2 4\n1 3\n2\n", "line 3: set size 1 is not q = 2"),
+            ("1 2 1 2 4\n1 3 4\n2 4\n", "line 2: set size 3 is not q = 2"),
+            ("1 2 1 2 4\n1 3\n4 4\n", "line 3: element 4 repeated"),
+            ("1 2 9 2 4\n1 1\n2\n", "line 1: need k*d < q, got k=1 d=9 q=2"),
+            ("2 2 1 2 4\n1 3\n2 4\n", "line 1: need k*d < q, got k=2 d=1 q=2"),
+            ("1 5 1 2 4\n1 3\n", "line 1: only 4 degree-1 polynomials over GF(2), need 5"),
+            ("1 2 1 2 x\n", "line 1: 'x' is not an integer"),
+            ("1 2 1 2 4\n1 3\n2 4.0\n", "line 3: '4.0' is not an integer"),
         ],
-        ids=["negative-m", "zero-k", "ground", "extra-set", "element-above", "element-zero"],
+        ids=[
+            "negative-m", "zero-k", "ground", "extra-set", "element-above", "element-zero",
+            "set-too-small", "set-too-large", "repeated-element", "degree-too-high", "k-times-d-is-q",
+            "too-few-polynomials", "header-token", "set-token",
+        ],
     )
     def test_a_malformed_family_is_refused(self, tmp_path, text, message):
         path = tmp_path / "bad.txt"

@@ -375,6 +375,23 @@ def test_each_transition_is_stepped_once(monkeypatch, census, algo, n, step_boun
     assert {key for key, _ in stepped} == undecided_within(algo, n, step_bound)
 
 
+
+def test_count_report_lists_the_children_of_each_id_once(monkeypatch):
+    expanded = []  # the keys of the ids whose children the pass asks for, one per call
+    children = ConfigurationSpace.children
+
+    def recording(space, cid):
+        expanded.append(space.configuration(cid).key())
+        return children(space, cid)
+
+    monkeypatch.setattr(ConfigurationSpace, "children", recording)
+    algo = make_algorithm("buggy5")
+    report = count_report(algo, 3, 30)
+    assert len(expanded) == len(set(expanded))
+    assert set(expanded) == undecided_within(algo, 3, 30)
+    assert report == CountReport("buggy5", 3, 30, 43_585, 4_854, 0, 0, 0, 0, 0)
+
+
 class TestTrimming:
     @pytest.mark.parametrize("n", [2, 3])
     def test_count_is_invariant_under_trimming(self, n):

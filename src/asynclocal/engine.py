@@ -388,16 +388,17 @@ def _resolve_inputs(graph: Graph, algo, inputs) -> dict[int, Any]:
 _last_start: tuple | None = None
 
 
-def _start(graph: Graph, algo, inputs) -> tuple[dict, dict, dict, dict]:
-    """``(inputs, new, decisions, params)`` that every run of ``algo`` on ``graph`` starts from.
+def _start(graph: Graph, algo, inputs) -> tuple[dict, ...]:
+    """The seven dicts every run of ``algo`` on ``graph`` starts from.
 
-    These are the resolved inputs, the validated initial pending states in
-    ``graph.nodes`` order, the outputs decided at ``init`` and
-    ``algo.params()``.  On default inputs (``inputs`` None) the last start
-    built is reused while ``graph`` and ``algo`` are the same objects;
-    explicit inputs always build afresh.  A failing ``validate`` or ``init``
-    stores nothing.  The dicts may be shared: callers copy before handing
-    them out and never change them.
+    These are the resolved inputs, the initial registers (all Bottom) and
+    validated pending states, both in ``graph.nodes`` order, the outputs
+    decided at ``init`` with their decision step 0, a runtime of 0 per
+    node and ``algo.params()``.  On default inputs (``inputs`` None) the
+    last start built is reused while ``graph`` and ``algo`` are the same
+    objects; explicit inputs always build afresh.  A failing ``validate``
+    or ``init`` stores nothing.  The dicts are shared: callers copy them
+    before handing them out and never change them.
     """
     global _last_start
     last = _last_start
@@ -405,7 +406,9 @@ def _start(graph: Graph, algo, inputs) -> tuple[dict, dict, dict, dict]:
         return last[2]
     ins = _resolve_inputs(graph, algo, inputs)
     cfg = initial_configuration(graph, algo, ins)
-    start = (ins, cfg.new, cfg.decided(), dict(algo.params()))
+    decisions = cfg.decided()
+    decision_steps, runtimes = dict.fromkeys(decisions, 0), dict.fromkeys(graph.nodes, 0)
+    start = (ins, cfg.old, cfg.new, decisions, decision_steps, runtimes, dict(algo.params()))
     if inputs is None:
         _last_start = (graph, algo, start)
     return start
@@ -463,14 +466,10 @@ def execute(
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     sched, block_iter = _block_source(graph, scheduling)
     # each dict of the start is copied, so no trace shares a mutable object with it
-    ins, start_new, start_decisions, params = _start(graph, algo, inputs)
-    old, new = dict.fromkeys(graph.nodes, BOTTOM), dict(start_new)
+    start = [d.copy() for d in _start(graph, algo, inputs)]
+    ins, old, new, decisions, decision_steps, runtimes, params = start
     adj, nxt, arity = graph.adj, algo.next, algo.arity
     support = frozenset(sched.support_ever)
-
-    decisions: dict[int, Any] = dict(start_decisions)
-    decision_steps: dict[int, int] = dict.fromkeys(start_decisions, 0)
-    runtimes: dict[int, int] = dict.fromkeys(graph.nodes, 0)
 
     # live: the scheduled nodes that have neither decided nor crashed.
     # crashes: the (step, node) crashes still to come, the next one last.
@@ -507,7 +506,7 @@ def execute(
 
     # positional, in field order: sixteen keywords cost about 0.5 us a run, a tenth of a short run
     return Trace(
-        graph, algo.name, dict(params), dict(ins), sched.spec, sched.seed, step_index,
+        graph, algo.name, params, ins, sched.spec, sched.seed, step_index,
         support <= decisions.keys(), decisions, decision_steps, runtimes,
         Configuration(old, new, step_index), sched.support_forever, steps, max_steps, algo.palette,
     )
@@ -577,8 +576,8 @@ class ConfigurationSpace:
     """
 
     def __init__(self, graph: Graph, algo, inputs: dict[int, Any] | None = None):
-        new = dict(_start(graph, algo, inputs)[1])
-        start = Configuration(dict.fromkeys(graph.nodes, BOTTOM), new)
+        old, new = _start(graph, algo, inputs)[1:3]
+        start = Configuration(dict(old), dict(new))
         self.graph, self.algo = graph, algo
         self.ids: dict[tuple, int] = {start.key(): 0}
         self.pairs: list[tuple[dict, dict]] = [(start.old, start.new)]

@@ -220,7 +220,7 @@ class CoverFreeFamily:
         if s is None:
             c0, *high = self.coefficients(color)
             q, first, add, mul = self.q, color - c0, self._field._add, self._field._mul
-            cyclic = list(range(q)) * 2
+            cyclic = list(range(q)) * 2  # cyclic[b : b + q]: b, b+1, ... mod a prime q
             columns = []  # per point x, the elements of the q colors
             for x in range(q):
                 acc = 0

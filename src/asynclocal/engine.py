@@ -504,7 +504,7 @@ def execute(
             states = {v: new[v] for v in active}
             steps.append(StepRecord(step_index, blk, reads, states, decided_now or {}))
 
-    # positional, in field order: sixteen keywords cost about 0.5 us a run, a tenth of a short run
+    # positional, in field order: sixteen keywords would cost about 0.5 us a run
     return Trace(
         graph, algo.name, params, ins, sched.spec, sched.seed, step_index,
         support <= decisions.keys(), decisions, decision_steps, runtimes,

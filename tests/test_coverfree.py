@@ -441,8 +441,8 @@ class TestFamilyFiles:
         ],
         ids=[
             "negative-m", "zero-k", "ground", "extra-set", "element-above", "element-zero",
-            "set-too-small", "set-too-large", "repeated-element", "degree-too-high", "k-times-d-is-q",
-            "too-few-polynomials", "header-token", "set-token",
+            "set-too-small", "set-too-large", "repeated-element", "degree-too-high",
+            "k-times-d-is-q", "too-few-polynomials", "header-token", "set-token",
         ],
     )
     def test_a_malformed_family_is_refused(self, tmp_path, text, message):

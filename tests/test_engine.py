@@ -613,31 +613,41 @@ class TestBlockValidation:
 
 
 def _run_mix():
-    """A seeded mix of runs: (graph, algorithm, a fresh scheduling per call, max_steps)."""
+    """A seeded mix of runs: (graph, algorithm, a maker of a fresh scheduling, max_steps)."""
     rng = random.Random(20)
-    c4 = build_graph("cycle:4", ids=(3, 1, 4, 2))
+    instances = [
+        ("six", "cycle:5", None),
+        ("buggy5", "cycle:4", None),
+        ("save1", "cycle:6", 2),
+        ("linial+save1", "cycle:7", 2),
+        ("linial+save", "circulant:7,2", 4),
+    ]
     runs = []
     for _ in range(60):
-        name, spec, delta = rng.choice(
-            [("six", "cycle:5", None), ("buggy5", "cycle:4", None), ("save1", "cycle:6", 2),
-             ("linial+save1", "cycle:7", 2), ("linial+save", "circulant:7,2", 4)]
-        )
+        name, spec, delta = rng.choice(instances)
         graph = build_graph(spec)
+        nodes = graph.nodes
         algo = make_algorithm(name, id_bound=graph.id_bound, delta=delta)
-        sched = f"random:seed={rng.randrange(10**6)},p={rng.choice([0.3, 0.5, 1.0])!r}"
-        sched += f",crash={rng.choice([0.0, 0.0, 0.2, 0.5])!r}"
-        runs.append((graph, algo, lambda g=graph, s=sched: make_scheduling(s, g), rng.randint(0, 60)))
-        crashes = "|".join(f"{v}@{rng.randint(0, 4)}" for v in graph.nodes if rng.random() < 0.4)
-        runs.append((graph, algo, lambda g=graph, s=f"sync:crashes={crashes}": make_scheduling(s, g), 50))
-        blocks = [rng.sample(graph.nodes, rng.randint(1, 3)) for _ in range(rng.randint(0, 10))]
-        runs.append((graph, algo, lambda b=blocks, g=graph: explicit_scheduling(b, g.nodes), 20))
-        support = frozenset(v for v in graph.nodes if rng.random() < 0.8)
-        crash_times = {v: rng.choice([None, 0, 2, 4]) for v in graph.nodes if rng.random() < 0.5}
-        foreign = [tuple(rng.sample(graph.nodes, rng.randint(1, 3))) for _ in range(rng.randint(0, 12))]
+        seed, p = rng.randrange(10**6), rng.choice([0.3, 0.5, 1.0])
+        rate = rng.choice([0.0, 0.0, 0.2, 0.5])
+        random_spec = f"random:seed={seed},p={p!r},crash={rate!r}"
         runs.append(
-            (graph, algo, lambda b=foreign, g=graph, s=support, c=crash_times: Scheduling(
-                "custom", g.nodes, s, c, None, lambda: iter(b)), 10)
+            (graph, algo, lambda g=graph, s=random_spec: make_scheduling(s, g), rng.randint(0, 60))
         )
+        crashes = "|".join(f"{v}@{rng.randint(0, 4)}" for v in nodes if rng.random() < 0.4)
+        sync_spec = f"sync:crashes={crashes}"
+        runs.append((graph, algo, lambda g=graph, s=sync_spec: make_scheduling(s, g), 50))
+        blocks = [rng.sample(nodes, rng.randint(1, 3)) for _ in range(rng.randint(0, 10))]
+        runs.append((graph, algo, lambda b=blocks, n=nodes: explicit_scheduling(b, n), 20))
+        support = frozenset(v for v in nodes if rng.random() < 0.8)
+        crash_times = {v: rng.choice([None, 0, 2, 4]) for v in nodes if rng.random() < 0.5}
+        foreign = [tuple(rng.sample(nodes, rng.randint(1, 3))) for _ in range(rng.randint(0, 12))]
+
+        def hand_built(b=foreign, n=nodes, s=support, c=crash_times):
+            return Scheduling("custom", n, s, c, None, lambda: iter(b))
+
+        runs.append((graph, algo, hand_built, 10))
+    c4 = build_graph("cycle:4", ids=(3, 1, 4, 2))
     six = make_algorithm("six")
     for sched in enumerate_schedulings(c4.nodes, 3, graph=c4):
         runs.append((c4, six, lambda s=sched: s, DEFAULT_MAX_STEPS))

@@ -303,6 +303,14 @@ class Algorithm:
     An algorithm object is read-only once built: the engine keeps the start
     it validated and initialised for the last (graph, algorithm) pair and
     reuses it for the next run of the same two objects.
+
+    :meth:`next` is a pure function of ``payload``, ``snaps`` and the fields
+    set at construction: it reads no other state and changes none.  States
+    are hashable, as :class:`~asynclocal.engine.ConfigurationSpace` needs,
+    and states that compare equal are interchangeable.  Unrecorded runs rely
+    on this: they keep one table of ``(payload, snaps) -> state`` per
+    algorithm object, keyed on the object itself, and call :meth:`next`
+    only for a pair not yet in it.
     """
 
     name = "abstract"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
@@ -131,7 +132,14 @@ def initial_configuration(graph: Graph, algo, inputs: dict[int, Any]) -> Configu
 
 
 def _apply_block(
-    adj: dict, nxt, arity: int | None, old: dict, new: dict, block: tuple[int, ...], reads=None
+    adj: dict,
+    nxt,
+    arity: int | None,
+    old: dict,
+    new: dict,
+    block: tuple[int, ...],
+    reads=None,
+    table: dict | None = None,
 ):
     """Publish-then-snapshot for one valid block, in place.
 
@@ -143,7 +151,9 @@ def _apply_block(
     decided during this block to their outputs, or is ``None`` when none
     did.  When ``reads`` is a dict, it gets each active node's snapshot
     list.  A node with fewer neighbors than ``arity`` gets its snapshot
-    padded with Bottom.
+    padded with Bottom.  When ``table`` is a dict, it maps ``(payload,
+    tuple(snaps))`` to the state ``nxt`` returned for them: a key found
+    there is not passed to ``nxt`` again, and a key not found is added.
     """
     active = []
     for v in block:
@@ -158,7 +168,13 @@ def _apply_block(
             snaps.append(old[u])
         if arity is not None and len(snaps) < arity:
             snaps += [BOTTOM] * (arity - len(snaps))
-        st = nxt(old[v][1], snaps)
+        if table is None:
+            st = nxt(old[v][1], snaps)
+        else:
+            key = (old[v][1], tuple(snaps))
+            st = table.get(key)
+            if st is None:
+                st = table[key] = nxt(key[0], snaps)
         new[v] = st
         if reads is not None:
             reads[v] = snaps
@@ -388,6 +404,25 @@ def _resolve_inputs(graph: Graph, algo, inputs) -> dict[int, Any]:
 _last_start: tuple | None = None
 
 
+# The transition table of each algorithm object for unrecorded runs: ``(payload,
+# tuple(snaps)) -> state`` (see :func:`_apply_block`).  Keyed on the object, not
+# on its name or parameters: ``wsb.ConstantOutput(0)`` and ``(1)`` see the same
+# payloads and snapshots and decide differently.  A table dies with its object.
+_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+# A table holding more entries than this when a run starts is replaced by a
+# fresh one; a campaign on small graphs holds a few thousand.
+_TABLE_LIMIT = 2**14
+
+
+def _table(algo) -> dict:
+    """The transition table of ``algo``, fresh if it was missing or past the limit."""
+    table = _tables.get(algo)
+    if table is None or len(table) > _TABLE_LIMIT:
+        table = _tables[algo] = {}
+    return table
+
+
 def _start(graph: Graph, algo, inputs) -> tuple[dict, ...]:
     """The seven dicts every run of ``algo`` on ``graph`` starts from.
 
@@ -454,8 +489,12 @@ def execute(
 
     With ``record=False`` no per-step record is built, snapshots included
     (used for large campaigns); decisions, runtimes and the final
-    configuration are always kept.  Recorded or not, a run takes the same
-    steps to the same results.
+    configuration are always kept.  Such a run also looks each activation
+    up in a transition table kept per ``algo`` object, and calls
+    ``algo.next`` only for a ``(payload, snapshots)`` pair that no earlier
+    unrecorded run of ``algo`` met (see :class:`~asynclocal.algorithms.Algorithm`
+    for the purity this relies on).  Recorded runs never touch the table.
+    Recorded or not, a run takes the same steps to the same results.
 
     On default inputs the validated start is built once and reused while
     the following default-input runs are of the same ``graph`` and ``algo``
@@ -480,6 +519,7 @@ def execute(
         crashes.sort(reverse=True)
 
     steps: list[StepRecord] | None = [] if record else None
+    table = None if record else _table(algo)
 
     step_index = 0
     while step_index < max_steps and live:
@@ -492,7 +532,7 @@ def execute(
             break
         step_index += 1
         reads = {} if record else None
-        active, decided_now = _apply_block(adj, nxt, arity, old, new, blk, reads)
+        active, decided_now = _apply_block(adj, nxt, arity, old, new, blk, reads, table)
         for v in active:
             runtimes[v] += 1
         if decided_now:

@@ -374,12 +374,22 @@ _JSON_TYPE_NAMES = {dict: "an object", str: "a string", int: "an integer"}
 
 
 def _read_lines(path) -> Iterator[tuple[int, str]]:
-    """The non-empty lines of a trace file, newline stripped, with their line numbers."""
+    """The non-empty lines of a trace file, newline stripped, with their line numbers.
+
+    Bytes that are no UTF-8 raise :class:`ValueError` naming the file and the
+    last line read before them.  Text is decoded a chunk at a time, so they may
+    lie a few lines further on, and a caller that checks each line as it comes
+    reports a bad record among the lines read before them first.
+    """
+    lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            if raw:
-                yield lineno, raw
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                raw = raw.rstrip("\n")
+                if raw:
+                    yield lineno, raw
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: bytes that are no UTF-8 after line {lineno}") from exc
 
 
 def _check_records(path, numbered: Iterable[tuple[int, str]]) -> tuple[dict | None, bool, list[str]]:

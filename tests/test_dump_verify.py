@@ -215,8 +215,8 @@ def test_a_bad_record_before_undecodable_bytes_is_reported_as_load_trace_does(tm
     error, message = expected
     if where > 1:
         assert (error, message) == (ValueError, f"{path}:2: not a JSON record")
-    else:
-        assert error is UnicodeDecodeError
+    else:  # the whole file is one chunk, which fails to decode before any line is read
+        assert (error, message) == (ValueError, f"{path}: bytes that are no UTF-8 after line 0")
 
 
 def test_a_file_that_reproduces_is_parsed_only_at_its_header(tmp_path, monkeypatch):

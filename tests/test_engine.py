@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asynclocal.algorithms import Identity, SixColoring, make_algorithm
+from asynclocal import engine
+from asynclocal.algorithms import ALGORITHM_NAMES, Identity, SixColoring, make_algorithm
 from asynclocal.engine import (
     DEFAULT_MAX_STEPS,
     Configuration,
@@ -24,6 +25,7 @@ from asynclocal.engine import (
 )
 from asynclocal.graphs import build_graph
 from asynclocal.schedulers import enumerate_schedulings, make_scheduling
+from asynclocal.wsb import ConstantOutput, OutputAfterSeeing, Trimmed, toy_algorithms
 
 
 def six_on_table_cycle():
@@ -678,3 +680,76 @@ def test_recorded_and_unrecorded_runs_agree_and_keep_their_results():
     assert len(outcomes) == 240 + 3615
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
     assert digest == "52b0ff2aeb43390222911ce8561523920026103ab93549032955bec28bb0691d"
+
+
+# a graph each registered algorithm accepts, and the identifier and degree bounds it
+# is built for: the identifier bounds leave Linial a round to run on these small graphs
+_REGISTRY_GRAPHS = {
+    "six": ("cycle:5", None, None),
+    "linial": ("cycle:6", 30, 2),
+    "save": ("cycle:6", None, 2),
+    "save1": ("cycle:6", None, 2),
+    "buggy5": ("cycle:4", None, None),
+    "linial+save": ("circulant:7,2", 100, 4),
+    "linial+save1": ("cycle:7", 30, 2),
+}
+
+
+def test_unrecorded_runs_through_the_transition_tables_equal_recorded_runs():
+    assert set(_REGISTRY_GRAPHS) == set(ALGORITHM_NAMES)
+    clique = build_graph("clique:3")
+    instances = []
+    for name, (spec, id_bound, delta) in _REGISTRY_GRAPHS.items():
+        instances.append((build_graph(spec), make_algorithm(name, id_bound=id_bound, delta=delta)))
+    toys = [*toy_algorithms(3).values(), Trimmed(make_algorithm("six"), 3), Trimmed(OutputAfterSeeing(2), 3)]
+    instances += [(clique, algo) for algo in toys]
+
+    rng = random.Random(21)
+    activations = 0
+    for _ in range(600):
+        graph, algo = rng.choice(instances)
+        nodes = graph.nodes
+        kind = rng.choice(["random", "sync", "explicit"])
+        if kind == "random":
+            p, rate = rng.choice([0.3, 0.5, 1.0]), rng.choice([0.0, 0.2])
+            sched = make_scheduling(f"random:seed={rng.randrange(10**6)},p={p!r},crash={rate!r}", graph)
+        elif kind == "sync":
+            crashes = "|".join(f"{v}@{rng.randint(0, 3)}" for v in nodes if rng.random() < 0.3)
+            sched = make_scheduling(f"sync:crashes={crashes}", graph)
+        else:
+            blocks = [rng.sample(nodes, rng.randint(1, len(nodes))) for _ in range(rng.randint(1, 12))]
+            sched = explicit_scheduling(blocks, nodes)
+        slim = execute(graph, algo, sched, max_steps=60, record=False)
+        full = execute(graph, algo, sched, max_steps=60)
+        assert _outcome(slim) == _outcome(full), (algo, sched.spec)
+        activations += sum(slim.runtimes.values())
+
+    # every object has a table of its own, and more lookups found their key than added it
+    algos = [algo for _, algo in instances]
+    assert all(engine._tables.get(algo) for algo in algos)
+    assert sum(len(engine._tables[algo]) for algo in algos) < activations / 2
+
+    # two objects that meet the same payloads and snapshots but decide differently
+    zero, one = ConstantOutput(0), ConstantOutput(1)
+    for seed in range(3):
+        traces = [
+            execute(clique, algo, make_scheduling(f"random:seed={seed}", clique), record=False)
+            for algo in (zero, one, zero)
+        ]
+        assert set(traces[0].decisions.values()) == {0} == set(traces[2].decisions.values())
+        assert set(traces[1].decisions.values()) == {1}
+
+
+def test_a_transition_table_past_its_limit_is_replaced_at_the_next_run():
+    graph = build_graph("cycle:1000")
+    algo = make_algorithm("linial+save1", id_bound=graph.id_bound, delta=2)
+    sizes = []
+    for seed in range(8):
+        spec = f"random:seed={seed},p=0.5,crash=0.1"
+        slim = execute(graph, algo, make_scheduling(spec, graph), record=False)
+        size = len(engine._tables[algo])
+        assert size <= engine._TABLE_LIMIT + sum(slim.runtimes.values())
+        sizes.append(size)
+        assert _outcome(slim) == _outcome(execute(graph, algo, make_scheduling(spec, graph)))
+    assert max(sizes) > engine._TABLE_LIMIT  # the limit was reached
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # and the table replaced

@@ -160,6 +160,12 @@ def field(q: int) -> Field:
     return Field(q)
 
 
+@cache
+def _color_sets(q: int) -> dict[int, frozenset[int]]:
+    """The ``color -> set`` cache that every family over GF(q) shares."""
+    return {}
+
+
 def _field_sizes() -> Iterator[int]:
     """Usable field orders in ascending order: 2,3,4,5,7,8,9,...,32, then primes."""
     yield from _SMALL_ORDERS
@@ -176,8 +182,9 @@ class CoverFreeFamily:
     Color c (1-based) names the polynomial with index c-1; its set is the
     polynomial's graph {x*q + p(x) + 1 : x in GF(q)}, of size exactly q.
     Sets are materialized lazily, one block of q colors at a time, and
-    cached per color, so families with millions of colors stay cheap when
-    only a few colors are touched.
+    cached per color in one cache per field order, so families with
+    millions of colors stay cheap when only a few colors are touched, and
+    families over the same field build each set once.
     """
 
     __slots__ = ("k", "m", "q", "d", "_field", "_sets")
@@ -192,7 +199,7 @@ class CoverFreeFamily:
         self.q = q
         self.d = d
         self._field = field(q)
-        self._sets: dict[int, frozenset[int]] = {}
+        self._sets = _color_sets(q)
 
     @property
     def ground_size(self) -> int:
@@ -215,11 +222,19 @@ class CoverFreeFamily:
         With p(x) = c_0 + x*h(x), Horner's rule gives b = x*h(x) once per
         point x; the values b + c_0 of the q colors at x are then a row of a
         tabulated field's addition table, or b, b+1, ... cyclically mod a prime q.
+        A set depends on q and ``color`` only (higher zero coefficients add
+        nothing), so every family over GF(q) shares one cache of them.
         """
+        if not 1 <= color <= self.m:
+            raise ValueError(f"color {color} outside 1..{self.m}")
         s = self._sets.get(color)
         if s is None:
-            c0, *high = self.coefficients(color)
-            q, first, add, mul = self.q, color - c0, self._field._add, self._field._mul
+            q, add, mul = self.q, self._field._add, self._field._mul
+            j, c0 = divmod(color - 1, q)
+            high = []  # c_1, c_2, ... up to the last nonzero one
+            while j:
+                j, c = divmod(j, q)
+                high.append(c)
             cyclic = list(range(q)) * 2  # cyclic[b : b + q]: b, b+1, ... mod a prime q
             columns = []  # per point x, the elements of the q colors
             for x in range(q):
@@ -229,7 +244,7 @@ class CoverFreeFamily:
                 b = acc * x % q if add is None else mul[x][acc]
                 values = cyclic[b : b + q] if add is None else add[b]
                 columns.append(map((x * q + 1).__add__, values))
-            for c, points in zip(range(first, min(first + q, self.m + 1)), zip(*columns)):
+            for c, points in zip(range(color - c0, color - c0 + q), zip(*columns)):
                 self._sets[c] = frozenset(points)
             s = self._sets[color]
         return s

@@ -23,6 +23,19 @@ Spec strings:
 Explicit crash times may be appended as ``crashes=2@0|4@3`` (node@step,
 step >= 0; a node with crash step t appears in no block after the t-th).
 
+The random stream of ``random:seed=S,p=P,crash=R`` is, in this order:
+``random.Random(S)`` draws, per node in ascending order, one value (the
+node is faulty if it is below R) and then values until one is below 0.3
+(the crash step is the number drawn before it); then ``randrange(2**63)``
+of the same generator is the block seed.  A second generator seeded with
+the block seed makes the blocks: each try of a step draws once per alive
+node, in node order, and keeps the nodes whose value is below P.  It is a
+``_random.Random``, the core of ``random.Random`` without its Python
+seeding wrapper, whose ``random()`` values are the same.  At P = 1 every
+value is below P, so each block is the alive tuple, as for ``sync``: no
+block seed is drawn and no block generator seeded, and with R = 0 as well
+no generator is seeded at all.
+
 Every block a scheduling yields is canonical when it is made (nonempty,
 distinct nodes of the graph, ascending), so the engine runs the blocks of
 a :class:`Scheduling` without checking them again.
@@ -30,6 +43,8 @@ a :class:`Scheduling` without checking them again.
 
 from __future__ import annotations
 
+import _random
+import functools
 import itertools
 import os
 import random
@@ -117,35 +132,36 @@ def _known_crashes(crashes: dict[int, int], graph: Graph) -> dict[int, int]:
     return crashes
 
 
-def _alive_phases(nodes, crash_times) -> Iterator[tuple[int | None, tuple[int, ...]]]:
-    """The non-crashed nodes of each step, as ``(last_step, alive)`` runs.
+def _block_stream(alive, crash_times, ends, p, block_seed, canon) -> Iterator[tuple[int, ...]]:
+    """The blocks of a ``sync`` or ``random`` scheduling, one per step.
 
-    A node with crash step t appears in steps 1..t only, so the alive set
-    changes only after a crash step: each run ends at one (``None``: never
-    ends).  Runs are made as they are reached, and stop before the first
-    step with no node alive.
+    ``alive`` holds the nodes that appear in step 1, and ``ends`` the sorted
+    distinct crash steps >= 1: a node with crash step t appears in steps
+    1..t only, so the alive nodes change only after a step in ``ends``.  The
+    stream stops before the first step with no node alive.  Without
+    ``block_seed`` each block is the alive tuple; with it, each try draws
+    once per alive node, in node order, from one generator seeded with
+    ``block_seed``, and an empty block is redrawn.
     """
-    alive = nodes
-    start = 1
-    for last in sorted({t for t in crash_times.values() if t is not None and t >= 1}) + [None]:
-        alive = tuple([v for v in alive if crash_times[v] is None or crash_times[v] >= start])
+    draw = None if block_seed is None else _random.Random(block_seed).random
+    step = 0
+    for last in ends + [None]:
         if not alive:
             return
-        yield last, alive
-        if last is not None:
-            start = last + 1
-
-
-def _random_block(draw, alive: tuple[int, ...], p: float, canon: str, step: int) -> tuple[int, ...]:
-    """One draw per alive node, in node order, an empty block being redrawn."""
-    blk = ()
-    tries = 0
-    while not blk:
-        if tries == _MAX_EMPTY_DRAWS:
-            raise SchedulingError(f"{canon}: {tries} empty blocks in a row at step {step}")
-        blk = tuple([v for v in alive if draw() < p])
-        tries += 1
-    return blk
+        while last is None or step < last:
+            step += 1
+            if draw is None:
+                yield alive
+                continue
+            blk = tuple([v for v in alive if draw() < p])
+            tries = 1
+            while not blk:
+                if tries == _MAX_EMPTY_DRAWS:
+                    raise SchedulingError(f"{canon}: {tries} empty blocks in a row at step {step}")
+                blk = tuple([v for v in alive if draw() < p])
+                tries += 1
+            yield blk
+        alive = tuple([v for v in alive if crash_times[v] is None or crash_times[v] > last])
 
 
 # the parameters each stream kind takes
@@ -182,7 +198,8 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
     unknown = set(params) - _STREAM_PARAMS[kind]
     if unknown:
         raise SchedulingError(f"unknown {kind} parameters {sorted(unknown)}")
-    seed = block_seed = p = None
+    seed = None
+    p, rate = 1.0, 0.0  # sync: every try keeps every alive node, and no node is faulty
     parts = []
     if kind == "random":
         if "seed" not in params:
@@ -200,13 +217,16 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
         if not 0.0 <= rate < 1.0:
             raise SchedulingError(f"crash rate must be in [0,1), got {rate}")
         parts = [f"seed={seed}", f"p={p!r}", f"crash={rate!r}"]
-    pinned = {**_known_crashes(_parse_crashes(params.get("crashes", "")), graph), **crashes}
+    pinned = crashes
+    if "crashes" in params:
+        pinned = {**_known_crashes(_parse_crashes(params["crashes"]), graph), **crashes}
     if pinned:
         parts.append("crashes=" + "|".join(f"{v}@{t}" for v, t in sorted(pinned.items())))
     canon = kind + (":" + ",".join(parts) if parts else "")
 
     ct: dict[int, int | None] = dict.fromkeys(nodes)
-    if seed is not None:
+    block_seed = None
+    if rate or p < 1.0:  # sync, and p = 1 without crashes, use no value of the stream
         rng = random.Random(seed)
         rnd = rng.random
         for v in nodes:  # fixed draw order keeps the stream seed-deterministic
@@ -215,19 +235,16 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
             while rnd() >= _CRASH_STOP:
                 t += 1
             ct[v] = t if faulty else None
-        block_seed = rng.randrange(2**63)
+        if p < 1.0:  # at p = 1 every draw is below p: the block is the alive tuple
+            block_seed = rng.randrange(2**63)
     ct.update(pinned)
 
-    def factory():
-        # sync yields the alive nodes; random picks a block of them with a fresh stream
-        draw = None if block_seed is None else random.Random(block_seed).random
-        step = 0
-        for last, alive in _alive_phases(nodes, ct):
-            while last is None or step < last:
-                step += 1
-                yield alive if draw is None else _random_block(draw, alive, p, canon, step)
-
-    ever = frozenset([v for v in nodes if ct[v] != 0])
+    ends = sorted({t for t in ct.values() if t})  # the distinct crash steps >= 1
+    alive, ever = nodes, graph.node_set
+    if 0 in ct.values():  # crash step 0: the node never appears
+        alive = tuple([v for v in nodes if ct[v] != 0])
+        ever = frozenset(alive)
+    factory = functools.partial(_block_stream, alive, ct, ends, p, block_seed, canon)
     return Scheduling(canon, nodes, ever, ct, seed, factory, _checked=True)
 
 

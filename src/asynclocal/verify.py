@@ -377,9 +377,12 @@ def _read_lines(path) -> Iterator[tuple[int, str]]:
     """The non-empty lines of a trace file, newline stripped, with their line numbers.
 
     Bytes that are no UTF-8 raise :class:`ValueError` naming the file and the
-    last line read before them.  Text is decoded a chunk at a time, so they may
-    lie a few lines further on, and a caller that checks each line as it comes
-    reports a bad record among the lines read before them first.
+    line that holds the first of them, every line before it being yielded
+    first.  Text is decoded a chunk at a time, so only then is the file read
+    again as bytes to find that line, its line breaks counted as text mode
+    counts them (``\n``, ``\r\n`` and ``\r``).  A caller that checks each
+    line as it comes thus reports a bad record on an earlier line first,
+    whatever the chunk size.
     """
     lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -389,7 +392,21 @@ def _read_lines(path) -> Iterator[tuple[int, str]]:
                 if raw:
                     yield lineno, raw
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: bytes that are no UTF-8 after line {lineno}") from exc
+            error = exc
+        else:
+            return
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        text = data[: exc.start].decode("utf-8")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    # lines[-1] is the start of the line holding the bytes; those before it are whole
+    for n, raw in enumerate(lines[lineno:-1], start=lineno + 1):
+        if raw:
+            yield n, raw
+    raise ValueError(f"{path}: bytes that are no UTF-8 on line {len(lines)}") from error
 
 
 def _check_records(path, numbered: Iterable[tuple[int, str]]) -> tuple[dict | None, bool, list[str]]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asynclocal
+from asynclocal import coverfree
 from asynclocal.coverfree import (
     CoverFreeFamily,
     Field,
@@ -304,6 +305,32 @@ class TestSetFor:
             rng.shuffle(colors)
             fresh = CoverFreeFamily(fam.k, fam.m, fam.q, fam.d)
             assert [fresh.set_for(color) for color in colors] == [expected[c - 1] for c in colors]
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize(
+        "small, large",
+        [((3, 10, 7, 2), (1, 300, 7, 3)), ((1, 5, 8, 1), (2, 64, 8, 3)), ((2, 30, 11, 2), (1, 121, 11, 10))],
+    )
+    def test_families_over_one_field_share_each_set(self, small, large, flip):
+        # a set depends on (q, color) only: not on k, d or m, nor on which family made it first
+        coverfree._color_sets.cache_clear()
+        families = [CoverFreeFamily(*small), CoverFreeFamily(*large)]
+        if flip:
+            families.reverse()
+        rng = random.Random(7)
+        made = []
+        for fam in families:
+            colors = list(range(1, fam.m + 1))
+            rng.shuffle(colors)
+            made.append({color: fam.set_for(color) for color in colors})
+        first, second = made
+        for color in range(1, min(small[1], large[1]) + 1):
+            assert first[color] is second[color]
+            assert first[color] == horner_set(families[0], color)
+        for fam, sets in zip(families, made):
+            assert fam.sets == [sets[c] for c in range(1, fam.m + 1)]
+            with pytest.raises(ValueError, match=f"color {fam.m + 1} outside 1..{fam.m}"):
+                fam.set_for(fam.m + 1)
 
 
 def horner_set(fam, color):

@@ -205,18 +205,40 @@ def linial_trace():
 
 @pytest.mark.parametrize("where", [1, 9000])
 def test_a_bad_record_before_undecodable_bytes_is_reported_as_load_trace_does(tmp_path, where):
-    # text is decoded a chunk at a time, so bytes far past a bad record fail only after it is parsed
+    # whether or not the bytes share the bad record's chunk, every line before them is checked first
     path = tmp_path / "run.jsonl"
     linial_trace().dump(path)
     header = path.read_bytes().split(b"\n")[0]
     path.write_bytes(header + b"\nnot json\n" + b"\n" * where + b"\xff\n")
     expected = outcome(eager_verify, path, [])
     assert outcome(verify.verify_trace_file, path, []) == expected
-    error, message = expected
-    if where > 1:
-        assert (error, message) == (ValueError, f"{path}:2: not a JSON record")
-    else:  # the whole file is one chunk, which fails to decode before any line is read
-        assert (error, message) == (ValueError, f"{path}: bytes that are no UTF-8 after line 0")
+    assert expected == (ValueError, f"{path}:2: not a JSON record")
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize("bad_line, padding", [(4, 0), (15, 12), (4, 9000), (2, 20000)])
+def test_undecodable_bytes_are_reported_on_their_line(tmp_path, newline, bad_line, padding):
+    # line breaks count as text mode counts them; the bytes may sit in the first chunk or far past it
+    path = tmp_path / "run.jsonl"
+    linial_trace().dump(path)
+    lines = path.read_bytes().split(b"\n")[:-1]
+    lines[1:1] = [b""] * padding  # blank lines are no records, but they are lines
+    assert len(lines) >= bad_line
+    lines.insert(bad_line - 1, b"\xff")
+    path.write_bytes(newline.join(lines) + newline)
+    expected = (ValueError, f"{path}: bytes that are no UTF-8 on line {bad_line}")
+    assert outcome(eager_verify, path, []) == expected
+    assert outcome(verify.verify_trace_file, path, []) == expected
+
+
+def test_a_bad_byte_inside_a_record_names_that_record_line(tmp_path):
+    path = tmp_path / "run.jsonl"
+    linial_trace().dump(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[6] = lines[6][:10] + b"\xc3" + lines[6][10:]  # a lead byte with no continuation
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=f"bytes that are no UTF-8 on line 7$"):
+        verify.load_trace(path)
 
 
 def test_a_file_that_reproduces_is_parsed_only_at_its_header(tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
+import _random
 import itertools
 import random
+import re
+import types
 
 import pytest
 
@@ -15,7 +18,7 @@ from asynclocal.engine import (
     initial_configuration,
     step,
 )
-from asynclocal.graphs import build_graph
+from asynclocal.graphs import build_graph, random_tree
 from asynclocal.schedulers import (
     GUARD_ENV,
     SEARCH_PROPERTIES,
@@ -30,6 +33,10 @@ from asynclocal.schedulers import (
 from asynclocal.algorithms import make_algorithm
 from asynclocal.verify import TABLE2_GRAPH, check_proper
 from asynclocal.wsb import ConstantOutput
+
+
+# where pinned crashes come from: none, the spec's crashes=, the argument, or both
+PIN_KINDS = ("none", "spec", "argument", "both")
 
 
 def certificate_json(cert):
@@ -192,21 +199,37 @@ class TestRandom:
 
     def test_blocks_match_the_per_step_definition(self):
         # the definition: crash draws, then a block seed, then one draw per
-        # alive node (in node order) per try, an empty block being redrawn
-        for spec_seed, p, rate in itertools.product(range(40), (0.3, 0.5, 1.0), (0.0, 0.25)):
-            graph = build_graph("cycle:7")
+        # alive node (in node order) per try, an empty block being redrawn;
+        # pinned crashes replace drawn ones, and p = 1 is no exception
+        graphs = [build_graph(spec) for spec in ("cycle:7", "cycle:3", "cycle:12", "circulant:7,2")]
+        for graph, pins in itertools.product(graphs + [random_tree(12, 4, 5)], PIN_KINDS):
+            self.check_the_definition(graph, pins)
+
+    @staticmethod
+    def check_the_definition(graph, pins):
+        nodes = graph.nodes
+        in_spec = {"none": {}, "spec": {nodes[1]: 0, nodes[-1]: 3}, "argument": {}}
+        in_spec["both"] = {nodes[0]: 5, nodes[2]: 1}
+        argument = {"none": {}, "spec": {}, "argument": {nodes[0]: 2, nodes[2]: 0}}
+        argument["both"] = {nodes[0]: 0, nodes[1]: 4}
+        in_spec, argument = in_spec[pins], argument[pins]
+        pinned = {**in_spec, **argument}
+        suffix = ",crashes=" + "|".join(f"{v}@{t}" for v, t in in_spec.items()) if in_spec else ""
+        seeds = range(40) if pins == "none" else range(10)
+        for spec_seed, p, rate in itertools.product(seeds, (0.3, 0.5, 0.8, 1.0), (0.0, 0.1, 0.25)):
             rng = random.Random(spec_seed)
             ct = {}
-            for v in graph.nodes:
+            for v in nodes:
                 faulty = rng.random() < rate
                 t = 0
                 while rng.random() >= 0.3:
                     t += 1
                 ct[v] = t if faulty else None
             block_rng = random.Random(rng.randrange(2**63))
+            ct.update(pinned)
             want = []
-            for step in range(1, 31):
-                alive = [v for v in graph.nodes if ct[v] is None or ct[v] >= step]
+            for step in range(1, 61):
+                alive = [v for v in nodes if ct[v] is None or ct[v] >= step]
                 if not alive:
                     break
                 while True:
@@ -214,9 +237,70 @@ class TestRandom:
                     if blk:
                         break
                 want.append(blk)
-            sched = make_scheduling(f"random:seed={spec_seed},p={p},crash={rate}", graph)
+            spec = f"random:seed={spec_seed},p={p},crash={rate}{suffix}"
+            sched = make_scheduling(spec, graph, crashes=argument or None)
             assert sched.crash_times == ct
-            assert take(sched, 30) == want
+            assert list(sched.crash_times) == list(nodes)
+            assert sched.support_ever == frozenset(v for v in nodes if ct[v] != 0)
+            assert sched.support_forever == frozenset(v for v in nodes if ct[v] is None)
+            assert take(sched, 60) == want
+            assert take(sched, 60) == want  # blocks() restarts from the first block
+
+    def test_the_block_generator_draws_the_values_of_random_Random(self):
+        # blocks are drawn from _random.Random, which skips random.Random's Python seeding wrapper
+        rng = random.Random(3)
+        for seed in (0, 1, 7, 2**31 - 1, 2**32, 2**63 - 1, *(rng.randrange(2**63) for _ in range(5))):
+            core = _random.Random(seed).random
+            full = random.Random(seed).random
+            assert [core() for _ in range(1000)] == [full() for _ in range(1000)]
+
+    @pytest.mark.parametrize("rate", [0.0, 0.25])
+    def test_probability_one_reads_no_block_stream(self, monkeypatch, rate):
+        # every draw is below 1.0, so no block seed is drawn and no block generator seeded;
+        # without crashes no value of the first generator is used either, so none is seeded
+        graph = build_graph("cycle:12")
+        spec = f"random:seed=17,p=1.0,crash={rate}"
+        want = make_scheduling(spec, graph)
+        want_blocks = take(want, 40)
+        seeded = []
+
+        class FirstOnly(random.Random):
+            def __init__(self, seed):
+                seeded.append(seed)
+                super().__init__(seed)
+
+            def randrange(self, *args):
+                raise AssertionError("a block seed was drawn at p = 1")
+
+        def no_block_generator(seed):
+            raise AssertionError("a block generator was seeded at p = 1")
+
+        monkeypatch.setattr(schedulers, "random", types.SimpleNamespace(Random=FirstOnly))
+        monkeypatch.setattr(schedulers, "_random", types.SimpleNamespace(Random=no_block_generator))
+        sched = make_scheduling(spec, graph)
+        assert (sched.crash_times, take(sched, 40)) == (want.crash_times, want_blocks)
+        assert seeded == ([17] if rate else [])
+        assert want_blocks[0] == graph.nodes
+
+    def test_empty_redraws_stop_after_exactly_the_bound(self, monkeypatch):
+        # find the number k of empty tries before the first nonempty block of step 1
+        graph = build_graph("cycle:5")
+        rng = random.Random(2)
+        for _ in graph.nodes:  # crash = 0.0: one faulty draw, then the crash-step draws
+            rng.random()
+            while rng.random() >= 0.3:
+                pass
+        block_rng = random.Random(rng.randrange(2**63))
+        k = 0
+        while not (blk := tuple(v for v in graph.nodes if block_rng.random() < 0.001)):
+            k += 1
+        assert k > 1
+        spec = "random:seed=2,p=0.001,crash=0.0"
+        monkeypatch.setattr(schedulers, "_MAX_EMPTY_DRAWS", k)
+        with pytest.raises(SchedulingError, match=f"^{re.escape(spec)}: {k} empty blocks in a row at step 1$"):
+            take(make_scheduling(spec, graph), 1)
+        monkeypatch.setattr(schedulers, "_MAX_EMPTY_DRAWS", k + 1)
+        assert take(make_scheduling(spec, graph), 1) == [blk]
 
     def test_empty_redraws_are_bounded(self, monkeypatch):
         monkeypatch.setattr(schedulers, "_MAX_EMPTY_DRAWS", 3)

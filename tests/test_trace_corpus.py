@@ -9,7 +9,8 @@ It also checks that a run without recording agrees with the recorded one.
 The corpus covers all seven registry names, ``linial`` with one and two
 reduction rounds (``cycle:50`` and ``cycle:200``), and ``sync``,
 ``random`` with crashes and ``explicit`` schedulings in which some nodes
-stop appearing.
+stop appearing, and ``random`` at p = 1 with crashes and without, which
+seeds no generator.
 """
 
 import hashlib
@@ -73,6 +74,8 @@ CORPUS = [
      "7ac7166b90649c895fc557640a17209c24c71719b5ccdc609f769fb6d20c3ce2"),
     ("linial+save1", ("cycle:12", None), "random:seed=17,p=1.0,crash=0.25", 1000,
      "9aac1e6b67fa4d957db7734e84256a9b59163ae34d79c04d8b33791cb9e06328"),
+    ("linial+save1", ("cycle:30", None), "random:seed=6,p=1.0,crash=0.0", 1000,
+     "fdccf93a1b9c59ed837616bcc575b916d16f38c0388ccfe454571ff8f1f4a7c7"),
     ("linial+save1", ("cycle:50", None), "explicit:1,2,3,4,5/6,7,8/1,2,3,4,5,6,7,8,9,10", 1000,
      "8d4547cf2e379a53d32484841aa70ba87eb2453b55e5cc770056bee2eccf3895"),
 ]

@@ -607,7 +607,7 @@ class ConfigurationSpace:
     ``(old, new)`` dicts, in ``graph.nodes`` order, and ``successors[i]``
     memoises the transitions out of id ``i`` as ``{block: id}``, so a block
     is applied to a configuration at most once (the state caching of
-    explicit-state model checkers).  Only this class reads the two; walkers
+    explicit-state model checkers).  Only ``engine`` reads the two; walkers
     use :meth:`successor`, :meth:`undecided`, :meth:`children` and
     :meth:`configuration`.  Blocks are trusted to be canonical (distinct
     nodes of ``graph``, ascending).  ``len(space)`` counts the

@@ -252,18 +252,18 @@ def read_scheduling(path) -> list[tuple[int, ...]]:
     """Read a scheduling file: one block per line, space-separated node ids.
 
     Blocks come back as written; :func:`explicit_scheduling` sorts them and
-    drops repeated nodes.
+    drops repeated nodes.  The file is read once by the trace files' line
+    reader, so bytes that are no UTF-8 raise ValueError naming their line.
     """
     blocks = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                blocks.append(tuple([int(x) for x in line.split()]))
-            except ValueError as exc:
-                raise SchedulingError(f"{path}:{lineno}: malformed block {line!r}") from exc
+    for lineno, raw in _verify._lines_of(path):
+        line = _verify._decoded(path, lineno, raw).strip()
+        if not line:
+            continue
+        try:
+            blocks.append(tuple([int(x) for x in line.split()]))
+        except ValueError as exc:
+            raise SchedulingError(f"{path}:{lineno}: malformed block {line!r}") from exc
     return blocks
 
 

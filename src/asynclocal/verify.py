@@ -11,10 +11,12 @@ coloring, and a configuration-repetition certificate for the flawed
 5-coloring rule on a four-node cycle.  They are transcribed constants,
 not regenerated output, so any drift in the engine is caught.
 
-A loaded trace file is its header and raw lines; ``load_trace`` checks each
-record as read.  ``verify_trace_file`` looks up check names before it reads
-the file, then compares bytes first: it parses only the header on line 1,
-and parses the other lines only when something does not reproduce.
+Trace files and ``replay:`` scheduling files are read once, as bytes, by
+one line reader that decodes a line only when it is parsed.  ``load_trace``
+checks every record.  ``verify_trace_file`` looks up check names first,
+parses only the header on line 1, and compares the other lines with the
+replay's bytes, parsing them only when something does not reproduce.  A
+replay runs at most one step past the file; a header may not hold ``replay:``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from .algorithms import Algorithm, make_algorithm
 from .engine import (
@@ -351,10 +353,10 @@ def reproduce_table(which: str) -> Verdict:
 
 @dataclass
 class LoadedTrace:
-    """A checked trace file: its header record and its non-empty lines, as read."""
+    """A trace file: its header record and its non-empty lines (as text once checked)."""
 
     header: dict
-    lines: list[str]
+    lines: list
 
     @property
     def graph(self) -> Graph:
@@ -373,48 +375,33 @@ _HEADER_TYPES = {
 _JSON_TYPE_NAMES = {dict: "an object", str: "a string", int: "an integer"}
 
 
-def _read_lines(path) -> Iterator[tuple[int, str]]:
-    """The non-empty lines of a trace file, newline stripped, with their line numbers.
+def _lines_of(path) -> list[tuple[int, bytes]]:
+    """The non-empty lines of a file, as bytes, with their line numbers.
 
-    Bytes that are no UTF-8 raise :class:`ValueError` naming the file and the
-    line that holds the first of them, every line before it being yielded
-    first.  Text is decoded a chunk at a time, so only then is the file read
-    again as bytes to find that line, its line breaks counted as text mode
-    counts them (``\n``, ``\r\n`` and ``\r``).  A caller that checks each
-    line as it comes thus reports a bad record on an earlier line first,
-    whatever the chunk size.
+    The file is read once.  Lines break where text mode breaks them
+    (``\n``, ``\r\n`` and ``\r``, as :meth:`bytes.splitlines` does), and
+    :func:`_decoded` decodes a line only when it is parsed.
     """
-    lineno = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                raw = raw.rstrip("\n")
-                if raw:
-                    yield lineno, raw
-        except UnicodeDecodeError as exc:
-            error = exc
-        else:
-            return
     with open(path, "rb") as fh:
         data = fh.read()
+    return [(lineno, line) for lineno, line in enumerate(data.splitlines(), start=1) if line]
+
+
+def _decoded(path, lineno: int, line: bytes) -> str:
+    """A line from :func:`_lines_of` as text; bytes that are no UTF-8 raise ValueError."""
     try:
-        text = data.decode("utf-8")
+        return line.decode("utf-8")
     except UnicodeDecodeError as exc:
-        text = data[: exc.start].decode("utf-8")
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    # lines[-1] is the start of the line holding the bytes; those before it are whole
-    for n, raw in enumerate(lines[lineno:-1], start=lineno + 1):
-        if raw:
-            yield n, raw
-    raise ValueError(f"{path}: bytes that are no UTF-8 on line {len(lines)}") from error
+        raise ValueError(f"{path}: bytes that are no UTF-8 on line {lineno}") from exc
 
 
-def _check_records(path, numbered: Iterable[tuple[int, str]]) -> tuple[dict | None, bool, list[str]]:
+def _check_records(path, numbered: Iterable[tuple[int, bytes]]) -> tuple[dict | None, bool, list[str]]:
     """Parse each line as a header, step or end record: the header, whether an end came, the lines."""
     header = None
     has_end = False
     lines: list[str] = []
-    for lineno, raw in numbered:
+    for lineno, line in numbered:
+        raw = _decoded(path, lineno, line)
         try:
             rec = json.loads(raw)
             kind = rec.get("type")
@@ -449,9 +436,11 @@ def _check_header(path, header: dict) -> None:
             if type(value) is not int:
                 field = f"{key}[{json.dumps(name)}]"
                 raise ValueError(f"{path}: trace header {field} must be an integer, got {value!r}")
+    if header["sched"].partition(":")[0] == "replay":  # a trace records blocks, never a file to read
+        raise ValueError(f"{path}: trace header sched may not name a file, got {header['sched']!r}")
 
 
-def _checked(path, numbered: Iterable[tuple[int, str]]) -> LoadedTrace:
+def _checked(path, numbered: Iterable[tuple[int, bytes]]) -> LoadedTrace:
     """Every line checked as a record, then the header, as ``load_trace`` does."""
     header, has_end, lines = _check_records(path, numbered)
     if header is None or not has_end:
@@ -461,13 +450,15 @@ def _checked(path, numbered: Iterable[tuple[int, str]]) -> LoadedTrace:
 
 
 def load_trace(path) -> LoadedTrace:
-    """Read a trace file, check every record, and keep its header and raw lines.
+    """Read a trace file, check every record, and keep its header and lines as text.
 
-    Raises ValueError for a line that is no header, step or end record, for a
-    header lacking a field a replay reads or holding it with the wrong JSON type,
-    and for any ``params`` or ``inputs`` value that is not an integer.
+    Raises ValueError for bytes that are no UTF-8 (naming their line), for a
+    line that is no header, step or end record, for a header lacking a field
+    a replay reads or holding it with the wrong JSON type, for any ``params``
+    or ``inputs`` value that is not an integer, and for a ``replay:``
+    scheduling.
     """
-    return _checked(path, _read_lines(path))
+    return _checked(path, _lines_of(path))
 
 
 def algorithm_from_header(header: dict) -> Algorithm:
@@ -485,61 +476,62 @@ def algorithm_from_header(header: dict) -> Algorithm:
 
 
 def replay_trace(loaded: LoadedTrace) -> Trace:
-    """Re-execute a loaded trace from its header alone."""
+    """Re-execute a loaded trace from its header alone, one step past the file at most.
+
+    A file of N records holds N - 2 steps, so a replay of more than N - 1
+    cannot reproduce it, and its first N lines are those of the capped one.
+    The replayed trace carries the header's ``max_steps``.
+    """
     from .schedulers import make_scheduling  # deferred: schedulers imports this module
 
+    header = loaded.header
     graph = loaded.graph
-    if graph.hash != loaded.header["graph_hash"]:
+    if graph.hash != header["graph_hash"]:
         raise ValueError("trace header graph does not match its recorded hash")
-    algo = algorithm_from_header(loaded.header)
-    inputs = {int(k): v for k, v in loaded.header["inputs"].items()}
-    sched = make_scheduling(loaded.header["sched"], graph)
-    return execute(graph, algo, sched, inputs=inputs, max_steps=loaded.header["max_steps"])
+    algo = algorithm_from_header(header)
+    inputs = {int(k): v for k, v in header["inputs"].items()}
+    sched = make_scheduling(header["sched"], graph)
+    max_steps = header["max_steps"]  # a negative one raises in execute
+    trace = execute(graph, algo, sched, inputs=inputs, max_steps=min(max_steps, len(loaded.lines) - 1))
+    trace.max_steps = max_steps
+    return trace
 
 
 def verify_trace_file(path, checks: list[str] | None = None) -> list[Verdict]:
     """Replay a trace file, compare it line by line, then run the named checks.
 
     Check names are looked up before the file is read.  The file is read once,
-    and only its first record is parsed (as the header) before the replay: a
-    line equal to the replay's is a well-formed record and needs no parse.  If
-    anything goes wrong (the first record is no header or fails a header check,
-    the replay raises, or a line differs), every held line is first checked as
-    ``load_trace`` checks it, so each error, verdict and witness is the one that
-    loading, replaying and comparing give.
+    as bytes, and only its first line is decoded and parsed (as the header)
+    before the replay: a line equal to the replay's bytes is a well-formed
+    record and needs no parse.  If anything goes wrong (the first record is no
+    header or fails a header check, the replay raises, or a line differs),
+    every line is first checked as ``load_trace`` checks it, so each error,
+    verdict and witness is the one that loading, replaying and comparing give.
     """
     checkers = [_checker(name) for name in checks or []]
-    held: list[tuple[int, str]] = []
+    numbered = _lines_of(path)
+    lines = [line for _, line in numbered]
     try:
-        for numbered in _read_lines(path):
-            held.append(numbered)
-    except (OSError, ValueError):  # e.g. bytes that are no UTF-8: a bad record read before them wins
-        _check_records(path, held)
-        raise
-    lines = [raw for _, raw in held]
-    try:
-        trace = replay_trace(LoadedTrace(_leading_header(path, lines), lines))
+        header = json.loads(_decoded(path, *numbered[0]))
+        if header["type"] != "header":
+            raise ValueError("the first record is no header")
+        _check_header(path, header)
+        trace = replay_trace(LoadedTrace(header, lines))
+        del header  # the parsed graph need not be held while the lines are compared
     except Exception:  # any failure takes the eager path below
         trace = None
     if trace is None:  # load_trace's error comes first; a header further down replays as before
-        trace = replay_trace(_checked(path, held))
-    pairs = zip_longest(lines, trace.jsonl_lines(), fillvalue="<missing>")
-    for record, (kept, replayed) in enumerate(pairs):
-        if kept != replayed:
-            _checked(path, held)  # a malformed line is an error before it is a divergence
+        trace = replay_trace(_checked(path, numbered))
+    replayed_lines = (line.encode() for line in trace.jsonl_lines())
+    for record, (kept, replayed) in enumerate(zip_longest(lines, replayed_lines)):
+        if kept != replayed:  # None past either end
+            # a malformed line is an error before it is a divergence
+            kept = [*_checked(path, numbered).lines, "<missing>"][record]
+            witness = (kept, (replayed or b"<missing>").decode())
             detail = f"re-execution diverges from the file at record {record}"
-            return [Verdict(False, "replay", detail, witness=(kept, replayed))]
+            return [Verdict(False, "replay", detail, witness=witness)]
     verdicts = [Verdict(True, "replay", f"{len(lines)} records reproduced exactly")]
     return verdicts + [checker(trace) for checker in checkers]
-
-
-def _leading_header(path, lines: list[str]) -> dict:
-    """The first record, parsed and checked as the header; raises if it is none."""
-    header = json.loads(lines[0])
-    if header["type"] != "header":
-        raise ValueError("the first record is no header")
-    _check_header(path, header)
-    return header
 
 
 CHECKS = {

@@ -145,6 +145,16 @@ class TestRun:
         assert code == 0
         assert out[0].startswith("replay: pass")
 
+    def test_replay_file_with_undecodable_bytes_names_its_line(self, capsys, tmp_path):
+        sched = tmp_path / "sched.txt"
+        sched.write_bytes(b"1 3\n\n2 \xff\n4\n")
+        code, out, err = run_cli(
+            capsys, "run", "--algo", "six", "--graph", "cycle:4", "--sched", f"replay:{sched}"
+        )
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == [f"error: {sched}: bytes that are no UTF-8 on line 3"]
+
     def test_unknown_algorithm(self, capsys):
         code, _, err = run_cli(capsys, "run", "--algo", "rainbow", "--graph", "cycle:4")
         assert code == 2

@@ -241,6 +241,31 @@ def test_a_bad_byte_inside_a_record_names_that_record_line(tmp_path):
         verify.load_trace(path)
 
 
+@pytest.mark.parametrize("damage", ["none", "diverging", "undecodable"])
+def test_a_trace_file_is_opened_once(tmp_path, monkeypatch, damage):
+    path = tmp_path / "run.jsonl"
+    linial_trace().dump(path)
+    lines = path.read_bytes().split(b"\n")
+    if damage == "diverging":
+        lines[3] = lines[4]
+    elif damage == "undecodable":
+        lines[5] = b"\xff"
+    path.write_bytes(b"\n".join(lines))
+
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "open", spy, raising=False)
+    for fn in (verify.verify_trace_file, verify.load_trace):
+        opened.clear()
+        with contextlib.suppress(ValueError):  # the undecodable file is refused
+            fn(path)
+        assert opened == [path]
+
+
 def test_a_file_that_reproduces_is_parsed_only_at_its_header(tmp_path, monkeypatch):
     path = tmp_path / "run.jsonl"
     linial_trace().dump(path)

@@ -367,6 +367,19 @@ class TestExplicitAndReplay:
         assert list(sched.blocks()) == [(1, 3), (2,)]
         assert sched.spec == "explicit:1,3/2"
 
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
+    def test_replay_file_breaks_lines_as_text_mode_does(self, tmp_path, newline):
+        text = b"3 1\n\n2 4\n  \n1 2 3 4"
+        path = tmp_path / "sched.txt"
+        path.write_bytes(text)
+        blocks = read_scheduling(path)
+        assert blocks == [(3, 1), (2, 4), (1, 2, 3, 4)]
+        path.write_bytes(text.replace(b"\n", newline))
+        assert read_scheduling(path) == blocks
+        path.write_bytes(text.replace(b"\n", newline) + b"\nfour")
+        with pytest.raises(SchedulingError, match="sched.txt:6: malformed block 'four'$"):
+            read_scheduling(path)
+
     def test_replay_malformed_line(self, tmp_path):
         path = tmp_path / "sched.txt"
         path.write_text("1 2\nthree\n")

@@ -1,5 +1,9 @@
+import json
+import re
+
 import pytest
 
+from asynclocal import schedulers, verify
 from asynclocal.algorithms import ALGORITHM_NAMES, Identity, make_algorithm
 from asynclocal.engine import Trace, execute
 from asynclocal.graphs import build_graph
@@ -353,6 +357,63 @@ class TestTraceFiles:
             fh.write("[1]\n")
         with pytest.raises(ValueError, match="not a JSON record"):
             load_trace(path)
+
+    def test_a_header_naming_a_scheduling_file_is_refused_unread(self, tmp_path, monkeypatch):
+        _, path = self.run_and_dump(tmp_path)
+        sched = tmp_path / "sched.txt"
+        sched.write_text("1 2 3 4 5 6\n")  # a valid one-block file
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["sched"] = f"replay:{sched}"
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+
+        opened, built = [], []
+
+        def spy(file, *args):
+            opened.append(file)
+            return open(file, *args)
+
+        monkeypatch.setattr(verify, "open", spy, raising=False)
+        monkeypatch.setattr(schedulers, "make_scheduling", lambda *a: built.append(a))
+        message = f"{path}: trace header sched may not name a file, got 'replay:{sched}'"
+        for fn in (verify_trace_file, load_trace):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                fn(path)
+        assert opened == [path, path]
+        assert built == []
+
+    def test_a_replay_stops_one_step_past_the_file(self, tmp_path, monkeypatch):
+        graph = build_graph("cycle:4", ids=(3, 4, 2, 1))
+        sched = make_scheduling("sync:crashes=1@1|2@1", graph)
+        path = tmp_path / "run.jsonl"
+        execute(graph, make_algorithm("buggy5"), sched, max_steps=20).dump(path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 22
+        header = json.loads(lines[0])
+        header["max_steps"] = 10**9
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+
+        uncapped = execute(graph, make_algorithm("buggy5"), sched, max_steps=5000)
+        uncapped.max_steps = 10**9
+        assert uncapped.step_count == 5000
+        record, pair = next(
+            (i, pair) for i, pair in enumerate(zip(lines, uncapped.jsonl_lines())) if pair[0] != pair[1]
+        )
+
+        replays = []
+
+        def spy(*args, **kwargs):
+            trace = execute(*args, **kwargs)
+            replays.append(trace.step_count)
+            return trace
+
+        monkeypatch.setattr(verify, "execute", spy)
+        [verdict] = verify_trace_file(path)
+        assert replays == [21]
+        assert verdict.detail == f"re-execution diverges from the file at record {record}"
+        assert verdict.witness == pair
+        assert record == 21  # the file's end record against the replay's step 21
 
 
 class TestAlgorithmFromHeader:

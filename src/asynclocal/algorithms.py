@@ -310,7 +310,8 @@ class Algorithm:
     and states that compare equal are interchangeable.  Unrecorded runs rely
     on this: they keep one table of ``(payload, snaps) -> state`` per
     algorithm object, keyed on the object itself, and call :meth:`next`
-    only for a pair not yet in it.
+    only for a pair not yet in it.  ``snaps`` is a list in recorded runs
+    and a tuple in unrecorded ones, so :meth:`next` only reads it.
     """
 
     name = "abstract"

@@ -468,43 +468,53 @@ def load_family(path) -> LoadedFamily:
     outside 1..ground, a missing set or a non-empty line after the m-th set
     raises :class:`ValueError` naming ``path``.  So does, naming the line
     too, a token that is not an integer, a header with k*d >= q or fewer
-    than m polynomials of degree d (q^(d+1) < m), and a set line whose size
-    is not q or that repeats an element.
+    than m polynomials of degree d (q^(d+1) < m), a set line whose size is
+    not q or that repeats an element, and a line holding bytes that are no
+    UTF-8.  Each line is decoded when it is parsed, so the first fault in
+    the file is the one reported.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 5:
-            raise ValueError(f"{path}: malformed family header")
-        k, m, d, q, ground = _integers(header, path, 1)
-        if k < 1 or m < 1:
-            raise ValueError(f"{path}: k and m must be positive, got k = {k}, m = {m}")
-        if ground != q * q:
-            raise ValueError(f"{path}: ground size {ground} is not q^2 = {q * q}")
-        if k * d >= q:
-            raise ValueError(f"{path}: line 1: need k*d < q, got k={k} d={d} q={q}")
-        if q ** (d + 1) < m:
-            raise ValueError(
-                f"{path}: line 1: only {q ** (d + 1)} degree-{d} polynomials over GF({q}), need {m}"
-            )
-        sets = []
-        for lineno in range(2, m + 2):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: family file ended before all sets were read")
-            tokens = _integers(line.split(), path, lineno)
-            elements = frozenset(tokens)
-            if len(tokens) != q:
-                raise ValueError(f"{path}: line {lineno}: set size {len(tokens)} is not q = {q}")
-            if len(elements) != q:
-                again = next(e for i, e in enumerate(tokens) if e in tokens[:i])
-                raise ValueError(f"{path}: line {lineno}: element {again} repeated")
-            for e in elements:
-                if not 1 <= e <= ground:
-                    raise ValueError(f"{path}: element {e} outside 1..{ground}")
-            sets.append(elements)
-        if any(line.strip() for line in fh):
-            raise ValueError(f"{path}: non-empty line after the {m} sets")
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # breaks where text mode does: \n, \r\n and \r
+    header = _line(path, lines, 1).split() if lines else []
+    if len(header) != 5:
+        raise ValueError(f"{path}: malformed family header")
+    k, m, d, q, ground = _integers(header, path, 1)
+    if k < 1 or m < 1:
+        raise ValueError(f"{path}: k and m must be positive, got k = {k}, m = {m}")
+    if ground != q * q:
+        raise ValueError(f"{path}: ground size {ground} is not q^2 = {q * q}")
+    if k * d >= q:
+        raise ValueError(f"{path}: line 1: need k*d < q, got k={k} d={d} q={q}")
+    if q ** (d + 1) < m:
+        raise ValueError(
+            f"{path}: line 1: only {q ** (d + 1)} degree-{d} polynomials over GF({q}), need {m}"
+        )
+    sets = []
+    for lineno in range(2, m + 2):
+        if lineno > len(lines):
+            raise ValueError(f"{path}: family file ended before all sets were read")
+        tokens = _integers(_line(path, lines, lineno).split(), path, lineno)
+        elements = frozenset(tokens)
+        if len(tokens) != q:
+            raise ValueError(f"{path}: line {lineno}: set size {len(tokens)} is not q = {q}")
+        if len(elements) != q:
+            again = next(e for i, e in enumerate(tokens) if e in tokens[:i])
+            raise ValueError(f"{path}: line {lineno}: element {again} repeated")
+        for e in elements:
+            if not 1 <= e <= ground:
+                raise ValueError(f"{path}: element {e} outside 1..{ground}")
+        sets.append(elements)
+    if any(_line(path, lines, lineno).strip() for lineno in range(m + 2, len(lines) + 1)):
+        raise ValueError(f"{path}: non-empty line after the {m} sets")
     return LoadedFamily(k, m, d, q, ground, tuple(sets))
+
+
+def _line(path, lines: list[bytes], lineno: int) -> str:
+    """Line ``lineno`` (from 1) of ``lines`` as text; bytes that are no UTF-8 raise ValueError."""
+    try:
+        return lines[lineno - 1].decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: bytes that are no UTF-8 on line {lineno}") from None
 
 
 def _integers(tokens: list[str], path, lineno: int) -> list[int]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
@@ -139,7 +140,6 @@ def _apply_block(
     new: dict,
     block: tuple[int, ...],
     reads=None,
-    table: dict | None = None,
 ):
     """Publish-then-snapshot for one valid block, in place.
 
@@ -151,9 +151,9 @@ def _apply_block(
     decided during this block to their outputs, or is ``None`` when none
     did.  When ``reads`` is a dict, it gets each active node's snapshot
     list.  A node with fewer neighbors than ``arity`` gets its snapshot
-    padded with Bottom.  When ``table`` is a dict, it maps ``(payload,
-    tuple(snaps))`` to the state ``nxt`` returned for them: a key found
-    there is not passed to ``nxt`` again, and a key not found is added.
+    padded with Bottom.  Recorded runs, :func:`step` and
+    :meth:`ConfigurationSpace.successor` step through here; unrecorded runs
+    of :func:`execute` do the same work inline.
     """
     active = []
     for v in block:
@@ -168,13 +168,7 @@ def _apply_block(
             snaps.append(old[u])
         if arity is not None and len(snaps) < arity:
             snaps += [BOTTOM] * (arity - len(snaps))
-        if table is None:
-            st = nxt(old[v][1], snaps)
-        else:
-            key = (old[v][1], tuple(snaps))
-            st = table.get(key)
-            if st is None:
-                st = table[key] = nxt(key[0], snaps)
+        st = nxt(old[v][1], snaps)
         new[v] = st
         if reads is not None:
             reads[v] = snaps
@@ -217,9 +211,12 @@ def step(graph: Graph, algo, cfg: Configuration, block: Iterable[int]) -> Config
 class Scheduling:
     """A block source plus the crash/support metadata the engine consumes.
 
-    It stores only what its constructors cannot derive.  ``crash_times``
-    maps a node to the last step it may appear in (``None``: it never
-    crashes) and is empty for an explicit scheduling.
+    It stores only what its constructors cannot derive, and the nodes
+    that never crash (``_forever``), which
+    :func:`~asynclocal.schedulers.make_scheduling` works out once when it
+    draws the crash times.  ``crash_times`` maps a node to the last step
+    it may appear in (``None``: it never crashes) and is empty for an
+    explicit scheduling.
 
     The constructors in :mod:`asynclocal.schedulers` and
     :func:`explicit_scheduling` make only canonical blocks (distinct nodes
@@ -236,10 +233,17 @@ class Scheduling:
     seed: int | None
     _factory: Callable[[], Iterator[tuple[int, ...]]]
     _checked: bool = field(default=False, repr=False)
+    _forever: frozenset[int] | None = field(default=None, repr=False)
 
     @property
     def support_forever(self) -> frozenset[int]:
-        """The nodes that never crash: those whose crash time is ``None``."""
+        """The nodes that never crash: those whose crash time is ``None``.
+
+        The set stored at build, when there is one; otherwise worked out
+        from ``crash_times`` on every call.
+        """
+        if self._forever is not None:
+            return self._forever
         ct = self.crash_times
         if not ct:  # explicit schedulings, enumerated by the thousand, skip the scan
             return frozenset()
@@ -405,9 +409,11 @@ _last_start: tuple | None = None
 
 
 # The transition table of each algorithm object for unrecorded runs: ``(payload,
-# tuple(snaps)) -> state`` (see :func:`_apply_block`).  Keyed on the object, not
-# on its name or parameters: ``wsb.ConstantOutput(0)`` and ``(1)`` see the same
-# payloads and snapshots and decide differently.  A table dies with its object.
+# snaps) -> state``, ``snaps`` as a tuple (see :func:`execute`).  Keyed on the
+# object, not on its name or parameters: ``wsb.ConstantOutput(0)`` and ``(1)`` see
+# the same payloads and snapshots and decide differently.  A table dies with its
+# object.  A start holds its algorithm's table too, so a run looks here only at
+# the first unrecorded run of its start, or when the table is past the limit.
 _tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 # A table holding more entries than this when a run starts is replaced by a
@@ -423,16 +429,49 @@ def _table(algo) -> dict:
     return table
 
 
-def _start(graph: Graph, algo, inputs) -> tuple[dict, ...]:
-    """The seven dicts every run of ``algo`` on ``graph`` starts from.
+def _snapshot_reader(nbrs: tuple[int, ...], arity: int | None) -> Callable[[dict], tuple]:
+    """A function from a register dict to the snapshot tuple of a node with neighbors ``nbrs``.
+
+    The snapshot lists the registers of ``nbrs`` in order, padded with
+    Bottom up to ``arity``: the snapshot list :func:`_apply_block` builds,
+    as a tuple.  Two or more neighbors are read by one ``itemgetter``.
+    """
+    pad = (BOTTOM,) * (arity - len(nbrs)) if arity is not None and arity > len(nbrs) else ()
+    if len(nbrs) >= 2:
+        get = operator.itemgetter(*nbrs)
+        return get if not pad else lambda regs: get(regs) + pad
+    if nbrs:  # an itemgetter of one key returns the value, not a 1-tuple
+        (u,) = nbrs
+        return lambda regs: (regs[u], *pad)
+    return lambda regs: pad
+
+
+@dataclass(slots=True)
+class _Start:
+    """What every run of one algorithm object on one graph starts from (see :func:`_start`).
+
+    ``dicts`` are the seven dicts a run copies.  ``readers`` maps each node
+    to its :func:`_snapshot_reader` and ``table`` is the algorithm's
+    transition table; an unrecorded run fills both on first use, and a
+    recorded run reads neither.
+    """
+
+    dicts: tuple[dict, ...]
+    readers: dict[int, Callable[[dict], tuple]] | None = None
+    table: dict | None = None
+
+
+def _start(graph: Graph, algo, inputs) -> _Start:
+    """The start every run of ``algo`` on ``graph`` copies its seven dicts from.
 
     These are the resolved inputs, the initial registers (all Bottom) and
     validated pending states, both in ``graph.nodes`` order, the outputs
     decided at ``init`` with their decision step 0, a runtime of 0 per
     node and ``algo.params()``.  On default inputs (``inputs`` None) the
     last start built is reused while ``graph`` and ``algo`` are the same
-    objects; explicit inputs always build afresh.  A failing ``validate``
-    or ``init`` stores nothing.  The dicts are shared: callers copy them
+    objects, with the snapshot readers and transition table it holds;
+    explicit inputs always build afresh.  A failing ``validate`` or
+    ``init`` stores nothing.  The dicts are shared: callers copy them
     before handing them out and never change them.
     """
     global _last_start
@@ -443,7 +482,7 @@ def _start(graph: Graph, algo, inputs) -> tuple[dict, ...]:
     cfg = initial_configuration(graph, algo, ins)
     decisions = cfg.decided()
     decision_steps, runtimes = dict.fromkeys(decisions, 0), dict.fromkeys(graph.nodes, 0)
-    start = (ins, cfg.old, cfg.new, decisions, decision_steps, runtimes, dict(algo.params()))
+    start = _Start((ins, cfg.old, cfg.new, decisions, decision_steps, runtimes, dict(algo.params())))
     if inputs is None:
         _last_start = (graph, algo, start)
     return start
@@ -489,25 +528,29 @@ def execute(
 
     With ``record=False`` no per-step record is built, snapshots included
     (used for large campaigns); decisions, runtimes and the final
-    configuration are always kept.  Such a run also looks each activation
-    up in a transition table kept per ``algo`` object, and calls
-    ``algo.next`` only for a ``(payload, snapshots)`` pair that no earlier
+    configuration are always kept.  Such a run does each block's work in
+    one inline pass: it publishes the block's undecided nodes, then reads
+    each one's snapshot as a tuple through a per-node reader, looks
+    ``(payload, snapshot)`` up in a transition table kept per ``algo``
+    object, and calls ``algo.next`` only for a pair that no earlier
     unrecorded run of ``algo`` met (see :class:`~asynclocal.algorithms.Algorithm`
-    for the purity this relies on).  Recorded runs never touch the table.
-    Recorded or not, a run takes the same steps to the same results.
+    for the purity this relies on).  Recorded runs step through
+    :func:`_apply_block`, which builds the snapshot lists they keep, and
+    never touch the table.  Recorded or not, a run takes the same steps to
+    the same results.
 
     On default inputs the validated start is built once and reused while
     the following default-input runs are of the same ``graph`` and ``algo``
-    objects (see :func:`_start`), so ``algo`` must not change once it has
-    run.
+    objects (see :func:`_start`), with its snapshot readers and table, so
+    ``algo`` must not change once it has run.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     sched, block_iter = _block_source(graph, scheduling)
+    start = _start(graph, algo, inputs)
     # each dict of the start is copied, so no trace shares a mutable object with it
-    start = [d.copy() for d in _start(graph, algo, inputs)]
-    ins, old, new, decisions, decision_steps, runtimes, params = start
-    adj, nxt, arity = graph.adj, algo.next, algo.arity
+    ins, old, new, decisions, decision_steps, runtimes, params = [d.copy() for d in start.dicts]
+    nxt = algo.next
     support = frozenset(sched.support_ever)
 
     # live: the scheduled nodes that have neither decided nor crashed.
@@ -518,8 +561,18 @@ def execute(
         crashes = [(t, v) for v, t in sched.crash_times.items() if t is not None and v in live]
         crashes.sort(reverse=True)
 
-    steps: list[StepRecord] | None = [] if record else None
-    table = None if record else _table(algo)
+    steps: list[StepRecord] | None = None
+    if record:
+        steps = []
+        adj, arity = graph.adj, algo.arity
+    else:
+        readers, table = start.readers, start.table
+        if readers is None:
+            readers = {v: _snapshot_reader(nbrs, algo.arity) for v, nbrs in graph.adj.items()}
+            start.readers = readers
+        if table is None or len(table) > _TABLE_LIMIT:
+            table = start.table = _table(algo)
+    del start  # a start for explicit inputs is in no cache: free its dicts before the run
 
     step_index = 0
     while step_index < max_steps and live:
@@ -531,18 +584,38 @@ def execute(
         if blk is None:
             break
         step_index += 1
-        reads = {} if record else None
-        active, decided_now = _apply_block(adj, nxt, arity, old, new, blk, reads, table)
-        for v in active:
-            runtimes[v] += 1
-        if decided_now:
-            for v, out in decided_now.items():
-                decisions[v] = out
-                decision_steps[v] = step_index
-                live.discard(v)
         if record:
+            reads = {}
+            active, decided_now = _apply_block(adj, nxt, arity, old, new, blk, reads)
+            for v in active:
+                runtimes[v] += 1
+            if decided_now:
+                for v, out in decided_now.items():
+                    decisions[v] = out
+                    decision_steps[v] = step_index
+                    live.discard(v)
             states = {v: new[v] for v in active}
             steps.append(StepRecord(step_index, blk, reads, states, decided_now or {}))
+            continue
+        for v in blk:
+            st = new[v]
+            if st[0] != TERMINATED:
+                old[v] = st  # publish
+        # a block's nodes are distinct, so new[v] is still v's state from before the block
+        for v in blk:
+            st = new[v]
+            if st[0] == TERMINATED:
+                continue
+            key = (st[1], readers[v](old))
+            st = table.get(key)
+            if st is None:
+                st = table[key] = nxt(*key)
+            new[v] = st
+            runtimes[v] += 1
+            if st[0] == TERMINATED:
+                decisions[v] = st[1]
+                decision_steps[v] = step_index
+                live.discard(v)
 
     # positional, in field order: sixteen keywords would cost about 0.5 us a run
     return Trace(
@@ -616,7 +689,7 @@ class ConfigurationSpace:
     """
 
     def __init__(self, graph: Graph, algo, inputs: dict[int, Any] | None = None):
-        old, new = _start(graph, algo, inputs)[1:3]
+        old, new = _start(graph, algo, inputs).dicts[1:3]
         start = Configuration(dict(old), dict(new))
         self.graph, self.algo = graph, algo
         self.ids: dict[tuple, int] = {start.key(): 0}

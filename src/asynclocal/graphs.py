@@ -264,12 +264,39 @@ def random_tree(n: int, max_degree: int, seed: int) -> Graph:
 
 
 def load_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"{path}: not valid JSON ({exc})") from exc
+    """Read a graph file written by :func:`dump_graph`.
+
+    Bytes that are no UTF-8 raise :class:`GraphError` naming ``path`` and
+    the line that holds them, as does text that is no JSON.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        lineno = _undecodable_line(path)
+        raise GraphError(f"{path}: bytes that are no UTF-8 on line {lineno}") from None
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"{path}: not valid JSON ({exc})") from exc
     return Graph.from_dict(data)
+
+
+def _undecodable_line(path) -> int:
+    """The line of ``path`` that holds its first byte that is no UTF-8.
+
+    Text mode decodes in chunks, so the error it raises does not tell the
+    line; the bytes are read again here, on the error path only.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    # one more character ends on the bad byte's line; bytes.splitlines breaks
+    # lines where text mode does (\n, \r\n and \r)
+    return len((data + b".").splitlines())
 
 
 def dump_graph(graph: Graph, path) -> None:

@@ -238,6 +238,9 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
         if p < 1.0:  # at p = 1 every draw is below p: the block is the alive tuple
             block_seed = rng.randrange(2**63)
     ct.update(pinned)
+    forever = graph.node_set  # without crash draws or pins, no node ever crashes
+    if rate or pinned:
+        forever = frozenset([v for v, t in ct.items() if t is None])
 
     ends = sorted({t for t in ct.values() if t})  # the distinct crash steps >= 1
     alive, ever = nodes, graph.node_set
@@ -245,7 +248,7 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
         alive = tuple([v for v in nodes if ct[v] != 0])
         ever = frozenset(alive)
     factory = functools.partial(_block_stream, alive, ct, ends, p, block_seed, canon)
-    return Scheduling(canon, nodes, ever, ct, seed, factory, _checked=True)
+    return Scheduling(canon, nodes, ever, ct, seed, factory, _checked=True, _forever=forever)
 
 
 def read_scheduling(path) -> list[tuple[int, ...]]:

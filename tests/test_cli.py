@@ -155,6 +155,14 @@ class TestRun:
         assert out == []
         assert err.splitlines() == [f"error: {sched}: bytes that are no UTF-8 on line 3"]
 
+    def test_graph_file_with_undecodable_bytes_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_bytes(b'{"id_bound": 2,\n "nodes": [\xff]}\n')
+        code, out, err = run_cli(capsys, "run", "--algo", "six", "--graph", str(path))
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == [f"error: {path}: bytes that are no UTF-8 on line 2"]
+
     def test_unknown_algorithm(self, capsys):
         code, _, err = run_cli(capsys, "run", "--algo", "rainbow", "--graph", "cycle:4")
         assert code == 2

@@ -479,6 +479,26 @@ class TestFamilyFiles:
             load_family(path)
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ([b"1 2 1 \xff 4", b"1 3", b"2 4"], "bytes that are no UTF-8 on line 1"),
+            ([b"1 2 1 2 4", b"1 3", b"2 \xff"], "bytes that are no UTF-8 on line 3"),
+            ([b"1 2 1 2 4", b"1 3", b"2 4", b"", b"\xff"], "bytes that are no UTF-8 on line 5"),
+            ([b"1 2 1 2 4", b"1 3 4", b"2 \xff"], "line 2: set size 3 is not q = 2"),
+            ([b"1 3 1 2 4", b"1 x", b"\xff"], "line 2: 'x' is not an integer"),
+        ],
+        ids=["header", "set", "after-the-sets", "earlier-set-first", "earlier-token-first"],
+    )
+    def test_undecodable_bytes_are_reported_on_their_line(self, tmp_path, newline, lines, message):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(ValueError) as info:
+            load_family(path)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{path}: {message}"
+
     def test_blank_lines_after_the_last_set_are_allowed(self, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text("1 1 1 2 4\n1 3\n\n  \n")

@@ -753,3 +753,49 @@ def test_a_transition_table_past_its_limit_is_replaced_at_the_next_run():
         assert _outcome(slim) == _outcome(execute(graph, algo, make_scheduling(spec, graph)))
     assert max(sizes) > engine._TABLE_LIMIT  # the limit was reached
     assert any(b < a for a, b in zip(sizes, sizes[1:]))  # and the table replaced
+
+
+def test_unrecorded_runs_read_short_and_padded_snapshots_as_recorded_runs():
+    # nodes of degree 0 and 1, snapshots padded up to the arity, and one algorithm
+    # object alternating between two graphs on the same nodes, so a snapshot reader
+    # kept for the other graph reads the wrong registers
+    tree = build_graph("tree:12,4,8")
+    other_tree = build_graph("tree:12,4,1")
+    assert tree.nodes == other_tree.nodes and tree.adj != other_tree.adj
+    six, save1 = make_algorithm("six"), make_algorithm("save1", delta=4)
+    alone = [
+        [(build_graph(spec), make_algorithm("six"))] for spec in ("path:1", "clique:1", "path:2", "path:9")
+    ]
+    alone += [
+        [(build_graph("clique:1"), make_algorithm("save1", delta=2))],
+        [(build_graph("path:9"), make_algorithm("save1", delta=2))],
+        [(tree, make_algorithm("save1", delta=4))],
+        [(tree, make_algorithm("linial+save1", id_bound=tree.id_bound, delta=4))],
+    ]
+    alternating = [
+        [(build_graph("path:9"), six), (build_graph("cycle:9"), six)],
+        [(tree, save1), (other_tree, save1)],
+    ]
+    rng = random.Random(25)
+    for instances in alone + alternating:
+        for i in range(40):
+            graph, algo = instances[i % len(instances)]
+            nodes = graph.nodes
+            kind = rng.choice(["random", "sync", "explicit"])
+            if kind == "random":
+                p, rate = rng.choice([0.3, 0.5, 1.0]), rng.choice([0.0, 0.2])
+                sched = make_scheduling(f"random:seed={rng.randrange(10**6)},p={p!r},crash={rate!r}", graph)
+            elif kind == "sync":
+                crashes = "|".join(f"{v}@{rng.randint(0, 3)}" for v in nodes if rng.random() < 0.3)
+                sched = make_scheduling(f"sync:crashes={crashes}", graph)
+            else:
+                blocks = [rng.sample(nodes, rng.randint(1, len(nodes))) for _ in range(rng.randint(1, 12))]
+                sched = explicit_scheduling(blocks, nodes)
+            slim = execute(graph, algo, sched, max_steps=60, record=False)
+            full = execute(graph, algo, sched, max_steps=60)
+            assert _outcome(slim) == _outcome(full), (algo, graph.kind, sched.spec)
+    # the tables hold the snapshots next saw, each padded up to the arity
+    for instances in alone + alternating:
+        algo = instances[0][1]
+        if algo.arity is not None:
+            assert {len(snaps) for _, snaps in engine._tables[algo]} == {algo.arity}

@@ -121,6 +121,18 @@ def test_json_round_trip(tmp_path):
     assert g2.hash == g.hash
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("padding", [0, 9000], ids=["first-chunk", "past-a-chunk"])
+def test_a_graph_file_with_bytes_that_are_no_utf8_names_its_line(tmp_path, newline, padding):
+    # the bad byte sits on line 4, after `padding` spaces on line 3
+    lines = [b"{", b'"id_bound": 2,', b" " * padding + b'"nodes": [', b'{"id": 1, "neighbors": [\xff]}]}']
+    path = tmp_path / "g.json"
+    path.write_bytes(newline.join(lines) + newline)
+    with pytest.raises(GraphError) as info:
+        load_graph(path)
+    assert str(info.value) == f"{path}: bytes that are no UTF-8 on line 4"
+
+
 @pytest.mark.parametrize(
     "path_to, value",
     [

@@ -3,7 +3,7 @@
 Each algorithm is an ``(init, next)`` pair over JSON-friendly payload
 tuples, plus the metadata of :class:`Algorithm` (name, parameters,
 snapshot arity, palette, degree bound).
-``next`` receives the node's current payload and the list of neighbor
+``next`` receives the node's current payload and the tuple of neighbor
 register states in ascending-identifier order -- entries are ``None``
 (never written), ``("R", payload)``, or ``("T", output, payload)`` -- and
 returns the node's new state.
@@ -310,8 +310,7 @@ class Algorithm:
     and states that compare equal are interchangeable.  Unrecorded runs rely
     on this: they keep one table of ``(payload, snaps) -> state`` per
     algorithm object, keyed on the object itself, and call :meth:`next`
-    only for a pair not yet in it.  ``snaps`` is a list in recorded runs
-    and a tuple in unrecorded ones, so :meth:`next` only reads it.
+    only for a pair not yet in it.
     """
 
     name = "abstract"

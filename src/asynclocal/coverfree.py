@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, Sequence
 
+from .graphs import _decoded, _read_lines
+
 __all__ = [
     "Field",
     "field",
@@ -192,7 +194,8 @@ class CoverFreeFamily:
     def __init__(self, k: int, m: int, q: int, d: int):
         if k * d >= q:
             raise ValueError(f"need k*d < q for cover-freeness, got k={k} d={d} q={q}")
-        if q ** (d + 1) < m:
+        # k*d < q makes q >= 2 once d >= 1, so q^(d+1) > m once d + 1 reaches m's bit length
+        if d + 1 < m.bit_length() and q ** (d + 1) < m:
             raise ValueError(f"only {q ** (d + 1)} degree-{d} polynomials over GF({q}), need {m}")
         self.k = k
         self.m = m
@@ -473,9 +476,8 @@ def load_family(path) -> LoadedFamily:
     UTF-8.  Each line is decoded when it is parsed, so the first fault in
     the file is the one reported.
     """
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()  # breaks where text mode does: \n, \r\n and \r
-    header = _line(path, lines, 1).split() if lines else []
+    lines = _read_lines(path)
+    header = _decoded(path, 1, lines[0]).split() if lines else []
     if len(header) != 5:
         raise ValueError(f"{path}: malformed family header")
     k, m, d, q, ground = _integers(header, path, 1)
@@ -485,15 +487,13 @@ def load_family(path) -> LoadedFamily:
         raise ValueError(f"{path}: ground size {ground} is not q^2 = {q * q}")
     if k * d >= q:
         raise ValueError(f"{path}: line 1: need k*d < q, got k={k} d={d} q={q}")
-    if q ** (d + 1) < m:
+    if d + 1 < m.bit_length() and q ** (d + 1) < m:  # no huge power: see CoverFreeFamily
         raise ValueError(
             f"{path}: line 1: only {q ** (d + 1)} degree-{d} polynomials over GF({q}), need {m}"
         )
     sets = []
-    for lineno in range(2, m + 2):
-        if lineno > len(lines):
-            raise ValueError(f"{path}: family file ended before all sets were read")
-        tokens = _integers(_line(path, lines, lineno).split(), path, lineno)
+    for lineno, line in enumerate(lines[1 : m + 1], start=2):
+        tokens = _integers(_decoded(path, lineno, line).split(), path, lineno)
         elements = frozenset(tokens)
         if len(tokens) != q:
             raise ValueError(f"{path}: line {lineno}: set size {len(tokens)} is not q = {q}")
@@ -504,17 +504,11 @@ def load_family(path) -> LoadedFamily:
             if not 1 <= e <= ground:
                 raise ValueError(f"{path}: element {e} outside 1..{ground}")
         sets.append(elements)
-    if any(_line(path, lines, lineno).strip() for lineno in range(m + 2, len(lines) + 1)):
+    if len(sets) < m:
+        raise ValueError(f"{path}: family file ended before all sets were read")
+    if any(_decoded(path, n, line).strip() for n, line in enumerate(lines[m + 1 :], start=m + 2)):
         raise ValueError(f"{path}: non-empty line after the {m} sets")
     return LoadedFamily(k, m, d, q, ground, tuple(sets))
-
-
-def _line(path, lines: list[bytes], lineno: int) -> str:
-    """Line ``lineno`` (from 1) of ``lines`` as text; bytes that are no UTF-8 raise ValueError."""
-    try:
-        return lines[lineno - 1].decode("utf-8")
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: bytes that are no UTF-8 on line {lineno}") from None
 
 
 def _integers(tokens: list[str], path, lineno: int) -> list[int]:

@@ -132,10 +132,27 @@ def initial_configuration(graph: Graph, algo, inputs: dict[int, Any]) -> Configu
     return Configuration(old=dict.fromkeys(nodes, BOTTOM), new=new, step_index=0)
 
 
+def _snapshot_reader(nbrs: tuple[int, ...], arity: int | None) -> Callable[[dict], tuple]:
+    """A function from a register dict to the snapshot of a node with neighbors ``nbrs``.
+
+    The snapshot is a tuple of the registers of ``nbrs`` in order, padded
+    with Bottom up to ``arity``.  This is the only place that knows that
+    order and padding: every stepping path reads snapshots through it.
+    Two or more neighbors are read by one ``itemgetter``.
+    """
+    pad = (BOTTOM,) * (arity - len(nbrs)) if arity is not None and arity > len(nbrs) else ()
+    if len(nbrs) >= 2:
+        get = operator.itemgetter(*nbrs)
+        return get if not pad else lambda regs: get(regs) + pad
+    if nbrs:  # an itemgetter of one key returns the value, not a 1-tuple
+        (u,) = nbrs
+        return lambda regs: (regs[u], *pad)
+    return lambda regs: pad
+
+
 def _apply_block(
-    adj: dict,
+    readers: dict,
     nxt,
-    arity: int | None,
     old: dict,
     new: dict,
     block: tuple[int, ...],
@@ -143,17 +160,17 @@ def _apply_block(
 ):
     """Publish-then-snapshot for one valid block, in place.
 
-    ``adj`` is ``graph.adj``, ``nxt`` the algorithm's ``next`` and
-    ``arity`` its snapshot length; ``old`` and ``new`` are a configuration's
-    dicts, updated in place without changing their key order.  Returns
-    ``(active, decided)``: ``active`` lists the block's nodes that had not
-    decided, which are the ones that ran, and ``decided`` maps those that
-    decided during this block to their outputs, or is ``None`` when none
-    did.  When ``reads`` is a dict, it gets each active node's snapshot
-    list.  A node with fewer neighbors than ``arity`` gets its snapshot
-    padded with Bottom.  Recorded runs, :func:`step` and
-    :meth:`ConfigurationSpace.successor` step through here; unrecorded runs
-    of :func:`execute` do the same work inline.
+    ``readers`` maps each node of ``block`` to its :func:`_snapshot_reader`
+    and ``nxt`` is the algorithm's ``next``; ``old`` and ``new`` are a
+    configuration's dicts, updated in place without changing their key
+    order.  Returns ``(active, decided)``: ``active`` lists the block's
+    nodes that had not decided, which are the ones that ran, and
+    ``decided`` maps those that decided during this block to their
+    outputs, or is ``None`` when none did.  When ``reads`` is a dict, it
+    gets each active node's snapshot.  Recorded runs, :func:`step` and
+    :meth:`ConfigurationSpace.successor` step through here, calling
+    ``nxt`` on every activation; unrecorded runs of :func:`execute` do the
+    same work inline through a transition table.
     """
     active = []
     for v in block:
@@ -163,11 +180,7 @@ def _apply_block(
             active.append(v)
     decided = None
     for v in active:
-        snaps = []
-        for u in adj[v]:  # a plain loop: cheaper than a comprehension on short lists
-            snaps.append(old[u])
-        if arity is not None and len(snaps) < arity:
-            snaps += [BOTTOM] * (arity - len(snaps))
+        snaps = readers[v](old)
         st = nxt(old[v][1], snaps)
         new[v] = st
         if reads is not None:
@@ -198,7 +211,8 @@ def step(graph: Graph, algo, cfg: Configuration, block: Iterable[int]) -> Config
     """Pure single-step transition: returns a fresh configuration."""
     blk = _check_block(block, graph.node_set)
     out = cfg.copy()
-    _apply_block(graph.adj, algo.next, algo.arity, out.old, out.new, blk)
+    readers = {v: _snapshot_reader(graph.adj[v], algo.arity) for v in blk}
+    _apply_block(readers, algo.next, out.old, out.new, blk)
     out.step_index = cfg.step_index + 1
     return out
 
@@ -284,7 +298,7 @@ def _explicit(blocks, nodes: tuple[int, ...], spec: str, support: frozenset[int]
 class StepRecord:
     index: int
     block: tuple[int, ...]
-    reads: dict[int, list]
+    reads: dict[int, tuple]
     new_states: dict[int, Any]
     decided: dict[int, Any]
 
@@ -409,10 +423,9 @@ _last_start: tuple | None = None
 
 
 # The transition table of each algorithm object for unrecorded runs: ``(payload,
-# snaps) -> state``, ``snaps`` as a tuple (see :func:`execute`).  Keyed on the
-# object, not on its name or parameters: ``wsb.ConstantOutput(0)`` and ``(1)`` see
-# the same payloads and snapshots and decide differently.  A table dies with its
-# object.  A start holds its algorithm's table too, so a run looks here only at
+# snaps) -> state`` (see :func:`execute`).  Keyed on the object, not on its name or
+# parameters: ``wsb.ConstantOutput(0)`` and ``(1)`` see the same payloads and
+# snapshots and decide differently.  A table dies with its object.  A start holds its algorithm's table too, so a run looks here only at
 # the first unrecorded run of its start, or when the table is past the limit.
 _tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -429,35 +442,18 @@ def _table(algo) -> dict:
     return table
 
 
-def _snapshot_reader(nbrs: tuple[int, ...], arity: int | None) -> Callable[[dict], tuple]:
-    """A function from a register dict to the snapshot tuple of a node with neighbors ``nbrs``.
-
-    The snapshot lists the registers of ``nbrs`` in order, padded with
-    Bottom up to ``arity``: the snapshot list :func:`_apply_block` builds,
-    as a tuple.  Two or more neighbors are read by one ``itemgetter``.
-    """
-    pad = (BOTTOM,) * (arity - len(nbrs)) if arity is not None and arity > len(nbrs) else ()
-    if len(nbrs) >= 2:
-        get = operator.itemgetter(*nbrs)
-        return get if not pad else lambda regs: get(regs) + pad
-    if nbrs:  # an itemgetter of one key returns the value, not a 1-tuple
-        (u,) = nbrs
-        return lambda regs: (regs[u], *pad)
-    return lambda regs: pad
-
-
 @dataclass(slots=True)
 class _Start:
     """What every run of one algorithm object on one graph starts from (see :func:`_start`).
 
-    ``dicts`` are the seven dicts a run copies.  ``readers`` maps each node
-    to its :func:`_snapshot_reader` and ``table`` is the algorithm's
-    transition table; an unrecorded run fills both on first use, and a
-    recorded run reads neither.
+    ``dicts`` are the seven dicts a run copies and ``readers`` maps each
+    node to its :func:`_snapshot_reader`.  ``table`` is the algorithm's
+    transition table, filled on the first unrecorded run; recorded runs
+    never read it.
     """
 
     dicts: tuple[dict, ...]
-    readers: dict[int, Callable[[dict], tuple]] | None = None
+    readers: dict[int, Callable[[dict], tuple]]
     table: dict | None = None
 
 
@@ -467,12 +463,13 @@ def _start(graph: Graph, algo, inputs) -> _Start:
     These are the resolved inputs, the initial registers (all Bottom) and
     validated pending states, both in ``graph.nodes`` order, the outputs
     decided at ``init`` with their decision step 0, a runtime of 0 per
-    node and ``algo.params()``.  On default inputs (``inputs`` None) the
-    last start built is reused while ``graph`` and ``algo`` are the same
-    objects, with the snapshot readers and transition table it holds;
-    explicit inputs always build afresh.  A failing ``validate`` or
-    ``init`` stores nothing.  The dicts are shared: callers copy them
-    before handing them out and never change them.
+    node and ``algo.params()``; the start also holds every node's snapshot
+    reader.  On default inputs (``inputs`` None) the last start built is
+    reused while ``graph`` and ``algo`` are the same objects, with the
+    readers and transition table it holds; explicit inputs always build
+    afresh.  A failing ``validate`` or ``init`` stores nothing.  The dicts
+    are shared: callers copy them before handing them out and never change
+    them.
     """
     global _last_start
     last = _last_start
@@ -482,7 +479,8 @@ def _start(graph: Graph, algo, inputs) -> _Start:
     cfg = initial_configuration(graph, algo, ins)
     decisions = cfg.decided()
     decision_steps, runtimes = dict.fromkeys(decisions, 0), dict.fromkeys(graph.nodes, 0)
-    start = _Start((ins, cfg.old, cfg.new, decisions, decision_steps, runtimes, dict(algo.params())))
+    dicts = (ins, cfg.old, cfg.new, decisions, decision_steps, runtimes, dict(algo.params()))
+    start = _Start(dicts, {v: _snapshot_reader(nbrs, algo.arity) for v, nbrs in graph.adj.items()})
     if inputs is None:
         _last_start = (graph, algo, start)
     return start
@@ -526,18 +524,19 @@ def execute(
     ``max_steps`` blocks, whichever comes first.  The returned trace is
     flagged ``complete`` exactly when all appearing nodes decided.
 
-    With ``record=False`` no per-step record is built, snapshots included
-    (used for large campaigns); decisions, runtimes and the final
-    configuration are always kept.  Such a run does each block's work in
-    one inline pass: it publishes the block's undecided nodes, then reads
-    each one's snapshot as a tuple through a per-node reader, looks
-    ``(payload, snapshot)`` up in a transition table kept per ``algo``
-    object, and calls ``algo.next`` only for a pair that no earlier
-    unrecorded run of ``algo`` met (see :class:`~asynclocal.algorithms.Algorithm`
-    for the purity this relies on).  Recorded runs step through
-    :func:`_apply_block`, which builds the snapshot lists they keep, and
-    never touch the table.  Recorded or not, a run takes the same steps to
-    the same results.
+    Every run reads each snapshot through the start's per-node
+    :func:`_snapshot_reader`.  With ``record=False`` no per-step record is
+    built, snapshots included (used for large campaigns); decisions,
+    runtimes and the final configuration are always kept.  Such a run does
+    each block's work in one inline pass: it publishes the block's
+    undecided nodes, then for each one looks ``(payload, snapshot)`` up in
+    a transition table kept per ``algo`` object, and calls ``algo.next``
+    only for a pair that no earlier unrecorded run of ``algo`` met (see
+    :class:`~asynclocal.algorithms.Algorithm` for the purity this relies
+    on).  Recorded runs step through :func:`_apply_block`, which calls
+    ``algo.next`` on every activation and never touches the table, so they
+    are the reference the table is checked against.  Recorded or not, a run
+    takes the same steps to the same results.
 
     On default inputs the validated start is built once and reused while
     the following default-input runs are of the same ``graph`` and ``algo``
@@ -562,14 +561,11 @@ def execute(
         crashes.sort(reverse=True)
 
     steps: list[StepRecord] | None = None
+    readers = start.readers
     if record:
         steps = []
-        adj, arity = graph.adj, algo.arity
     else:
-        readers, table = start.readers, start.table
-        if readers is None:
-            readers = {v: _snapshot_reader(nbrs, algo.arity) for v, nbrs in graph.adj.items()}
-            start.readers = readers
+        table = start.table
         if table is None or len(table) > _TABLE_LIMIT:
             table = start.table = _table(algo)
     del start  # a start for explicit inputs is in no cache: free its dicts before the run
@@ -586,7 +582,7 @@ def execute(
         step_index += 1
         if record:
             reads = {}
-            active, decided_now = _apply_block(adj, nxt, arity, old, new, blk, reads)
+            active, decided_now = _apply_block(readers, nxt, old, new, blk, reads)
             for v in active:
                 runtimes[v] += 1
             if decided_now:
@@ -676,12 +672,13 @@ class ConfigurationSpace:
     Built from a graph, an algorithm and its inputs (``None``: the
     defaults), resolved and validated here as :func:`execute` does.  Every
     configuration is interned by its :meth:`Configuration.key` as a dense
-    id in ``ids``, the initial one being id 0: ``pairs[i]`` holds its
-    ``(old, new)`` dicts, in ``graph.nodes`` order, and ``successors[i]``
-    memoises the transitions out of id ``i`` as ``{block: id}``, so a block
-    is applied to a configuration at most once (the state caching of
-    explicit-state model checkers).  Only ``engine`` reads the two; walkers
-    use :meth:`successor`, :meth:`undecided`, :meth:`children` and
+    id in ``ids``, the initial one being id 0, and held only as that key:
+    ``keys[i]`` is the very tuple ``ids`` maps to ``i``, and the dicts a
+    method needs are rebuilt from it.  ``successors[i]`` memoises the
+    transitions out of id ``i`` as ``{block: id}``, so a block is applied
+    to a configuration at most once (the state caching of explicit-state
+    model checkers).  Only ``engine`` reads the two; walkers use
+    :meth:`successor`, :meth:`undecided`, :meth:`children` and
     :meth:`configuration`.  Blocks are trusted to be canonical (distinct
     nodes of ``graph``, ascending).  ``len(space)`` counts the
     configurations; the space never drops one, so a caller that shares it
@@ -689,38 +686,54 @@ class ConfigurationSpace:
     """
 
     def __init__(self, graph: Graph, algo, inputs: dict[int, Any] | None = None):
-        old, new = _start(graph, algo, inputs).dicts[1:3]
-        start = Configuration(dict(old), dict(new))
+        start = _start(graph, algo, inputs)
+        old, new = start.dicts[1:3]
+        key = (*old.values(), *new.values())  # Configuration.key()
         self.graph, self.algo = graph, algo
-        self.ids: dict[tuple, int] = {start.key(): 0}
-        self.pairs: list[tuple[dict, dict]] = [(start.old, start.new)]
+        self.ids: dict[tuple, int] = {key: 0}
+        self.keys: list[tuple] = [key]
         self.successors: list[dict[tuple[int, ...], int]] = [{}]
         self._undecided: dict[int, tuple[int, ...]] = {}
-        self._apply = functools.partial(_apply_block, graph.adj, algo.next, algo.arity)
+        self._held: dict[int, tuple[dict, dict]] = {}
+        self._apply = functools.partial(_apply_block, start.readers, algo.next)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.keys)
+
+    def _dicts(self, cid: int) -> tuple[dict, dict]:
+        """Fresh ``(old, new)`` dicts of id ``cid``, in ``graph.nodes`` order, from its key.
+
+        The dicts of the id last stepped from and of the id it led to are
+        held and copied, so a walk that tries every block of one id, or steps
+        on from the id it reached, rebuilds dicts from a key only when it jumps.
+        """
+        held = self._held.get(cid)
+        if held is None:
+            nodes, key = self.graph.nodes, self.keys[cid]
+            held = dict(zip(nodes, key)), dict(zip(nodes, key[len(nodes):]))
+            self._held = {cid: held}
+        return dict(held[0]), dict(held[1])
 
     def successor(self, cid: int, block: tuple[int, ...]) -> int:
         """The id that ``block`` leads to from id ``cid``, computed on the first call only.
 
-        A miss applies the block to copies of the configuration's dicts and
-        interns the result.
+        A miss applies the block to fresh dicts of ``cid`` (see :meth:`_dicts`)
+        and interns the result.
         """
         memo = self.successors[cid]
         nid = memo.get(block)
         if nid is None:
-            pairs = self.pairs
-            old, new = pairs[cid]
-            old, new = dict(old), dict(new)
+            old, new = self._dicts(cid)
             if not self._apply(old, new, block)[0]:
                 nid = cid  # every node of the block had decided: nothing changed
             else:
-                # (*old.values(), *new.values()) is Configuration.key(), inlined
-                nid = self.ids.setdefault((*old.values(), *new.values()), len(pairs))
-                if nid == len(pairs):
-                    pairs.append((old, new))
+                keys = self.keys
+                key = (*old.values(), *new.values())  # Configuration.key()
+                nid = self.ids.setdefault(key, len(keys))
+                if nid == len(keys):
+                    keys.append(key)
                     self.successors.append({})
+            self._held = {cid: self._held[cid], nid: (old, new)}
             memo[block] = nid
         return nid
 
@@ -728,7 +741,7 @@ class ConfigurationSpace:
         """The undecided nodes of id ``cid`` in ``graph.nodes`` order, found on the first call."""
         u = self._undecided.get(cid)
         if u is None:
-            new = self.pairs[cid][1]
+            new = self._dicts(cid)[1]
             u = self._undecided[cid] = tuple([v for v, st in new.items() if st[0] != TERMINATED])
         return u
 
@@ -742,8 +755,7 @@ class ConfigurationSpace:
 
     def configuration(self, cid: int) -> Configuration:
         """A fresh copy of id ``cid``'s configuration, with step index 0."""
-        old, new = self.pairs[cid]
-        return Configuration(dict(old), dict(new))
+        return Configuration(*self._dicts(cid))
 
 
 def detect_livelock(

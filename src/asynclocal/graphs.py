@@ -263,40 +263,45 @@ def random_tree(n: int, max_degree: int, seed: int) -> Graph:
     )
 
 
+def _read_lines(path, keepends: bool = False) -> list[bytes]:
+    """Every line of the file at ``path``, as bytes, the file read once.
+
+    Lines break where text mode breaks them (LF, CR LF and CR, as
+    :meth:`bytes.splitlines` does), so line ``n`` is item ``n - 1``; with
+    ``keepends`` each line keeps its break.  Every reader of graph, trace,
+    scheduling and family files reads through here, and :func:`_decoded`
+    decodes a line when it is parsed.
+    """
+    with open(path, "rb") as fh:
+        return fh.read().splitlines(keepends)
+
+
+def _decoded(path, lineno: int, line: bytes) -> str:
+    """Line ``lineno`` of ``path`` as text; bytes that are no UTF-8 raise ValueError naming it."""
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: bytes that are no UTF-8 on line {lineno}") from None
+
+
 def load_graph(path) -> Graph:
     """Read a graph file written by :func:`dump_graph`.
 
     Bytes that are no UTF-8 raise :class:`GraphError` naming ``path`` and
-    the line that holds them, as does text that is no JSON.
+    the line that holds them, as does text that is no JSON.  The JSON error
+    counts positions in the text that text mode reads, where every line
+    break is one LF.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        lineno = _undecodable_line(path)
-        raise GraphError(f"{path}: bytes that are no UTF-8 on line {lineno}") from None
+        lines = [_decoded(path, n, line) for n, line in enumerate(_read_lines(path, True), 1)]
+    except ValueError as exc:
+        raise GraphError(str(exc)) from None
+    text = "".join(lines).replace("\r\n", "\n").replace("\r", "\n")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"{path}: not valid JSON ({exc})") from exc
     return Graph.from_dict(data)
-
-
-def _undecodable_line(path) -> int:
-    """The line of ``path`` that holds its first byte that is no UTF-8.
-
-    Text mode decodes in chunks, so the error it raises does not tell the
-    line; the bytes are read again here, on the error path only.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        data = data[: exc.start]
-    # one more character ends on the bad byte's line; bytes.splitlines breaks
-    # lines where text mode does (\n, \r\n and \r)
-    return len((data + b".").splitlines())
 
 
 def dump_graph(graph: Graph, path) -> None:

@@ -65,7 +65,7 @@ from .engine import (
     execute,
     explicit_scheduling,
 )
-from .graphs import Graph
+from .graphs import Graph, _decoded, _read_lines
 
 __all__ = [
     "GUARD_ENV",
@@ -255,12 +255,13 @@ def read_scheduling(path) -> list[tuple[int, ...]]:
     """Read a scheduling file: one block per line, space-separated node ids.
 
     Blocks come back as written; :func:`explicit_scheduling` sorts them and
-    drops repeated nodes.  The file is read once by the trace files' line
-    reader, so bytes that are no UTF-8 raise ValueError naming their line.
+    drops repeated nodes.  The file is read once by the shared line reader
+    of :mod:`asynclocal.graphs`, so bytes that are no UTF-8 raise ValueError
+    naming their line.
     """
     blocks = []
-    for lineno, raw in _verify._lines_of(path):
-        line = _verify._decoded(path, lineno, raw).strip()
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = _decoded(path, lineno, raw).strip()
         if not line:
             continue
         try:

@@ -35,7 +35,7 @@ from .engine import (
     state_from_json,
     step,
 )
-from .graphs import Graph, build_graph
+from .graphs import Graph, _decoded, _read_lines, build_graph
 
 __all__ = [
     "Verdict",
@@ -376,23 +376,8 @@ _JSON_TYPE_NAMES = {dict: "an object", str: "a string", int: "an integer"}
 
 
 def _lines_of(path) -> list[tuple[int, bytes]]:
-    """The non-empty lines of a file, as bytes, with their line numbers.
-
-    The file is read once.  Lines break where text mode breaks them
-    (``\n``, ``\r\n`` and ``\r``, as :meth:`bytes.splitlines` does), and
-    :func:`_decoded` decodes a line only when it is parsed.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return [(lineno, line) for lineno, line in enumerate(data.splitlines(), start=1) if line]
-
-
-def _decoded(path, lineno: int, line: bytes) -> str:
-    """A line from :func:`_lines_of` as text; bytes that are no UTF-8 raise ValueError."""
-    try:
-        return line.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: bytes that are no UTF-8 on line {lineno}") from exc
+    """The non-empty lines of a file, as bytes, with their line numbers (see :func:`_read_lines`)."""
+    return [(lineno, line) for lineno, line in enumerate(_read_lines(path), start=1) if line]
 
 
 def _check_records(path, numbered: Iterable[tuple[int, bytes]]) -> tuple[dict | None, bool, list[str]]:

@@ -2,6 +2,7 @@ import itertools
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -503,6 +504,19 @@ class TestFamilyFiles:
         path = tmp_path / "fam.txt"
         path.write_text("1 1 1 2 4\n1 3\n\n  \n")
         assert load_family(path).sets == (frozenset({1, 3}),)
+
+    def test_a_huge_degree_is_checked_without_the_full_power(self, tmp_path):
+        # q^(d+1) at d = 10^9 would never finish; 2^(d+1) >= m already settles the count
+        d, q = 10**9, 10**9 + 7
+        path = tmp_path / "fam.txt"
+        path.write_text(f"1 5 {d} {q} {q * q}\n")
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            load_family(path)
+        fam = CoverFreeFamily(1, 5, q, d)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == f"{path}: family file ended before all sets were read"
+        assert (fam.m, fam.d) == (5, d)
 
 
 def test_family_repr_mentions_parameters():

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asynclocal import engine, verify
+from asynclocal import engine, graphs, verify
 from asynclocal.algorithms import ALGORITHM_NAMES, make_algorithm
 from asynclocal.cli import main
 from asynclocal.graphs import build_graph
@@ -258,7 +258,7 @@ def test_a_trace_file_is_opened_once(tmp_path, monkeypatch, damage):
         opened.append(file)
         return open(file, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "open", spy, raising=False)
+    monkeypatch.setattr(graphs, "open", spy, raising=False)  # the shared line reader
     for fn in (verify.verify_trace_file, verify.load_trace):
         opened.clear()
         with contextlib.suppress(ValueError):  # the undecodable file is refused

@@ -242,10 +242,12 @@ class TestStartMemo:
         want = trace_bytes(execute(build_graph("cycle:5"), algo, make_scheduling("sync", graph)))
         trace = execute(graph, algo, make_scheduling("sync", graph))
         space = ConfigurationSpace(graph, algo)
+        cfg, before = space.configuration(0), space.configuration(0)
         for states in (trace.inputs, trace.decisions, trace.decision_steps, trace.params,
-                       trace.final.old, trace.final.new, *space.pairs[0]):
+                       trace.final.old, trace.final.new, cfg.old, cfg.new):
             states[1] = "changed"
         assert trace_bytes(execute(graph, algo, make_scheduling("sync", graph))) == want
+        assert space.configuration(0) == ConfigurationSpace(graph, algo).configuration(0) == before
 
 
 class TestTraceFiles:
@@ -386,7 +388,18 @@ class TestConfigurationSpace:
         start = initial_configuration(graph, algo, resolved)
         assert space.configuration(0) == start
         assert space.ids == {start.key(): 0}
-        assert tuple(space.pairs[0][0]) == tuple(space.pairs[0][1]) == graph.nodes
+        cfg = space.configuration(0)
+        assert tuple(cfg.old) == tuple(cfg.new) == graph.nodes
+
+    def test_each_configuration_is_held_once_as_its_interned_key(self):
+        graph, algo = build_graph("cycle:4"), make_algorithm("six")
+        space = ConfigurationSpace(graph, algo)
+        for cid in range(40):
+            space.children(cid)
+        assert len(space) == len(space.keys) == len(space.ids) > 40
+        for key, cid in space.ids.items():
+            assert space.keys[cid] is key
+            assert space.configuration(cid).key() == key
 
     @pytest.mark.parametrize(
         "inputs, error, match",

@@ -122,6 +122,28 @@ def test_json_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize(
+    "body, final_break, detail",
+    [
+        (b' "nodes": [', False, "Expecting value: line 2 column 12 (char 27)"),
+        (b' "nodes": [', True, "Expecting value: line 3 column 1 (char 28)"),
+        (b' "nodes": "ab', False, "Unterminated string starting at: line 2 column 11 (char 26)"),
+        (b' "nodes": "ab', True, "Invalid control character at: line 2 column 14 (char 29)"),
+    ],
+    ids=["open-list", "open-list-final-break", "open-string", "open-string-final-break"],
+)
+def test_a_graph_file_that_is_no_json_is_refused_with_text_mode_positions(
+    tmp_path, newline, body, final_break, detail
+):
+    # every line break counts as one "\n", as in text mode, and a final break is part of the text
+    path = tmp_path / "g.json"
+    path.write_bytes(b'{"id_bound": 2,' + newline + body + (newline if final_break else b""))
+    with pytest.raises(GraphError) as info:
+        load_graph(path)
+    assert str(info.value) == f"{path}: not valid JSON ({detail})"
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("padding", [0, 9000], ids=["first-chunk", "past-a-chunk"])
 def test_a_graph_file_with_bytes_that_are_no_utf8_names_its_line(tmp_path, newline, padding):
     # the bad byte sits on line 4, after `padding` spaces on line 3

@@ -9,8 +9,9 @@ It also checks that a run without recording agrees with the recorded one.
 The corpus covers all seven registry names, ``linial`` with one and two
 reduction rounds (``cycle:50`` and ``cycle:200``), and ``sync``,
 ``random`` with crashes and ``explicit`` schedulings in which some nodes
-stop appearing, and ``random`` at p = 1 with crashes and without, which
-seeds no generator.
+stop appearing, ``random`` at p = 1 with crashes and without, which
+seeds no generator, and ``save1`` on ``path:9`` and a degree-4 tree, whose
+low-degree nodes read snapshots padded up to the arity.
 """
 
 import hashlib
@@ -78,6 +79,11 @@ CORPUS = [
      "fdccf93a1b9c59ed837616bcc575b916d16f38c0388ccfe454571ff8f1f4a7c7"),
     ("linial+save1", ("cycle:50", None), "explicit:1,2,3,4,5/6,7,8/1,2,3,4,5,6,7,8,9,10", 1000,
      "8d4547cf2e379a53d32484841aa70ba87eb2453b55e5cc770056bee2eccf3895"),
+    # nodes of degree below the arity: their snapshots are padded with Bottom
+    ("save1", ("path:9", None), "random:seed=2,p=0.3,crash=0.1", 1000,
+     "d15266e1cf5866b622dd59482e89b26ce1c5ad0b5c2cab793df9ca30688ad44a"),
+    ("save1", ("tree", (12, 4, 8)), "sync:crashes=3@2", 1000,
+     "1e09b6f18227e094a0fb9dc22698b5af6b4b65626518c90ccac3951236e0e469"),
 ]
 
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from asynclocal import schedulers, verify
+from asynclocal import graphs, schedulers, verify
 from asynclocal.algorithms import ALGORITHM_NAMES, Identity, make_algorithm
 from asynclocal.engine import Trace, execute
 from asynclocal.graphs import build_graph
@@ -373,7 +373,7 @@ class TestTraceFiles:
             opened.append(file)
             return open(file, *args)
 
-        monkeypatch.setattr(verify, "open", spy, raising=False)
+        monkeypatch.setattr(graphs, "open", spy, raising=False)  # the shared line reader
         monkeypatch.setattr(schedulers, "make_scheduling", lambda *a: built.append(a))
         message = f"{path}: trace header sched may not name a file, got 'replay:{sched}'"
         for fn in (verify_trace_file, load_trace):

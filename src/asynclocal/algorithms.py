@@ -300,9 +300,12 @@ class Algorithm:
     enforces the degree bound and, where the input is a coloring, that it
     is proper.
 
-    An algorithm object is read-only once built: the engine keeps the start
-    it validated and initialised for the last (graph, algorithm) pair and
-    reuses it for the next run of the same two objects.
+    An algorithm object is read-only once built.  Every run keys on the
+    object itself: the engine keeps, per object, the start it validated
+    and initialised for the object's last graph on default inputs, and
+    reuses it for the next run of the object on that graph.  So objects
+    must be hashable by identity and weakly referenceable, as instances of
+    a class that defines neither ``__eq__`` nor ``__slots__`` are.
 
     :meth:`next` is a pure function of ``payload``, ``snaps`` and the fields
     set at construction: it reads no other state and changes none.  States

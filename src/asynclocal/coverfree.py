@@ -192,6 +192,8 @@ class CoverFreeFamily:
     __slots__ = ("k", "m", "q", "d", "_field", "_sets")
 
     def __init__(self, k: int, m: int, q: int, d: int):
+        if k < 1 or m < 1 or d < 0:
+            raise ValueError(f"need k >= 1, m >= 1 and d >= 0, got k={k} m={m} d={d}")
         if k * d >= q:
             raise ValueError(f"need k*d < q for cover-freeness, got k={k} d={d} q={q}")
         # k*d < q makes q >= 2 once d >= 1, so q^(d+1) > m once d + 1 reaches m's bit length
@@ -470,11 +472,11 @@ def load_family(path) -> LoadedFamily:
     A header with k < 1, m < 1 or a ground size other than q^2, an element
     outside 1..ground, a missing set or a non-empty line after the m-th set
     raises :class:`ValueError` naming ``path``.  So does, naming the line
-    too, a token that is not an integer, a header with k*d >= q or fewer
-    than m polynomials of degree d (q^(d+1) < m), a set line whose size is
-    not q or that repeats an element, and a line holding bytes that are no
-    UTF-8.  Each line is decoded when it is parsed, so the first fault in
-    the file is the one reported.
+    too, a token that is not an integer, a header with d < 0, k*d >= q or
+    fewer than m polynomials of degree d (q^(d+1) < m), a set line whose
+    size is not q or that repeats an element, and a line holding bytes that
+    are no UTF-8.  Each line is decoded when it is parsed, so the first
+    fault in the file is the one reported.
     """
     lines = _read_lines(path)
     header = _decoded(path, 1, lines[0]).split() if lines else []
@@ -483,6 +485,8 @@ def load_family(path) -> LoadedFamily:
     k, m, d, q, ground = _integers(header, path, 1)
     if k < 1 or m < 1:
         raise ValueError(f"{path}: k and m must be positive, got k = {k}, m = {m}")
+    if d < 0:
+        raise ValueError(f"{path}: line 1: degree must be non-negative, got d = {d}")
     if ground != q * q:
         raise ValueError(f"{path}: ground size {ground} is not q^2 = {q * q}")
     if k * d >= q:

@@ -133,7 +133,7 @@ def initial_configuration(graph: Graph, algo, inputs: dict[int, Any]) -> Configu
 
 
 def _snapshot_reader(nbrs: tuple[int, ...], arity: int | None) -> Callable[[dict], tuple]:
-    """A function from a register dict to the snapshot of a node with neighbors ``nbrs``.
+    """A function from a register file to the snapshot of a node with neighbors ``nbrs``.
 
     The snapshot is a tuple of the registers of ``nbrs`` in order, padded
     with Bottom up to ``arity``.  This is the only place that knows that
@@ -150,27 +150,23 @@ def _snapshot_reader(nbrs: tuple[int, ...], arity: int | None) -> Callable[[dict
     return lambda regs: pad
 
 
-def _apply_block(
-    readers: dict,
-    nxt,
-    old: dict,
-    new: dict,
-    block: tuple[int, ...],
-    reads=None,
-):
+def _apply_block(readers, nxt, old, new, block: Iterable[int], reads=None):
     """Publish-then-snapshot for one valid block, in place.
 
     ``readers`` maps each node of ``block`` to its :func:`_snapshot_reader`
-    and ``nxt`` is the algorithm's ``next``; ``old`` and ``new`` are a
-    configuration's dicts, updated in place without changing their key
-    order.  Returns ``(active, decided)``: ``active`` lists the block's
-    nodes that had not decided, which are the ones that ran, and
-    ``decided`` maps those that decided during this block to their
-    outputs, or is ``None`` when none did.  When ``reads`` is a dict, it
-    gets each active node's snapshot.  Recorded runs, :func:`step` and
-    :meth:`ConfigurationSpace.successor` step through here, calling
-    ``nxt`` on every activation; unrecorded runs of :func:`execute` do the
-    same work inline through a transition table.
+    and ``nxt`` is the algorithm's ``next``; ``old`` and ``new`` hold a
+    configuration's registers and pending states, updated in place without
+    changing their order.  ``readers``, ``old`` and ``new`` are all indexed
+    by node id (dicts, in runs and :func:`step`) or all by position in
+    ``graph.nodes`` (lists, in :class:`ConfigurationSpace`, whose blocks
+    then list positions and whose readers read positions).  Returns
+    ``(active, decided)``: ``active`` lists the block's nodes that had not
+    decided, which are the ones that ran, and ``decided`` maps those that
+    decided during this block to their outputs, or is ``None`` when none
+    did.  When ``reads`` is a dict, it gets each active node's snapshot.
+    Recorded runs, :func:`step` and :meth:`ConfigurationSpace.successor`
+    step through here, calling ``nxt`` on every activation; unrecorded runs
+    of :func:`execute` do the same work inline through a transition table.
     """
     active = []
     for v in block:
@@ -414,47 +410,33 @@ def _resolve_inputs(graph: Graph, algo, inputs) -> dict[int, Any]:
     return {v: inputs[v] for v in nodes}
 
 
-# The start :func:`_start` last built on default inputs, as ``(graph, algo,
-# start)``.  Campaigns run one instance thousands of times in a row.  Graphs and
-# algorithm objects are read-only once built, so a start stays valid for its
-# pair; both are held by reference, so their ids cannot be reused while held,
-# and only a caller passing the very same two objects ever gets the start back.
-_last_start: tuple | None = None
-
-
-# The transition table of each algorithm object for unrecorded runs: ``(payload,
-# snaps) -> state`` (see :func:`execute`).  Keyed on the object, not on its name or
-# parameters: ``wsb.ConstantOutput(0)`` and ``(1)`` see the same payloads and
-# snapshots and decide differently.  A table dies with its object.  A start holds its algorithm's table too, so a run looks here only at
-# the first unrecorded run of its start, or when the table is past the limit.
-_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-# A table holding more entries than this when a run starts is replaced by a
-# fresh one; a campaign on small graphs holds a few thousand.
-_TABLE_LIMIT = 2**14
-
-
-def _table(algo) -> dict:
-    """The transition table of ``algo``, fresh if it was missing or past the limit."""
-    table = _tables.get(algo)
-    if table is None or len(table) > _TABLE_LIMIT:
-        table = _tables[algo] = {}
-    return table
-
-
 @dataclass(slots=True)
 class _Start:
-    """What every run of one algorithm object on one graph starts from (see :func:`_start`).
+    """What every run of one algorithm object on ``graph`` starts from (see :func:`_start`).
 
     ``dicts`` are the seven dicts a run copies and ``readers`` maps each
     node to its :func:`_snapshot_reader`.  ``table`` is the algorithm's
-    transition table, filled on the first unrecorded run; recorded runs
-    never read it.
+    transition table for unrecorded runs, ``(payload, snaps) -> state``
+    (see :func:`execute`), handed on from each start of the object to the
+    next; recorded runs never read it.
     """
 
+    graph: Graph
     dicts: tuple[dict, ...]
     readers: dict[int, Callable[[dict], tuple]]
-    table: dict | None = None
+    table: dict
+
+
+# The start of each algorithm object's last default-input runs.  Campaigns run a
+# few instances thousands of times each, interleaved.  Keyed on the object, not on
+# its name or parameters: ``wsb.ConstantOutput(0)`` and ``(1)`` see the same
+# payloads and snapshots and decide differently.  A start, with its table, dies
+# with its object; it holds its graph, so no other graph can take that graph's id.
+_starts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+# A table holding more entries than this when an unrecorded run starts is
+# replaced by a fresh one; a campaign on small graphs holds a few thousand.
+_TABLE_LIMIT = 2**14
 
 
 def _start(graph: Graph, algo, inputs) -> _Start:
@@ -464,25 +446,26 @@ def _start(graph: Graph, algo, inputs) -> _Start:
     validated pending states, both in ``graph.nodes`` order, the outputs
     decided at ``init`` with their decision step 0, a runtime of 0 per
     node and ``algo.params()``; the start also holds every node's snapshot
-    reader.  On default inputs (``inputs`` None) the last start built is
-    reused while ``graph`` and ``algo`` are the same objects, with the
-    readers and transition table it holds; explicit inputs always build
-    afresh.  A failing ``validate`` or ``init`` stores nothing.  The dicts
-    are shared: callers copy them before handing them out and never change
-    them.
+    reader and the object's transition table.  On default inputs
+    (``inputs`` None) the start kept for ``algo`` is reused while
+    ``graph`` is the same object.  Otherwise a new start is built with the
+    kept start's table, and kept in its place on default inputs only:
+    explicit inputs are never kept.  A failing ``validate`` or ``init``
+    stores nothing.  The dicts are shared: callers copy them before
+    handing them out and never change them.
     """
-    global _last_start
-    last = _last_start
-    if inputs is None and last is not None and last[0] is graph and last[1] is algo:
-        return last[2]
+    last = _starts.get(algo)
+    if inputs is None and last is not None and last.graph is graph:
+        return last
     ins = _resolve_inputs(graph, algo, inputs)
     cfg = initial_configuration(graph, algo, ins)
     decisions = cfg.decided()
     decision_steps, runtimes = dict.fromkeys(decisions, 0), dict.fromkeys(graph.nodes, 0)
     dicts = (ins, cfg.old, cfg.new, decisions, decision_steps, runtimes, dict(algo.params()))
-    start = _Start(dicts, {v: _snapshot_reader(nbrs, algo.arity) for v, nbrs in graph.adj.items()})
+    readers = {v: _snapshot_reader(nbrs, algo.arity) for v, nbrs in graph.adj.items()}
+    start = _Start(graph, dicts, readers, {} if last is None else last.table)
     if inputs is None:
-        _last_start = (graph, algo, start)
+        _starts[algo] = start
     return start
 
 
@@ -530,7 +513,7 @@ def execute(
     runtimes and the final configuration are always kept.  Such a run does
     each block's work in one inline pass: it publishes the block's
     undecided nodes, then for each one looks ``(payload, snapshot)`` up in
-    a transition table kept per ``algo`` object, and calls ``algo.next``
+    the transition table of the ``algo`` object, and calls ``algo.next``
     only for a pair that no earlier unrecorded run of ``algo`` met (see
     :class:`~asynclocal.algorithms.Algorithm` for the purity this relies
     on).  Recorded runs step through :func:`_apply_block`, which calls
@@ -538,10 +521,10 @@ def execute(
     are the reference the table is checked against.  Recorded or not, a run
     takes the same steps to the same results.
 
-    On default inputs the validated start is built once and reused while
-    the following default-input runs are of the same ``graph`` and ``algo``
-    objects (see :func:`_start`), with its snapshot readers and table, so
-    ``algo`` must not change once it has run.
+    On default inputs the validated start is built once per ``algo``
+    object and reused by its default-input runs while they are of the
+    same ``graph`` object (see :func:`_start`), with its snapshot readers
+    and table, so ``algo`` must not change once it has run.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
@@ -566,8 +549,8 @@ def execute(
         steps = []
     else:
         table = start.table
-        if table is None or len(table) > _TABLE_LIMIT:
-            table = start.table = _table(algo)
+        if len(table) > _TABLE_LIMIT:
+            table = start.table = {}
     del start  # a start for explicit inputs is in no cache: free its dicts before the run
 
     step_index = 0
@@ -673,16 +656,16 @@ class ConfigurationSpace:
     defaults), resolved and validated here as :func:`execute` does.  Every
     configuration is interned by its :meth:`Configuration.key` as a dense
     id in ``ids``, the initial one being id 0, and held only as that key:
-    ``keys[i]`` is the very tuple ``ids`` maps to ``i``, and the dicts a
-    method needs are rebuilt from it.  ``successors[i]`` memoises the
-    transitions out of id ``i`` as ``{block: id}``, so a block is applied
-    to a configuration at most once (the state caching of explicit-state
-    model checkers).  Only ``engine`` reads the two; walkers use
-    :meth:`successor`, :meth:`undecided`, :meth:`children` and
-    :meth:`configuration`.  Blocks are trusted to be canonical (distinct
-    nodes of ``graph``, ascending).  ``len(space)`` counts the
-    configurations; the space never drops one, so a caller that shares it
-    across many executions bounds its memory by starting a fresh space.
+    ``keys[i]`` is the very tuple ``ids`` maps to ``i``, and the methods
+    read slices of it.  ``successors[i]`` memoises the transitions out of
+    id ``i`` as ``{block: id}``, so a block is applied to a configuration
+    at most once (the state caching of explicit-state model checkers).
+    Only ``engine`` reads the two; walkers use :meth:`successor`,
+    :meth:`undecided`, :meth:`children` and :meth:`configuration`.  Blocks
+    are trusted to be canonical (distinct nodes of ``graph``, ascending).
+    ``len(space)`` counts the configurations; the space never drops one,
+    so a caller that shares it across many executions bounds its memory by
+    starting a fresh space.
     """
 
     def __init__(self, graph: Graph, algo, inputs: dict[int, Any] | None = None):
@@ -694,46 +677,36 @@ class ConfigurationSpace:
         self.keys: list[tuple] = [key]
         self.successors: list[dict[tuple[int, ...], int]] = [{}]
         self._undecided: dict[int, tuple[int, ...]] = {}
-        self._held: dict[int, tuple[dict, dict]] = {}
-        self._apply = functools.partial(_apply_block, start.readers, algo.next)
+        # a key holds the nodes by position in graph.nodes, so the space steps lists
+        # indexed by position, through readers of the neighbors' positions
+        nodes, adj = graph.nodes, graph.adj
+        self._pos = pos = {v: i for i, v in enumerate(nodes)}
+        readers = [_snapshot_reader(tuple([pos[u] for u in adj[v]]), algo.arity) for v in nodes]
+        self._apply = functools.partial(_apply_block, readers, algo.next)
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def _dicts(self, cid: int) -> tuple[dict, dict]:
-        """Fresh ``(old, new)`` dicts of id ``cid``, in ``graph.nodes`` order, from its key.
-
-        The dicts of the id last stepped from and of the id it led to are
-        held and copied, so a walk that tries every block of one id, or steps
-        on from the id it reached, rebuilds dicts from a key only when it jumps.
-        """
-        held = self._held.get(cid)
-        if held is None:
-            nodes, key = self.graph.nodes, self.keys[cid]
-            held = dict(zip(nodes, key)), dict(zip(nodes, key[len(nodes):]))
-            self._held = {cid: held}
-        return dict(held[0]), dict(held[1])
-
     def successor(self, cid: int, block: tuple[int, ...]) -> int:
         """The id that ``block`` leads to from id ``cid``, computed on the first call only.
 
-        A miss applies the block to fresh dicts of ``cid`` (see :meth:`_dicts`)
-        and interns the result.
+        A miss applies the block to lists of the registers and pending
+        states sliced from the key of ``cid``, and interns the result.
         """
         memo = self.successors[cid]
         nid = memo.get(block)
         if nid is None:
-            old, new = self._dicts(cid)
-            if not self._apply(old, new, block)[0]:
+            key, n, pos = self.keys[cid], self.graph.n, self._pos
+            old, new = list(key[:n]), list(key[n:])
+            if not self._apply(old, new, [pos[v] for v in block])[0]:
                 nid = cid  # every node of the block had decided: nothing changed
             else:
                 keys = self.keys
-                key = (*old.values(), *new.values())  # Configuration.key()
+                key = (*old, *new)  # Configuration.key()
                 nid = self.ids.setdefault(key, len(keys))
                 if nid == len(keys):
                     keys.append(key)
                     self.successors.append({})
-            self._held = {cid: self._held[cid], nid: (old, new)}
             memo[block] = nid
         return nid
 
@@ -741,8 +714,9 @@ class ConfigurationSpace:
         """The undecided nodes of id ``cid`` in ``graph.nodes`` order, found on the first call."""
         u = self._undecided.get(cid)
         if u is None:
-            new = self._dicts(cid)[1]
-            u = self._undecided[cid] = tuple([v for v, st in new.items() if st[0] != TERMINATED])
+            nodes = self.graph.nodes
+            new = self.keys[cid][len(nodes):]
+            u = self._undecided[cid] = tuple([v for v, st in zip(nodes, new) if st[0] != TERMINATED])
         return u
 
     def children(self, cid: int) -> dict[tuple[int, ...], int]:
@@ -755,7 +729,8 @@ class ConfigurationSpace:
 
     def configuration(self, cid: int) -> Configuration:
         """A fresh copy of id ``cid``'s configuration, with step index 0."""
-        return Configuration(*self._dicts(cid))
+        nodes, key = self.graph.nodes, self.keys[cid]
+        return Configuration(dict(zip(nodes, key)), dict(zip(nodes, key[len(nodes):])))
 
 
 def detect_livelock(

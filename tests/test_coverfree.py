@@ -128,6 +128,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             construct_family(2, 0)
 
+    @pytest.mark.parametrize(
+        "k, m, q, d",
+        [(1, 1, 2, -1), (1, 5, 3, -2), (0, 1, 2, 0), (-1, 4, 5, 1), (1, 0, 2, 1), (2, -3, 5, 1)],
+        ids=["degree-minus-one", "degree-minus-two", "zero-k", "negative-k", "zero-m", "negative-m"],
+    )
+    def test_a_family_refuses_parameters_out_of_range(self, k, m, q, d):
+        with pytest.raises(ValueError) as info:
+            CoverFreeFamily(k, m, q, d)
+        assert str(info.value) == f"need k >= 1, m >= 1 and d >= 0, got k={k} m={m} d={d}"
+
     def test_constructed_families_verify(self):
         for k, m in ((1, 7), (2, 25), (2, 60), (3, 40)):
             assert verify_coverfree(construct_family(k, m))
@@ -454,6 +464,7 @@ class TestFamilyFiles:
         [
             ("1 -5 1 2 4\n", "k and m must be positive, got k = 1, m = -5"),
             ("0 1 1 2 4\n1 3\n", "k and m must be positive, got k = 0, m = 1"),
+            ("1 1 -1 2 4\n1 3\n", "line 1: degree must be non-negative, got d = -1"),
             ("1 1 1 2 5\n1 3\n", "ground size 5 is not q^2 = 4"),
             ("1 1 1 2 4\n1 3\n2 4\n", "non-empty line after the 1 sets"),
             ("1 2 1 2 4\n1 3\n2 5\n", "element 5 outside 1..4"),
@@ -468,7 +479,7 @@ class TestFamilyFiles:
             ("1 2 1 2 4\n1 3\n2 4.0\n", "line 3: '4.0' is not an integer"),
         ],
         ids=[
-            "negative-m", "zero-k", "ground", "extra-set", "element-above", "element-zero",
+            "negative-m", "zero-k", "negative-degree", "ground", "extra-set", "element-above", "element-zero",
             "set-too-small", "set-too-large", "repeated-element", "degree-too-high",
             "k-times-d-is-q", "too-few-polynomials", "header-token", "set-token",
         ],

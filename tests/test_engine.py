@@ -213,6 +213,41 @@ class TestStartMemo:
         shared = instances()
         assert [trace_bytes(run(*shared[i], seed)) for seed, i in enumerate(order)] == want
 
+    def test_each_algorithm_object_keeps_its_own_start_and_table(self, monkeypatch):
+        builds = []
+
+        def counted(graph, algo, inputs):
+            builds.append((id(graph), id(algo)))
+            return initial_configuration(graph, algo, inputs)
+
+        monkeypatch.setattr(engine, "initial_configuration", counted)
+        first = build_graph("cycle:5"), make_algorithm("six")
+        second = build_graph("cycle:6"), make_algorithm("linial+save1", id_bound=6, delta=2)
+        built = [(id(graph), id(algo)) for graph, algo in (first, second)]
+
+        def alternate(seeds):
+            for seed in seeds:
+                for graph, algo in (first, second):
+                    execute(graph, algo, make_scheduling(f"random:seed={seed}", graph), record=False)
+
+        # two instances run in turn build one start each
+        alternate(range(5))
+        assert builds == built
+        # a replay on explicit inputs builds a start of its own and evicts neither
+        graph, algo = first
+        trace = execute(graph, algo, make_scheduling("random:seed=3", graph))
+        execute(graph, algo, make_scheduling("random:seed=3", graph), inputs=dict(trace.inputs))
+        alternate(range(5, 8))
+        assert builds == built + [built[0]]
+        # on a second graph the object gets a new start, with the same table
+        graph, algo = second
+        table = engine._starts[algo].table
+        assert table
+        other = build_graph("cycle:6")
+        execute(other, algo, make_scheduling("sync", other), record=False)
+        assert len(builds) == 4 and engine._starts[algo].graph is other
+        assert engine._starts[algo].table is table
+
     def test_explicit_inputs_build_afresh(self):
         graph, algo = build_graph("cycle:4"), CountingSix()
         execute(graph, algo, make_scheduling("sync", graph))
@@ -437,6 +472,30 @@ class TestConfigurationSpace:
             cfg = step(graph, space.algo, space.configuration(0), blk)
             assert space.configuration(cid) == Configuration(cfg.old, cfg.new)
         assert space.children(0) == kids and space.children(0) is not kids
+
+    @pytest.mark.parametrize(
+        "spec, ids, algo",
+        [
+            ("cycle:4", (7, 900, 31, 402), make_algorithm("six")),
+            ("path:5", (60, 3, 815, 42, 7), make_algorithm("save1", delta=3)),  # padded
+        ],
+        ids=["six-cycle", "save1-path"],
+    )
+    def test_every_child_is_the_step_of_its_block_on_spread_ids(self, spec, ids, algo):
+        # ids out of node order and far from the positions 0..n-1, so a position read
+        # as an id, or an id as a position, gives another configuration or an error
+        graph = build_graph(spec, ids=ids)
+        assert graph.nodes != ids
+        space = ConfigurationSpace(graph, algo)
+        cid = edges = 0
+        while cid < len(space):  # every id, the ones found on the way included
+            cfg = space.configuration(cid)
+            for blk, nid in space.children(cid).items():
+                want = step(graph, algo, cfg, blk)
+                assert space.configuration(nid) == Configuration(want.old, want.new), (cid, blk)
+                edges += 1
+            cid += 1
+        assert edges > len(space) > 100
 
     def test_children_keep_their_order_whatever_stepped_the_id_first(self):
         graph = build_graph("cycle:5", ids=(3, 5, 4, 1, 6))
@@ -739,8 +798,8 @@ def test_unrecorded_runs_through_the_transition_tables_equal_recorded_runs():
 
     # every object has a table of its own, and more lookups found their key than added it
     algos = [algo for _, algo in instances]
-    assert all(engine._tables.get(algo) for algo in algos)
-    assert sum(len(engine._tables[algo]) for algo in algos) < activations / 2
+    assert all(engine._starts[algo].table for algo in algos)
+    assert sum(len(engine._starts[algo].table) for algo in algos) < activations / 2
 
     # two objects that meet the same payloads and snapshots but decide differently
     zero, one = ConstantOutput(0), ConstantOutput(1)
@@ -760,7 +819,7 @@ def test_a_transition_table_past_its_limit_is_replaced_at_the_next_run():
     for seed in range(8):
         spec = f"random:seed={seed},p=0.5,crash=0.1"
         slim = execute(graph, algo, make_scheduling(spec, graph), record=False)
-        size = len(engine._tables[algo])
+        size = len(engine._starts[algo].table)
         assert size <= engine._TABLE_LIMIT + sum(slim.runtimes.values())
         sizes.append(size)
         assert _outcome(slim) == _outcome(execute(graph, algo, make_scheduling(spec, graph)))
@@ -811,4 +870,4 @@ def test_unrecorded_runs_read_short_and_padded_snapshots_as_recorded_runs():
     for instances in alone + alternating:
         algo = instances[0][1]
         if algo.arity is not None:
-            assert {len(snaps) for _, snaps in engine._tables[algo]} == {algo.arity}
+            assert {len(snaps) for _, snaps in engine._starts[algo].table} == {algo.arity}

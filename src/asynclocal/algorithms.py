@@ -8,8 +8,16 @@ register states in ascending-identifier order -- entries are ``None``
 (never written), ``("R", payload)``, or ``("T", output, payload)`` -- and
 returns the node's new state.
 
-The module-level transition functions are pure and callable directly on
-hand-built snapshots; the Algorithm classes wire them to the engine.
+No rule here reads the R/T tag of a neighbor's register: each decides
+from the neighbors' *views*, the payload behind a register or ``None``
+for an unwritten one.  Each rule is written once, on views, as an
+algorithm's ``next_views(payload, views)``; :meth:`Algorithm.next` takes
+the views of the states and calls it, and :class:`Composed` builds its
+phase's views straight from the composed registers.
+
+The module-level transition functions (``pair_next``, ``linial_next``, ...)
+are pure and callable directly on hand-built snapshots of states; each
+takes the views and applies its rule.
 """
 
 from __future__ import annotations
@@ -52,13 +60,16 @@ def mex(values: Iterable[int]) -> int:
     return out
 
 
-def _view(state):
-    """Payload behind a register state, or None for an unwritten register.
+def _views(snaps) -> list:
+    """Payload behind each register state, or None for an unwritten register.
 
     The payload is the last entry of both ``("R", payload)`` and
     ``("T", output, payload)``.
     """
-    return None if state is None else state[-1]
+    views = []
+    for t in snaps:
+        views.append(None if t is None else t[-1])
+    return views
 
 
 def _pair_palette(delta: int, drop_special: bool = False) -> frozenset[tuple[int, int]]:
@@ -82,14 +93,17 @@ def pair_next(payload, snaps):
     """Transition of the pair rule: the 6-coloring of cycles when x is the
     identifier, the pair coloring of :class:`SaveColors` when x is a proper
     input color."""
+    return _pair(payload, _views(snaps))
+
+
+def _pair(payload, views):
     x, a, b = payload
     clash = False
     larger_a = set()  # a values of larger-x neighbors
     smaller_b = set()  # b values of smaller-x ones
-    for t in snaps:
-        if t is None:
+    for p in views:
+        if p is None:
             continue
-        p = t[-1]
         if p[1] == a and p[2] == b:
             clash = True
         if p[0] > x:
@@ -111,20 +125,33 @@ def pair_next(payload, snaps):
 
 
 def linial_next(payload, snaps, schedule: ReductionSchedule):
+    """One round of color reduction, on the sets as bitmasks.
+
+    Round r keeps the candidates ``mask_for(own) & ~(OR of the neighbors'
+    round-(r-1) masks)`` of family r and decides the lowest set bit, the
+    least element of the node's set that no neighbor's set covers.
+    """
+    return _linial(payload, _views(snaps), schedule)
+
+
+def _linial(payload, views, schedule: ReductionSchedule):
     S = payload
     r = S.index(None)
-    fam = schedule.families[r - 1]
-    cand = set(fam.set_for(S[r - 1]))
-    for p in map(_view, snaps):
+    mask_for = schedule.families[r - 1].mask_for
+    cand = mask_for(S[r - 1])
+    taken = 0
+    for p in views:
         if p is not None and p[r - 1] is not None:
-            cand -= fam.set_for(p[r - 1])
+            taken |= mask_for(p[r - 1])
+    cand &= ~taken
     if not cand:
         raise AlgorithmViolation(
             f"round {r}: all of color {S[r - 1]}'s set excluded by neighbors"
         )
-    S2 = S[:r] + (min(cand),) + S[r + 1 :]
+    color = (cand & -cand).bit_length() - 1
+    S2 = S[:r] + (color,) + S[r + 1 :]
     if r == len(S) - 1:
-        return ("T", S2[r], S2)
+        return ("T", color, S2)
     return ("R", S2)
 
 
@@ -180,8 +207,8 @@ def smaller_larger(payload, snaps):
     """
     smaller = set()
     larger = set()
-    for i, t in enumerate(snaps, start=1):
-        larger_a, smaller_b = _split_by_order(payload[2], payload[3], payload[6], [_view(t)])
+    for i, p in enumerate(_views(snaps), start=1):
+        larger_a, smaller_b = _split_by_order(payload[2], payload[3], payload[6], [p])
         if smaller_b:
             smaller.add(i)
         if larger_a:
@@ -218,12 +245,12 @@ def special_neighborhood(payload, snaps) -> bool:
     either has the corresponding flag up already or would raise it upon
     seeing this node (the neighbor may simply not have run yet).
     """
-    return _special_views(payload, [_view(t) for t in snaps], local_max=False)
+    return _special_views(payload, _views(snaps), local_max=False)
 
 
 def special_termination(payload, snaps) -> bool:
     """Special neighborhood and the node is the pre-flip local maximum."""
-    return _special_views(payload, [_view(t) for t in snaps], local_max=True)
+    return _special_views(payload, _views(snaps), local_max=True)
 
 
 def save_one_more_next(payload, snaps):
@@ -235,11 +262,12 @@ def save_one_more_next(payload, snaps):
     neighbors; raise the monotone flags; finally decide (0, Delta) if the
     updated state satisfies special termination.
     """
-    delta = len(snaps)
+    return _save_one_more(payload, _views(snaps))
+
+
+def _save_one_more(payload, views):
+    delta = len(views)
     a, b, x, f, alpha, beta, z = payload
-    views = []
-    for t in snaps:
-        views.append(None if t is None else t[-1])
     # the node decides map_pair(a, b) unless a visible neighbor maps to it
     if a == delta and b == 0:
         ma, mb = 0, delta
@@ -277,8 +305,12 @@ def buggy_five_next(payload, snaps):
     larger-identifier ones; the node decides a (then b) as soon as it is
     outside C, else moves to (mex C+, mex C).
     """
+    return _buggy_five(payload, _views(snaps))
+
+
+def _buggy_five(payload, views):
     x, a, b = payload
-    vis = [p for p in map(_view, snaps) if p is not None]
+    vis = [p for p in views if p is not None]
     c_all = {v for p in vis for v in (p[1], p[2])}
     if a not in c_all:
         return ("T", a, payload)
@@ -308,7 +340,11 @@ class Algorithm:
     a class that defines neither ``__eq__`` nor ``__slots__`` are.
 
     :meth:`next` is a pure function of ``payload``, ``snaps`` and the fields
-    set at construction: it reads no other state and changes none.  States
+    set at construction: it reads no other state and changes none.  It
+    reads a neighbor's register only through its view, the payload behind
+    it or None for an unwritten one, never through its R/T tag: it hands
+    the views to :meth:`next_views`, the rule itself, which is what
+    :class:`Composed` calls on its phases.  States
     are hashable, as :class:`~asynclocal.engine.ConfigurationSpace` needs,
     and states that compare equal are interchangeable.  Unrecorded runs rely
     on this: they keep one table of ``(payload, snaps) -> state`` per
@@ -348,8 +384,12 @@ class Algorithm:
     def init(self, node: int, value):
         raise NotImplementedError
 
-    def next(self, payload, snaps):
+    def next_views(self, payload, views):
+        """The transition on the neighbors' views, in snapshot order."""
         raise NotImplementedError
+
+    def next(self, payload, snaps):
+        return self.next_views(payload, _views(snaps))
 
     def __repr__(self) -> str:
         ps = ", ".join(f"{k}={v}" for k, v in self.params().items())
@@ -366,7 +406,7 @@ class SixColoring(Algorithm):
     def init(self, node, value):
         return ("R", (node, 0, 0))
 
-    next = staticmethod(pair_next)
+    next_views = staticmethod(_pair)
 
 
 class BuggyFive(Algorithm):
@@ -379,7 +419,7 @@ class BuggyFive(Algorithm):
     def init(self, node, value):
         return ("R", (node, 0, 0))
 
-    next = staticmethod(buggy_five_next)
+    next_views = staticmethod(_buggy_five)
 
 
 class SaveColors(Algorithm):
@@ -403,7 +443,7 @@ class SaveColors(Algorithm):
     def init(self, node, value):
         return ("R", (value, 0, 0))
 
-    next = staticmethod(pair_next)
+    next_views = staticmethod(_pair)
 
 
 class SaveOneMoreColor(SaveColors):
@@ -422,7 +462,7 @@ class SaveOneMoreColor(SaveColors):
     def init(self, node, value):
         return ("R", (0, 0, value, (), False, False, node))
 
-    next = staticmethod(save_one_more_next)
+    next_views = staticmethod(_save_one_more)
 
 
 class LinialReduction(Algorithm):
@@ -454,8 +494,8 @@ class LinialReduction(Algorithm):
             return ("T", value, (value,))
         return ("R", (value,) + (None,) * self.schedule.rounds)
 
-    def next(self, payload, snaps):
-        return linial_next(payload, snaps, self.schedule)
+    def next_views(self, payload, views):
+        return _linial(payload, views, self.schedule)
 
 
 class Identity(Algorithm):
@@ -466,7 +506,7 @@ class Identity(Algorithm):
     def init(self, node, value):
         return ("T", value, (value,))
 
-    def next(self, payload, snaps):  # pragma: no cover - init always terminates
+    def next_views(self, payload, views):  # pragma: no cover - init always terminates
         raise AlgorithmViolation("identity has no running states")
 
 
@@ -475,9 +515,11 @@ class Composed(Algorithm):
 
     Every published payload carries its phase tag.  A reader still in
     phase 1 sees a phase-2 neighbor through that neighbor's recorded final
-    phase-1 state; a phase-2 reader sees phase-1 neighbors as None, as if
+    phase-1 payload; a phase-2 reader sees phase-1 neighbors as None, as if
     they had not written yet.  Phase 2 starts with input = phase 1's
-    decision, on the activation after the deciding one.
+    decision, on the activation after the deciding one.  Each activation
+    builds the running phase's views from the composed registers and calls
+    that phase's ``next_views``.
     """
 
     def __init__(self, phase1: Algorithm, phase2: Algorithm):
@@ -517,27 +559,28 @@ class Composed(Algorithm):
     def next(self, payload, snaps):
         # Each neighbor register holds ("R", q) or ("T", out, q) with q a
         # tagged payload (phase, node, inner, [phase-1 final state]).
-        inner = []
         if payload[0] == 1:
-            # a phase-2 neighbor shows its final phase-1 state
+            # a phase-2 neighbor shows the payload of its final phase-1 state
+            views = []
             for t in snaps:
                 if t is None:
-                    inner.append(None)
+                    views.append(None)
                 else:
                     q = t[-1]
-                    inner.append(("R", q[2]) if q[0] == 1 else q[3])
-            st = self.phase1.next(payload[2], inner)
+                    views.append(q[2] if q[0] == 1 else q[3][-1])
+            st = self.phase1.next_views(payload[2], views)
             if st[0] == TERMINATED:
                 return self._enter_phase2(payload[1], st)
             return ("R", (1, payload[1], st[1]))
-        # a phase-1 neighbor shows as unwritten, a decided one as running
+        # a phase-1 neighbor shows as unwritten
+        views = []
         for t in snaps:
             if t is None:
-                inner.append(None)
+                views.append(None)
             else:
                 q = t[-1]
-                inner.append(None if q[0] == 1 else ("R", q[2]))
-        st = self.phase2.next(payload[2], inner)
+                views.append(None if q[0] == 1 else q[2])
+        st = self.phase2.next_views(payload[2], views)
         if st[0] == TERMINATED:
             return ("T", st[1], (2, payload[1], st[2], payload[3]))
         return ("R", (2, payload[1], st[1], payload[3]))

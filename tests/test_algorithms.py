@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from asynclocal.algorithms import (
     SaveOneMoreColor,
     Composed,
     buggy_five_next,
+    linial_next,
     make_algorithm,
     map_pair,
     mex,
@@ -265,6 +268,149 @@ class TestComposition:
             "phase1_delta": 2,
             "phase2_delta": 2,
         }
+
+
+def reference_linial_next(payload, snaps, schedule):
+    """A round on the sets themselves: the least element of the node's set outside its neighbors' sets."""
+    S = payload
+    r = S.index(None)
+    fam = schedule.families[r - 1]
+    cand = set(fam.set_for(S[r - 1]))
+    for t in snaps:
+        if t is not None and t[-1][r - 1] is not None:
+            cand -= fam.set_for(t[-1][r - 1])
+    if not cand:
+        raise AlgorithmViolation(f"round {r}: all of color {S[r - 1]}'s set excluded by neighbors")
+    S2 = S[:r] + (min(cand),) + S[r + 1 :]
+    if r == len(S) - 1:
+        return ("T", S2[r], S2)
+    return ("R", S2)
+
+
+def outcome(transition, *args):
+    """The state a transition returns, or the text of the violation it raises."""
+    try:
+        return transition(*args)
+    except AlgorithmViolation as exc:
+        return ("violation", str(exc))
+
+
+class TestLinialMasks:
+    @pytest.mark.parametrize("id_bound, delta", [(10**6, 2), (10**6, 4), (10**12, 2)])
+    def test_a_round_matches_the_set_formula(self, id_bound, delta):
+        algo = LinialReduction(id_bound, delta)
+        schedule = algo.schedule
+        sizes, rounds = schedule.palette_sizes, schedule.rounds
+        rng = random.Random(id_bound + delta)
+
+        def reached(upto, prefix=()):
+            """A payload whose colors of rounds 0..upto-1 are set, starting with ``prefix``."""
+            drawn = tuple(rng.randint(1, sizes[i]) for i in range(len(prefix), upto))
+            return prefix + drawn + (None,) * (rounds + 1 - upto)
+
+        seen = {"unwritten": 0, "behind": 0, "ahead": 0, "violation": 0}
+        for _ in range(3000):
+            r = rng.randint(1, rounds)
+            payload = reached(r)
+            snaps = []
+            for _ in range(rng.randint(0, delta)):
+                roll = rng.random()
+                if roll < 0.15:
+                    snaps.append(None)
+                    seen["unwritten"] += 1
+                    continue
+                if roll < 0.25:  # the node's own round-(r-1) color: its whole set is excluded
+                    p = reached(min(r + rng.randint(0, 1), rounds + 1), payload[:r])
+                else:
+                    p = reached(rng.randint(1, rounds + 1))
+                seen["behind"] += p[r - 1] is None
+                seen["ahead"] += p[r] is not None
+                snaps.append(("T", p[-1], p) if p[-1] is not None else ("R", p))
+            expected = outcome(reference_linial_next, payload, snaps, schedule)
+            seen["violation"] += expected[0] == "violation"
+            assert outcome(linial_next, payload, snaps, schedule) == expected
+            assert outcome(algo.next, payload, snaps) == expected
+        assert min(seen.values()) > 0, seen
+
+
+def reference_composed_next(algo, payload, snaps):
+    """Composition that hands each phase inner states ``("R", inner payload)`` and calls its ``next``."""
+
+    def enter_phase2(node, p1_final):
+        st = algo.phase2.init(node, p1_final[1])
+        if st[0] == "T":
+            return ("T", st[1], (2, node, st[2], p1_final))
+        return ("R", (2, node, st[1], p1_final))
+
+    inner = []
+    if payload[0] == 1:
+        for t in snaps:
+            if t is None:
+                inner.append(None)
+            else:
+                q = t[-1]
+                inner.append(("R", q[2]) if q[0] == 1 else q[3])
+        st = algo.phase1.next(payload[2], inner)
+        if st[0] == "T":
+            return enter_phase2(payload[1], st)
+        return ("R", (1, payload[1], st[1]))
+    for t in snaps:
+        if t is None:
+            inner.append(None)
+        else:
+            q = t[-1]
+            inner.append(None if q[0] == 1 else ("R", q[2]))
+    st = algo.phase2.next(payload[2], inner)
+    if st[0] == "T":
+        return ("T", st[1], (2, payload[1], st[2], payload[3]))
+    return ("R", (2, payload[1], st[1], payload[3]))
+
+
+class TestComposedViews:
+    @pytest.mark.parametrize(
+        "make, graph, spec, phases",
+        [
+            (
+                lambda g: make_algorithm("linial+save", id_bound=g.id_bound, delta=g.max_degree),
+                build_graph("tree:150,4,5"),
+                "random:seed=8,p=0.5,crash=0.1",
+                {1, 2},
+            ),
+            (
+                lambda g: make_algorithm("linial+save1", id_bound=g.id_bound, delta=g.max_degree),
+                build_graph("cycle:60", id_bound=10**12),
+                "random:seed=8,p=0.5,crash=0.1",
+                {1, 2},
+            ),
+            (
+                lambda g: Composed(make_algorithm("six"), Identity()),
+                build_graph("cycle:5", ids=(3, 5, 4, 1, 6)),
+                "random:seed=3,p=0.5,crash=0.1",
+                {1},
+            ),
+            (
+                lambda g: Composed(Identity(), SaveColors(1)),
+                build_graph("path:2"),
+                "random:seed=4,p=0.5",
+                {2},
+            ),
+        ],
+        ids=["linial+save-tree:150,4,5", "linial+save1-cycle:60", "six+identity", "identity+save"],
+    )
+    def test_every_activation_matches_the_inner_state_wrapper(self, make, graph, spec, phases):
+        algo = make(graph)
+        seen = []
+
+        def checked_next(payload, snaps):
+            got = Composed.next(algo, payload, snaps)
+            assert got == reference_composed_next(algo, payload, snaps)
+            seen.append(payload[0])
+            return got
+
+        algo.next = checked_next
+        trace = execute(graph, algo, make_scheduling(spec, graph), max_steps=1000, record=True)
+        assert len(seen) == sum(trace.runtimes.values())
+        assert set(seen) == phases
 
 
 class TestBuggyFive:

@@ -344,6 +344,29 @@ class TestSetFor:
                 fam.set_for(fam.m + 1)
 
 
+class TestMaskFor:
+    @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 16, 23))
+    def test_matches_set_for_bit_for_bit(self, q):
+        for d in (1, 2) if 2 < q <= 9 else (1,):
+            fam = CoverFreeFamily(1, q ** (d + 1), q, d)
+            for color in range(1, fam.m + 1):
+                mask = fam.mask_for(color)
+                assert {e for e in range(mask.bit_length()) if mask >> e & 1} == fam.set_for(color)
+                assert fam.mask_for(color) is mask  # cached
+
+    @pytest.mark.parametrize("q", (2, 7, 9))
+    def test_out_of_range_colors_raise_set_fors_error(self, q):
+        large = CoverFreeFamily(1, q * q, q, 1)
+        small = CoverFreeFamily(1, q, q, 1)
+        for color in range(1, q * q + 1):
+            large.mask_for(color)  # colors above small.m are now in the cache of GF(q)
+        for fam, color in ((large, 0), (large, q * q + 1), (small, 0), (small, q + 1), (small, q * q)):
+            with pytest.raises(ValueError, match=f"^color {color} outside 1..{fam.m}$"):
+                fam.set_for(color)
+            with pytest.raises(ValueError, match=f"^color {color} outside 1..{fam.m}$"):
+                fam.mask_for(color)
+
+
 def horner_set(fam, color):
     """Reference: one color's set by Horner's rule over all its d + 1 coefficients."""
     q = fam.q

@@ -7,7 +7,9 @@ streams, the crash draws or the trace format-1 encoding shows up here.
 It also checks that a run without recording agrees with the recorded one.
 
 The corpus covers all seven registry names, ``linial`` with one and two
-reduction rounds (``cycle:50`` and ``cycle:200``), and ``sync``,
+reduction rounds (``cycle:50`` and ``cycle:200``), a round over the
+tabulated field GF(9) (``tree:150,4,5``) and three rounds (``cycle:60``
+with id bound 10^12), and ``sync``,
 ``random`` with crashes and ``explicit`` schedulings in which some nodes
 stop appearing, ``random`` at p = 1 with crashes and without, which
 seeds no generator, and ``save1`` on ``path:9`` and a degree-4 tree, whose
@@ -28,10 +30,11 @@ RING4 = ("cycle:4", (3, 4, 2, 1))
 
 
 def _graph(graph):
+    """``("tree", args)``, or ``(spec, ids)`` with an optional third entry, the id bound."""
     if graph[0] == "tree":
         return random_tree(*graph[1])
-    spec, ids = graph
-    return build_graph(spec, ids=list(ids) if ids else None)
+    spec, ids, *id_bound = graph
+    return build_graph(spec, ids=list(ids) if ids else None, id_bound=id_bound[0] if id_bound else None)
 
 
 def _algorithm(name, graph):
@@ -79,6 +82,11 @@ CORPUS = [
      "fdccf93a1b9c59ed837616bcc575b916d16f38c0388ccfe454571ff8f1f4a7c7"),
     ("linial+save1", ("cycle:50", None), "explicit:1,2,3,4,5/6,7,8/1,2,3,4,5,6,7,8,9,10", 1000,
      "8d4547cf2e379a53d32484841aa70ba87eb2453b55e5cc770056bee2eccf3895"),
+    # Linial rounds over a tabulated field (GF(9)), and three rounds (GF(19), GF(7), GF(5))
+    ("linial+save", ("tree:150,4,5", None), "random:seed=8,p=0.5,crash=0.1", 1000,
+     "85be46387f693d64c1b6f2cde1f3972f83e402ba0fec43e5ef7b1069a837dfd9"),
+    ("linial+save1", ("cycle:60", None, 10**12), "random:seed=8,p=0.5,crash=0.1", 1000,
+     "085f361c44d59c45cd82784dba9a3bc6b0344359b597e9a16d15924407355041"),
     # nodes of degree below the arity: their snapshots are padded with Bottom
     ("save1", ("path:9", None), "random:seed=2,p=0.3,crash=0.1", 1000,
      "d15266e1cf5866b622dd59482e89b26ce1c5ad0b5c2cab793df9ca30688ad44a"),
@@ -123,3 +131,13 @@ def test_corpus_covers_every_registry_name_and_linial_rounds():
             graph = _graph(graph_spec)
             rounds.add(make_algorithm("linial", id_bound=graph.id_bound, delta=graph.max_degree).rounds)
     assert {1, 2} <= rounds
+
+
+def test_corpus_covers_a_tabulated_field_and_three_linial_rounds():
+    orders = set()
+    for name, graph_spec, *_ in CORPUS:
+        if name.startswith("linial"):
+            graph = _graph(graph_spec)
+            schedule = make_algorithm("linial", id_bound=graph.id_bound, delta=graph.max_degree).schedule
+            orders.add(tuple(fam.q for fam in schedule.families))
+    assert {(9,), (19, 7, 5)} <= orders

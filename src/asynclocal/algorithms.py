@@ -1,23 +1,18 @@
 """Node programs consumed by the execution engine.
 
-Each algorithm is an ``(init, next)`` pair over JSON-friendly payload
-tuples, plus the metadata of :class:`Algorithm` (name, parameters,
-snapshot arity, palette, degree bound).
-``next`` receives the node's current payload and the tuple of neighbor
-register states in ascending-identifier order -- entries are ``None``
-(never written), ``("R", payload)``, or ``("T", output, payload)`` -- and
-returns the node's new state.
+Each algorithm is an ``(init, next_views)`` pair over JSON-friendly
+payload tuples, plus the metadata of :class:`Algorithm` (name,
+parameters, snapshot arity, palette, degree bound).  ``next_views``
+receives the node's current payload and its neighbors' *views* in
+ascending-identifier order -- the payload behind each register, or
+``None`` for an unwritten one -- and returns the node's new state.  No
+rule reads the R/T tag of a neighbor's register.
 
-No rule here reads the R/T tag of a neighbor's register: each decides
-from the neighbors' *views*, the payload behind a register or ``None``
-for an unwritten one.  Each rule is written once, on views, as an
-algorithm's ``next_views(payload, views)``; :meth:`Algorithm.next` takes
-the views of the states and calls it, and :class:`Composed` builds its
-phase's views straight from the composed registers.
-
-The module-level transition functions (``pair_next``, ``linial_next``, ...)
-are pure and callable directly on hand-built snapshots of states; each
-takes the views and applies its rule.
+The engine calls :meth:`Algorithm.next` on the register states, entries
+``None`` (never written), ``("R", payload)`` or ``("T", output,
+payload)``; it is the one place that takes their views.
+:class:`Composed` builds its phase's views straight from the composed
+registers instead.
 """
 
 from __future__ import annotations
@@ -30,14 +25,6 @@ from .engine import AlgorithmViolation, TERMINATED
 
 __all__ = [
     "mex",
-    "pair_next",
-    "linial_next",
-    "map_pair",
-    "smaller_larger",
-    "special_neighborhood",
-    "special_termination",
-    "save_one_more_next",
-    "buggy_five_next",
     "Algorithm",
     "SixColoring",
     "SaveColors",
@@ -60,18 +47,6 @@ def mex(values: Iterable[int]) -> int:
     return out
 
 
-def _views(snaps) -> list:
-    """Payload behind each register state, or None for an unwritten register.
-
-    The payload is the last entry of both ``("R", payload)`` and
-    ``("T", output, payload)``.
-    """
-    views = []
-    for t in snaps:
-        views.append(None if t is None else t[-1])
-    return views
-
-
 def _pair_palette(delta: int, drop_special: bool = False) -> frozenset[tuple[int, int]]:
     """The pairs (a, b) with a + b <= delta, without (delta, 0) if ``drop_special``."""
     pal = {(a, b) for a in range(delta + 1) for b in range(delta + 1) if a + b <= delta}
@@ -89,14 +64,9 @@ def _pair_palette(delta: int, drop_special: bool = False) -> frozenset[tuple[int
 # shows the same pair.
 
 
-def pair_next(payload, snaps):
-    """Transition of the pair rule: the 6-coloring of cycles when x is the
-    identifier, the pair coloring of :class:`SaveColors` when x is a proper
-    input color."""
-    return _pair(payload, _views(snaps))
-
-
 def _pair(payload, views):
+    """The pair rule: the 6-coloring of cycles when x is the identifier,
+    the pair coloring of :class:`SaveColors` when x is a proper input color."""
     x, a, b = payload
     clash = False
     larger_a = set()  # a values of larger-x neighbors
@@ -124,17 +94,13 @@ def _pair(payload, views):
 # neighbors' published round-(r-1) colors.
 
 
-def linial_next(payload, snaps, schedule: ReductionSchedule):
+def _linial(payload, views, schedule: ReductionSchedule):
     """One round of color reduction, on the sets as bitmasks.
 
     Round r keeps the candidates ``mask_for(own) & ~(OR of the neighbors'
     round-(r-1) masks)`` of family r and decides the lowest set bit, the
     least element of the node's set that no neighbor's set covers.
     """
-    return _linial(payload, _views(snaps), schedule)
-
-
-def _linial(payload, views, schedule: ReductionSchedule):
     S = payload
     r = S.index(None)
     mask_for = schedule.families[r - 1].mask_for
@@ -158,18 +124,11 @@ def _linial(payload, views, schedule: ReductionSchedule):
 # ---------------------------------------------------------------------------
 # saving one more color
 #
-# Payload (a, b, x, f, alpha, beta, z): the pair rule of pair_next
+# Payload (a, b, x, f, alpha, beta, z): the pair rule of _pair
 # augmented with a set f of identifiers across which the x-comparison is
 # flipped, monotone flags alpha/beta (has had a smaller/larger neighbor),
 # and the node's own identifier z.  Snapshots are padded with None to
-# exactly Delta entries, so Delta is always len(snaps).
-
-
-def map_pair(a: int, b: int, delta: int) -> tuple[int, int]:
-    """Identity on pairs except (delta, 0) -> (0, delta)."""
-    if a == delta and b == 0:
-        return (0, delta)
-    return (a, b)
+# exactly Delta entries, so Delta is always len(views).
 
 
 def _split_by_order(x, f, z, views):
@@ -198,33 +157,19 @@ def _split_by_order(x, f, z, views):
     return larger_a, smaller_b
 
 
-def smaller_larger(payload, snaps):
-    """1-based snapshot indices considered smaller resp. larger than the node.
+def _special_views(s, views) -> bool:
+    """Special termination: a special neighborhood and ``s`` is the pre-flip local maximum.
 
-    A neighbor counts as smaller when the x-comparison says so, with the
-    direction inverted across flipped edges (either endpoint's identifier
-    recorded in the other's f).  Unwritten snapshots land in neither set.
+    A special neighborhood has all neighbors seen, every a/b below Delta,
+    and nobody a local extremum: the node has both flags up, and each
+    neighbor either has the corresponding flag up already or would raise
+    it upon seeing this node (the neighbor may simply not have run yet).
     """
-    smaller = set()
-    larger = set()
-    for i, p in enumerate(_views(snaps), start=1):
-        larger_a, smaller_b = _split_by_order(payload[2], payload[3], payload[6], [p])
-        if smaller_b:
-            smaller.add(i)
-        if larger_a:
-            larger.add(i)
-    return frozenset(smaller), frozenset(larger)
-
-
-def _special_views(s, views, local_max: bool) -> bool:
-    """Special neighborhood of payload ``s`` (and, with ``local_max``, special termination)."""
     delta = len(views)
     if not (s[4] and s[5] and 0 <= s[0] < delta and 0 <= s[1] < delta):
         return False
     for p in views:
-        if p is None:
-            return False
-        if local_max and not s[2] > p[2]:
+        if p is None or not s[2] > p[2]:
             return False
         if not (0 <= p[0] < delta and 0 <= p[1] < delta):
             return False
@@ -238,37 +183,19 @@ def _special_views(s, views, local_max: bool) -> bool:
     return True
 
 
-def special_neighborhood(payload, snaps) -> bool:
-    """All neighbors seen, every a/b below Delta, and nobody is a local extremum.
-
-    The last part reads: the node has both flags up, and each neighbor
-    either has the corresponding flag up already or would raise it upon
-    seeing this node (the neighbor may simply not have run yet).
-    """
-    return _special_views(payload, _views(snaps), local_max=False)
-
-
-def special_termination(payload, snaps) -> bool:
-    """Special neighborhood and the node is the pre-flip local maximum."""
-    return _special_views(payload, _views(snaps), local_max=True)
-
-
-def save_one_more_next(payload, snaps):
-    """One activation of the save-one-more-color rule (Delta = len(snaps)).
-
-    In order: decide the mapped pair if no visible neighbor maps to it;
-    record flipped edges when an endpoint shows a = Delta or b = Delta;
-    recompute a and b by mex over the flip-adjusted larger resp. smaller
-    neighbors; raise the monotone flags; finally decide (0, Delta) if the
-    updated state satisfies special termination.
-    """
-    return _save_one_more(payload, _views(snaps))
-
-
 def _save_one_more(payload, views):
+    """One activation of the save-one-more-color rule (Delta = len(views)).
+
+    In order: decide the mapped pair, (Delta, 0) -> (0, Delta) and every
+    other pair unchanged, if no visible neighbor maps to it; record flipped
+    edges when an endpoint shows a = Delta or b = Delta; recompute a and b
+    by mex over the flip-adjusted larger resp. smaller neighbors; raise the
+    monotone flags; finally decide (0, Delta) if the updated state
+    satisfies special termination.
+    """
     delta = len(views)
     a, b, x, f, alpha, beta, z = payload
-    # the node decides map_pair(a, b) unless a visible neighbor maps to it
+    # the node decides its mapped pair unless a visible neighbor maps to it
     if a == delta and b == 0:
         ma, mb = 0, delta
     else:
@@ -289,7 +216,7 @@ def _save_one_more(payload, views):
     alpha = alpha or bool(smaller_b)
     beta = beta or bool(larger_a)
     s2 = (mex(larger_a), mex(smaller_b), x, f, alpha, beta, z)
-    if alpha and beta and _special_views(s2, views, local_max=True):
+    if alpha and beta and _special_views(s2, views):
         return ("T", (0, delta), s2)
     return ("R", s2)
 
@@ -298,17 +225,13 @@ def _save_one_more(payload, views):
 # the erroneous 5-coloring rule (kept faithful: it can livelock)
 
 
-def buggy_five_next(payload, snaps):
-    """Transition of the flawed 5-coloring rule for cycles.
+def _buggy_five(payload, views):
+    """The flawed 5-coloring rule for cycles.
 
     C collects the a and b values of all visible neighbors, C+ those of
     larger-identifier ones; the node decides a (then b) as soon as it is
     outside C, else moves to (mex C+, mex C).
     """
-    return _buggy_five(payload, _views(snaps))
-
-
-def _buggy_five(payload, views):
     x, a, b = payload
     vis = [p for p in views if p is not None]
     c_all = {v for p in vis for v in (p[1], p[2])}
@@ -339,12 +262,16 @@ class Algorithm:
     must be hashable by identity and weakly referenceable, as instances of
     a class that defines neither ``__eq__`` nor ``__slots__`` are.
 
+    Subclasses write their rule as :meth:`next_views`, on the neighbors'
+    views: the payload behind each register, or None for an unwritten one,
+    never its R/T tag.  :meth:`next`, on the register states, is the
+    engine's entry; it takes the views and calls :meth:`next_views`.
+    :class:`Composed` is its one override: recorded runs call it on every
+    activation, so it builds its phase's views straight from the composed
+    registers, not from views of them.
+
     :meth:`next` is a pure function of ``payload``, ``snaps`` and the fields
-    set at construction: it reads no other state and changes none.  It
-    reads a neighbor's register only through its view, the payload behind
-    it or None for an unwritten one, never through its R/T tag: it hands
-    the views to :meth:`next_views`, the rule itself, which is what
-    :class:`Composed` calls on its phases.  States
+    set at construction: it reads no other state and changes none.  States
     are hashable, as :class:`~asynclocal.engine.ConfigurationSpace` needs,
     and states that compare equal are interchangeable.  Unrecorded runs rely
     on this: they keep one table of ``(payload, snaps) -> state`` per
@@ -389,7 +316,11 @@ class Algorithm:
         raise NotImplementedError
 
     def next(self, payload, snaps):
-        return self.next_views(payload, _views(snaps))
+        # the payload is the last entry of both ("R", payload) and ("T", output, payload)
+        views = []
+        for t in snaps:
+            views.append(None if t is None else t[-1])
+        return self.next_views(payload, views)
 
     def __repr__(self) -> str:
         ps = ", ".join(f"{k}={v}" for k, v in self.params().items())
@@ -557,8 +488,9 @@ class Composed(Algorithm):
         return ("R", (2, node, st[1], p1_final))
 
     def next(self, payload, snaps):
-        # Each neighbor register holds ("R", q) or ("T", out, q) with q a
-        # tagged payload (phase, node, inner, [phase-1 final state]).
+        # A neighbor register holds None or ("R", q), with q a tagged payload
+        # (phase, node, inner, [phase-1 final state]): a decided node never
+        # publishes, so no register holds a "T" state.
         if payload[0] == 1:
             # a phase-2 neighbor shows the payload of its final phase-1 state
             views = []

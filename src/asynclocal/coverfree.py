@@ -168,12 +168,6 @@ def _color_sets(q: int) -> dict[int, frozenset[int]]:
     return {}
 
 
-@cache
-def _color_masks(q: int) -> dict[int, int]:
-    """The ``color -> mask`` cache that every family over GF(q) shares."""
-    return {}
-
-
 def _field_sizes() -> Iterator[int]:
     """Usable field orders in ascending order: 2,3,4,5,7,8,9,...,32, then primes."""
     yield from _SMALL_ORDERS
@@ -192,8 +186,8 @@ class CoverFreeFamily:
     Sets are materialized lazily, one block of q colors at a time, and
     cached per color in one cache per field order, so families with
     millions of colors stay cheap when only a few colors are touched, and
-    families over the same field build each set once.  The same holds for
-    the sets as bitmasks (:meth:`mask_for`), one color at a time.
+    families over the same field build each set once.  Each family caches
+    its sets as bitmasks (:meth:`mask_for`), one color at a time.
     """
 
     __slots__ = ("k", "m", "q", "d", "_field", "_sets", "_masks")
@@ -212,7 +206,7 @@ class CoverFreeFamily:
         self.d = d
         self._field = field(q)
         self._sets = _color_sets(q)
-        self._masks = _color_masks(q)
+        self._masks: dict[int, int] = {}
 
     @property
     def ground_size(self) -> int:
@@ -265,12 +259,12 @@ class CoverFreeFamily:
     def mask_for(self, color: int) -> int:
         """``set_for(color)`` as an int with bit e set for each element e.
 
-        Bit 0 is never set, as elements start at 1.  Out-of-range colors
-        raise ``set_for``'s error, cached colors included, since the cache
-        is shared with families over GF(q) of other sizes.
+        Bit 0 is never set, as elements start at 1.  The cache is the
+        family's own and holds only colors ``set_for`` accepted, so a miss
+        alone goes through ``set_for``, whose error out-of-range colors raise.
         """
         mask = self._masks.get(color)
-        if mask is None or not 1 <= color <= self.m:
+        if mask is None:
             mask = 0
             for e in self.set_for(color):
                 mask |= 1 << e

@@ -294,7 +294,9 @@ class Trimmed(Algorithm):
     A process whose snapshot shows all n-1 other registers halts
     immediately: output 0 if this is its first activation, 1 otherwise.
     Until then it runs the wrapped algorithm's step (and keeps any
-    decision that step makes).
+    decision that step makes): its ``next_views`` on the neighbors' inner
+    payloads, so it wraps rules written on views, not a
+    :class:`~asynclocal.algorithms.Composed`.
     """
 
     def __init__(self, inner, n: int):
@@ -319,12 +321,11 @@ class Trimmed(Algorithm):
             return ("T", st[1], (True, st[2]))
         return ("R", (False, st[1]))
 
-    def next(self, payload, snaps):
+    def next_views(self, payload, views):
         activated, inner_payload = payload
-        if None not in snaps:
+        if None not in views:
             return ("T", 1 if activated else 0, (True, inner_payload))
-        unwrapped = [None if s is None else ("R", s[1][1]) for s in snaps]
-        st = self.inner.next(inner_payload, unwrapped)
+        st = self.inner.next_views(inner_payload, [None if p is None else p[1] for p in views])
         if st[0] == TERMINATED:
             return ("T", st[1], (True, st[2]))
         return ("R", (True, st[1]))
@@ -496,7 +497,7 @@ class ConstantOutput(Algorithm):
     def init(self, node: int, value):
         return ("R", ())
 
-    def next(self, payload, snaps):
+    def next_views(self, payload, views):
         return ("T", self.value, payload)
 
 
@@ -508,7 +509,7 @@ class IdParity(Algorithm):
     def init(self, node: int, value):
         return ("R", (node,))
 
-    def next(self, payload, snaps):
+    def next_views(self, payload, views):
         return ("T", payload[0] % 2, payload)
 
 
@@ -529,8 +530,8 @@ class OutputAfterSeeing(Algorithm):
     def init(self, node: int, value):
         return ("R", ())
 
-    def next(self, payload, snaps):
-        visible = len(snaps) - snaps.count(None)
+    def next_views(self, payload, views):
+        visible = len(views) - views.count(None)
         return ("T", self.value if visible >= self.k else 1 - self.value, payload)
 
 

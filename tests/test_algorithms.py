@@ -7,21 +7,17 @@ from hypothesis import strategies as st
 from asynclocal.algorithms import (
     ALGORITHM_NAMES,
     AlgorithmViolation,
+    BuggyFive,
     Identity,
     LinialReduction,
     SaveColors,
     SaveOneMoreColor,
+    SixColoring,
     Composed,
-    buggy_five_next,
-    linial_next,
+    _special_views,
+    _split_by_order,
     make_algorithm,
-    map_pair,
     mex,
-    pair_next,
-    save_one_more_next,
-    smaller_larger,
-    special_neighborhood,
-    special_termination,
 )
 from asynclocal.engine import execute
 from asynclocal.graphs import build_graph, random_tree
@@ -42,14 +38,14 @@ def test_mex():
 
 class TestCycleSix:
     def test_update_against_a_fresh_and_a_bottom_neighbor(self):
-        assert pair_next((3, 0, 0), [R((5, 0, 0)), None]) == ("R", (3, 1, 0))
+        assert SixColoring().next((3, 0, 0), [R((5, 0, 0)), None]) == ("R", (3, 1, 0))
 
     def test_no_visible_neighbor_terminates_immediately(self):
-        assert pair_next((1, 0, 0), [None, None]) == ("T", (0, 0), (1, 0, 0))
+        assert SixColoring().next((1, 0, 0), [None, None]) == ("T", (0, 0), (1, 0, 0))
 
     def test_reads_frozen_payloads_of_terminated_neighbors(self):
         snaps = [("T", (0, 0), (1, 0, 0)), ("T", (1, 0), (3, 1, 0))]
-        assert pair_next((6, 0, 1), snaps) == ("T", (0, 1), (6, 0, 1))
+        assert SixColoring().next((6, 0, 1), snaps) == ("T", (0, 1), (6, 0, 1))
 
     def test_palette_never_leaves_the_six_pairs(self):
         graph = build_graph("cycle:7")
@@ -64,7 +60,7 @@ class TestCycleSix:
 
 class TestSaveColors:
     def test_no_visible_neighbors(self):
-        assert pair_next((7, 0, 0), [None, None]) == ("T", (0, 0), (7, 0, 0))
+        assert SaveColors(2).next((7, 0, 0), [None, None]) == ("T", (0, 0), (7, 0, 0))
 
     def test_matches_the_identifier_rule_on_cycles(self):
         # with x = id and delta = 2 the transitions coincide with the six rule
@@ -96,67 +92,88 @@ class TestSaveColors:
             execute(build_graph("clique:4"), SaveColors(2), [(1,)])
 
 
-class TestMapPair:
-    def test_defining_case(self):
-        assert map_pair(2, 0, 2) == (0, 2)
+class TestSave1Decisions:
+    # payload layout: (a, b, x, flipped_ids, alpha, beta, z); no neighbor shows a clash
+    def test_the_special_pair_decides_its_image(self):
+        payload = (2, 0, 4, (), False, False, 40)
+        assert SaveOneMoreColor(2).next(payload, [None, None]) == ("T", (0, 2), payload)
 
-    def test_identity_branches(self):
-        assert map_pair(0, 2, 2) == (0, 2)
-        assert map_pair(1, 1, 2) == (1, 1)
-        assert map_pair(0, 0, 3) == (0, 0)
+    @pytest.mark.parametrize("pair, delta", [((0, 2), 2), ((1, 1), 2), ((0, 0), 3)])
+    def test_every_other_pair_decides_itself(self, pair, delta):
+        payload = (*pair, 4, (), False, False, 40)
+        assert SaveOneMoreColor(delta).next(payload, [None] * delta) == ("T", pair, payload)
+
+    def test_a_neighbor_at_the_special_pair_clashes_with_its_image(self):
+        neighbor = R((2, 0, 9, (), False, False, 41))
+        state = SaveOneMoreColor(2).next((0, 2, 4, (), False, False, 40), [neighbor, None])
+        assert state[0] == "R"
 
 
-class TestSmallerLarger:
-    # payload layout: (a, b, x, flipped_ids, alpha, beta, z)
+class TestSplitByOrder:
+    # payload layout: (a, b, x, flipped_ids, alpha, beta, z); returns (larger_a, smaller_b)
+    smaller = (1, 2, 3, (), False, False, 51)
+    larger = (3, 4, 7, (), False, False, 52)
+
     def test_plain_comparison(self):
-        s = (0, 0, 5, (), False, False, 50)
-        snaps = [R((0, 0, 3, (), False, False, 51)), R((0, 0, 7, (), False, False, 52))]
-        assert smaller_larger(s, snaps) == (frozenset({1}), frozenset({2}))
+        assert _split_by_order(5, (), 50, [self.smaller, self.larger]) == ({3}, {2})
 
-    def test_flip_reverses_one_comparison(self):
-        s = (0, 0, 5, (52,), False, False, 50)
-        snaps = [R((0, 0, 3, (), False, False, 51)), R((0, 0, 7, (), False, False, 52))]
-        assert smaller_larger(s, snaps) == (frozenset({1, 2}), frozenset())
+    def test_flip_in_the_nodes_set_reverses_one_comparison(self):
+        assert _split_by_order(5, (52,), 50, [self.smaller, self.larger]) == (set(), {2, 4})
 
-    def test_all_bottom(self):
-        s = (0, 0, 5, (), False, False, 50)
-        assert smaller_larger(s, [None, None]) == (frozenset(), frozenset())
+    def test_flip_in_the_neighbors_set_reverses_one_comparison(self):
+        flipped = (3, 4, 7, (50,), False, False, 52)
+        assert _split_by_order(5, (), 50, [self.smaller, flipped]) == (set(), {2, 4})
+
+    def test_unwritten_and_equal_neighbors_count_as_neither(self):
+        equal = (3, 4, 5, (), False, False, 53)
+        assert _split_by_order(5, (), 50, [None, equal, None]) == (set(), set())
 
 
 class TestSpecialTermination:
-    def small_instance(self):
-        s = (1, 1, 5, (), True, True, 10)
-        snaps = [R((0, 0, 3, (), True, True, 11)), R((0, 1, 4, (), True, True, 12))]
-        return s, snaps
+    s = (1, 1, 5, (), True, True, 10)
+    views = [(0, 0, 3, (), True, True, 11), (0, 1, 4, (), True, True, 12)]
 
     def test_full_neighborhood_with_small_values(self):
-        s, snaps = self.small_instance()
-        assert special_neighborhood(s, snaps)
-        assert special_termination(s, snaps)
+        assert _special_views(self.s, self.views)
 
-    def test_any_bottom_snap_fails(self):
-        s, snaps = self.small_instance()
-        assert not special_neighborhood(s, [snaps[0], None])
+    def test_any_bottom_view_fails(self):
+        assert not _special_views(self.s, [self.views[0], None])
 
     def test_a_at_delta_fails(self):
-        _, snaps = self.small_instance()
-        assert not special_neighborhood((2, 1, 5, (), True, True, 10), snaps)
+        assert not _special_views((2, 1, 5, (), True, True, 10), self.views)
+
+    def test_a_neighbor_at_delta_fails(self):
+        assert not _special_views(self.s, [self.views[0], (2, 0, 4, (), True, True, 12)])
 
     def test_non_maximum_does_not_specially_terminate(self):
-        s = (1, 1, 5, (), True, True, 10)
-        snaps = [R((0, 0, 3, (), True, True, 11)), R((0, 1, 9, (), True, True, 12))]
-        assert not special_termination(s, snaps)
+        assert not _special_views(self.s, [self.views[0], (0, 1, 9, (), True, True, 12)])
+
+    def test_a_neighbor_without_the_flag_it_would_not_raise_fails(self):
+        # the neighbor sees the node as larger, so its alpha (has had a smaller neighbor) must be up
+        assert not _special_views(self.s, [self.views[0], (0, 1, 4, (), False, True, 12)])
 
 
 class TestSaveOneMore:
     def test_lone_node_terminates_with_zero_pair(self):
         payload = (0, 0, 7, (), False, False, 1)
-        assert save_one_more_next(payload, [None, None]) == ("T", (0, 0), payload)
+        assert SaveOneMoreColor(2).next(payload, [None, None]) == ("T", (0, 0), payload)
+
+    def test_a_local_maximum_with_a_special_neighborhood_decides_zero_delta(self):
+        # (0, 1) clashes with the first neighbor; both are smaller, so the node
+        # moves to (0, 0) with both flags up, and terminates specially
+        snaps = [R((0, 1, 3, (), True, False, 11)), ("T", (1, 1), (1, 1, 4, (), True, False, 12))]
+        state = SaveOneMoreColor(2).next((0, 1, 5, (), False, True, 10), snaps)
+        assert state == ("T", (0, 2), (0, 0, 5, (), True, True, 10))
+
+    def test_the_same_move_below_a_larger_neighbor_keeps_running(self):
+        snaps = [R((0, 1, 3, (), True, False, 11)), ("T", (1, 1), (1, 1, 9, (), True, False, 12))]
+        state = SaveOneMoreColor(2).next((0, 1, 5, (), False, True, 10), snaps)
+        assert state == ("R", (0, 0, 5, (), True, True, 10))
 
     def test_extremal_pairs_flip_instead_of_terminating(self):
         ext = (2, 0, 4, (), False, False, 40)
         opp = (0, 2, 9, (), False, False, 41)
-        state = save_one_more_next(ext, [R(opp), None])
+        state = SaveOneMoreColor(2).next(ext, [R(opp), None])
         assert state[0] == "R"
         assert 41 in state[1][3]  # the neighbor's tag joined the flipped set
 
@@ -328,7 +345,6 @@ class TestLinialMasks:
                 snaps.append(("T", p[-1], p) if p[-1] is not None else ("R", p))
             expected = outcome(reference_linial_next, payload, snaps, schedule)
             seen["violation"] += expected[0] == "violation"
-            assert outcome(linial_next, payload, snaps, schedule) == expected
             assert outcome(algo.next, payload, snaps) == expected
         assert min(seen.values()) > 0, seen
 
@@ -415,14 +431,14 @@ class TestComposedViews:
 
 class TestBuggyFive:
     def test_first_table_step(self):
-        assert buggy_five_next((3, 0, 0), [R((4, 0, 0)), None]) == ("R", (3, 1, 1))
+        assert BuggyFive().next((3, 0, 0), [R((4, 0, 0)), None]) == ("R", (3, 1, 1))
 
     def test_second_table_step(self):
         # register contents after {1,3,4}: node 4 shows (4,0,1), node 1 shows (1,0,0)
-        assert buggy_five_next((3, 1, 1), [R((4, 0, 1)), R((1, 0, 0))]) == ("R", (3, 2, 2))
+        assert BuggyFive().next((3, 1, 1), [R((4, 0, 1)), R((1, 0, 0))]) == ("R", (3, 2, 2))
 
     def test_lone_node_takes_color_zero(self):
-        assert buggy_five_next((5, 0, 0), [None, None]) == ("T", 0, (5, 0, 0))
+        assert BuggyFive().next((5, 0, 0), [None, None]) == ("T", 0, (5, 0, 0))
 
     def test_outputs_stay_within_five_colors(self):
         graph = build_graph("cycle:5")

@@ -1,4 +1,5 @@
-"""Every exported name resolves, so a deleted definition cannot linger in ``__all__``."""
+"""Every exported name resolves, so a deleted definition cannot linger in ``__all__``;
+every algorithm writes its rule on views."""
 
 import importlib
 import inspect
@@ -9,6 +10,7 @@ import types
 import pytest
 
 import asynclocal
+from asynclocal.algorithms import Algorithm, Composed
 
 MODULES = [
     "asynclocal",
@@ -49,3 +51,18 @@ def test_only_the_engine_reads_how_a_space_stores_configurations(module_name):
     # a space's stores are ``keys`` and ``successors``; ``.keys(`` is a dict method call
     source = inspect.getsource(importlib.import_module(module_name))
     assert re.findall(r"\.(?:keys|successors)\b(?!\s*\()", source) == []
+
+
+def test_every_rule_is_written_on_views():
+    # ``Algorithm.next`` is the one place that takes views of states, and
+    # ``Composed.next`` its one override; every other algorithm writes ``next_views``
+    classes = {
+        cls
+        for module_name in MODULES
+        for cls in vars(importlib.import_module(module_name)).values()
+        if isinstance(cls, type) and issubclass(cls, Algorithm)
+    }
+    assert len(classes) >= 12
+    assert {cls for cls in classes if "next" in cls.__dict__} == {Algorithm, Composed}
+    rules = classes - {Algorithm, Composed}
+    assert sorted(cls.__name__ for cls in rules if "next_views" not in cls.__dict__) == []

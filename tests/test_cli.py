@@ -922,6 +922,11 @@ STDOUT_PINS = [
         0,
         "c459fcf181f3845d5166941c09b0a214bdd4d63b7f450cc649c0770a3877a07e",
     ),
+    (
+        ("wsb", "class", "--algo", "seen2", "--n", "3", "--trim"),
+        0,
+        "9b1612bc1213d6a9dc466834b410b31ed40d5092444ed1c8b3c163c3f9c4604f",
+    ),
 ]
 
 
@@ -930,7 +935,7 @@ STDOUT_PINS = [
     STDOUT_PINS,
     ids=[
         "table1", "table2", "search-periodic", "run-random", "wsb-count-trim", "wsb-count",
-        "wsb-count-trim-n7", "wsb-count-n8", "wsb-class",
+        "wsb-count-trim-n7", "wsb-count-n8", "wsb-class", "wsb-class-trim",
     ],
 )
 def test_stdout_is_pinned(argv, exit_code, digest, capsys):

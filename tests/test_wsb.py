@@ -41,7 +41,7 @@ class NeverDecide(Algorithm):
     def init(self, node, value):
         return ("R", ())
 
-    def next(self, payload, snaps):
+    def next_views(self, payload, views):
         return ("R", payload)
 
 
@@ -51,7 +51,7 @@ class OddDecideAtInit(Algorithm):
     def init(self, node, value):
         return ("T", 0) if node % 2 else ("R", ())
 
-    def next(self, payload, snaps):
+    def next_views(self, payload, views):
         return ("T", 1)
 
 

@@ -24,17 +24,18 @@ Explicit crash times may be appended as ``crashes=2@0|4@3`` (node@step,
 step >= 0; a node with crash step t appears in no block after the t-th).
 
 The random stream of ``random:seed=S,p=P,crash=R`` is, in this order:
-``random.Random(S)`` draws, per node in ascending order, one value (the
+``_random.Random(S)`` draws, per node in ascending order, one value (the
 node is faulty if it is below R) and then values until one is below 0.3
-(the crash step is the number drawn before it); then ``randrange(2**63)``
-of the same generator is the block seed.  A second generator seeded with
-the block seed makes the blocks: each try of a step draws once per alive
-node, in node order, and keeps the nodes whose value is below P.  It is a
-``_random.Random``, the core of ``random.Random`` without its Python
-seeding wrapper, whose ``random()`` values are the same.  At P = 1 every
-value is below P, so each block is the alive tuple, as for ``sync``: no
-block seed is drawn and no block generator seeded, and with R = 0 as well
-no generator is seeded at all.
+(the crash step is the number drawn before it); then the first
+``getrandbits(64)`` value of the same generator below 2**63, which is what
+``random.Random(S).randrange(2**63)`` returns, is the block seed.  A second
+generator seeded with the block seed makes the blocks: each try of a step
+draws once per alive node, in node order, and keeps the nodes whose value
+is below P.  Both are ``_random.Random``, the core of ``random.Random``
+without its Python seeding wrapper, whose values are the same.  At P = 1
+every value is below P, so each block is the alive tuple, as for ``sync``:
+no block seed is drawn and no block generator seeded, and with R = 0 as
+well no generator is seeded at all.
 
 Every block a scheduling yields is canonical when it is made (nonempty,
 distinct nodes of the graph, ascending), so the engine runs the blocks of
@@ -47,7 +48,6 @@ import _random
 import functools
 import itertools
 import os
-import random
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -210,7 +210,7 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
             rate = float(params.get("crash", "0.0"))
         except ValueError as exc:
             raise SchedulingError(f"malformed random parameters in {spec!r}") from exc
-        if seed < 0:  # random.Random(-s) is random.Random(s): one stream, two specs
+        if seed < 0:  # _random.Random(-s) is _random.Random(s): one stream, two specs
             raise SchedulingError(f"random seed must be non-negative, got {seed}")
         if not _MIN_P <= p <= 1.0:
             raise SchedulingError(f"activation probability must be in [{_MIN_P}, 1], got {p}")
@@ -224,11 +224,11 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
         parts.append("crashes=" + "|".join(f"{v}@{t}" for v, t in sorted(pinned.items())))
     canon = kind + (":" + ",".join(parts) if parts else "")
 
-    ct: dict[int, int | None] = dict.fromkeys(nodes)
     block_seed = None
     if rate or p < 1.0:  # sync, and p = 1 without crashes, use no value of the stream
-        rng = random.Random(seed)
+        rng = _random.Random(seed)  # random.Random(seed)'s values, without its seeding wrapper
         rnd = rng.random
+        ct: dict[int, int | None] = {}
         for v in nodes:  # fixed draw order keeps the stream seed-deterministic
             faulty = rnd() < rate
             t = 0
@@ -236,17 +236,20 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
                 t += 1
             ct[v] = t if faulty else None
         if p < 1.0:  # at p = 1 every draw is below p: the block is the alive tuple
-            block_seed = rng.randrange(2**63)
-    ct.update(pinned)
-    forever = graph.node_set  # without crash draws or pins, no node ever crashes
+            block_seed = rng.getrandbits(64)  # randrange(2**63): the first 64-bit draw below 2**63
+            while block_seed >> 63:
+                block_seed = rng.getrandbits(64)
+    else:
+        ct = dict.fromkeys(nodes)
+    # without crash draws or pins no node ever crashes: every node appears in every step
+    forever, ends, alive, ever = graph.node_set, [], nodes, graph.node_set
     if rate or pinned:
+        ct.update(pinned)
         forever = frozenset([v for v, t in ct.items() if t is None])
-
-    ends = sorted({t for t in ct.values() if t})  # the distinct crash steps >= 1
-    alive, ever = nodes, graph.node_set
-    if 0 in ct.values():  # crash step 0: the node never appears
-        alive = tuple([v for v in nodes if ct[v] != 0])
-        ever = frozenset(alive)
+        ends = sorted({t for t in ct.values() if t})  # the distinct crash steps >= 1
+        if 0 in ct.values():  # crash step 0: the node never appears
+            alive = tuple([v for v in nodes if ct[v] != 0])
+            ever = frozenset(alive)
     factory = functools.partial(_block_stream, alive, ct, ends, p, block_seed, canon)
     return Scheduling(canon, nodes, ever, ct, seed, factory, _checked=True, _forever=forever)
 

@@ -295,11 +295,13 @@ class Trimmed(Algorithm):
     immediately: output 0 if this is its first activation, 1 otherwise.
     Until then it runs the wrapped algorithm's step (and keeps any
     decision that step makes): its ``next_views`` on the neighbors' inner
-    payloads, so it wraps rules written on views, not a
-    :class:`~asynclocal.algorithms.Composed`.
+    payloads, so it wraps rules written on views: a
+    :class:`~asynclocal.algorithms.Composed` raises ValueError at once.
     """
 
     def __init__(self, inner, n: int):
+        if type(inner).next_views is Algorithm.next_views:  # a Composed writes its rule on states
+            raise ValueError(f"trim wraps a rule written on views, not a {type(inner).__name__}")
         self.inner = inner
         self.n = n
         self.name = f"trim:{inner.name}"

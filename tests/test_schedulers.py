@@ -205,8 +205,14 @@ class TestRandom:
         for graph, pins in itertools.product(graphs + [random_tree(12, 4, 5)], PIN_KINDS):
             self.check_the_definition(graph, pins)
 
+    def test_multi_word_seeds_match_the_definition(self):
+        # seeds of more than one 32-bit word, and 63-bit ones like the block seeds
+        rng = random.Random(23)
+        seeds = (2**31 - 1, 2**32, 2**63 - 1, 2**64 + 1, *(rng.getrandbits(63) for _ in range(3)))
+        self.check_the_definition(build_graph("cycle:9"), "none", seeds)
+
     @staticmethod
-    def check_the_definition(graph, pins):
+    def check_the_definition(graph, pins, seeds=None):
         nodes = graph.nodes
         in_spec = {"none": {}, "spec": {nodes[1]: 0, nodes[-1]: 3}, "argument": {}}
         in_spec["both"] = {nodes[0]: 5, nodes[2]: 1}
@@ -215,7 +221,8 @@ class TestRandom:
         in_spec, argument = in_spec[pins], argument[pins]
         pinned = {**in_spec, **argument}
         suffix = ",crashes=" + "|".join(f"{v}@{t}" for v, t in in_spec.items()) if in_spec else ""
-        seeds = range(40) if pins == "none" else range(10)
+        if seeds is None:
+            seeds = range(40) if pins == "none" else range(10)
         for spec_seed, p, rate in itertools.product(seeds, (0.3, 0.5, 0.8, 1.0), (0.0, 0.1, 0.25)):
             rng = random.Random(spec_seed)
             ct = {}
@@ -264,23 +271,44 @@ class TestRandom:
         want_blocks = take(want, 40)
         seeded = []
 
-        class FirstOnly(random.Random):
+        class Observed(_random.Random):
+            # the first construction seeds the crash stream; a second would be a block generator
             def __init__(self, seed):
                 seeded.append(seed)
-                super().__init__(seed)
+                self.seed(seed)
+                if len(seeded) > 1:
+                    raise AssertionError("a block generator was seeded at p = 1")
 
-            def randrange(self, *args):
+            def getrandbits(self, k):
                 raise AssertionError("a block seed was drawn at p = 1")
 
-        def no_block_generator(seed):
-            raise AssertionError("a block generator was seeded at p = 1")
-
-        monkeypatch.setattr(schedulers, "random", types.SimpleNamespace(Random=FirstOnly))
-        monkeypatch.setattr(schedulers, "_random", types.SimpleNamespace(Random=no_block_generator))
+        monkeypatch.setattr(schedulers, "_random", types.SimpleNamespace(Random=Observed))
         sched = make_scheduling(spec, graph)
         assert (sched.crash_times, take(sched, 40)) == (want.crash_times, want_blocks)
         assert seeded == ([17] if rate else [])
         assert want_blocks[0] == graph.nodes
+
+    def test_the_observed_generator_sees_the_block_generator_below_p_one(self, monkeypatch):
+        # the seam of the test above sees both generators: the block seed and its generator
+        seeded, drawn = [], []
+
+        class Observed(_random.Random):
+            def __init__(self, seed):
+                seeded.append(seed)
+                self.seed(seed)
+
+            def getrandbits(self, k):
+                drawn.append(k)
+                return super().getrandbits(k)
+
+        graph = build_graph("cycle:12")
+        spec = "random:seed=17,p=0.5,crash=0.25"
+        want = take(make_scheduling(spec, graph), 40)
+        monkeypatch.setattr(schedulers, "_random", types.SimpleNamespace(Random=Observed))
+        assert take(make_scheduling(spec, graph), 40) == want
+        assert len(seeded) == 2 and seeded[0] == 17  # the crash stream, then the blocks
+        assert 0 <= seeded[1] < 2**63
+        assert drawn and set(drawn) == {64}
 
     def test_empty_redraws_stop_after_exactly_the_bound(self, monkeypatch):
         # find the number k of empty tries before the first nonempty block of step 1

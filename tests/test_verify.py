@@ -83,6 +83,34 @@ class TestProper:
         assert "2 undecided" in verdict.detail
 
 
+def scan_palette(trace):
+    """``check_palette`` by a scan of every decision alone: the reference for its set test."""
+    palette = trace.palette
+    if palette is None:
+        raise ValueError(f"algorithm {trace.algo_name} names no palette to check against")
+    outside = sorted(
+        (v, out)
+        for v, out in trace.decisions.items()
+        if (tuple(out) if isinstance(out, (list, tuple)) else out) not in palette
+    )
+    if outside:
+        v, out = outside[0]
+        detail = f"node {v} decided {out!r}, outside the {len(palette)}-value palette"
+        return Verdict(False, "palette", detail, witness=(v, out))
+    return Verdict(True, "palette", f"{len(trace.decisions)} decisions within {len(palette)} values")
+
+
+def campaign_traces():
+    """Unrecorded adversarial runs of the two composed algorithms, as a campaign makes them."""
+    instances = [(build_graph(f"cycle:{n}"), "linial+save1", 2) for n in (4, 7, 12)]
+    instances += [(g, "linial+save", 4) for g in (build_graph("circulant:7,2"), graphs.random_tree(12, 4, 3))]
+    for graph, name, delta in instances:
+        algo = make_algorithm(name, id_bound=graph.id_bound, delta=delta)
+        for seed, p, rate in ((1, 0.3, 0.0), (2, 0.5, 0.25), (3, 1.0, 0.25), (4, 0.8, 0.1)):
+            sched = make_scheduling(f"random:seed={seed},p={p},crash={rate}", graph)
+            yield execute(graph, algo, sched, record=False)
+
+
 class TestPalette:
     def test_six_pairs(self):
         pal = make_algorithm("six").palette
@@ -137,6 +165,25 @@ class TestPalette:
     def test_decisions_arriving_as_lists_are_coerced(self):
         trace = fake_trace("six", {}, {1: [0, 1]})
         assert check_palette(trace).ok
+
+    def test_the_set_test_and_the_scan_agree(self):
+        save1 = {"delta": 2}
+        traces = list(campaign_traces())
+        assert all(trace.decisions for trace in traces)
+        traces += [
+            fake_trace("save1", save1, {3: (0, 0), 1: (1, 1), 2: (2, 0)}),  # one outside
+            fake_trace("save1", save1, {5: (2, 0), 4: (0, 0), 3: (7, 7), 2: (1, 1), 1: (2, 0)}),
+            fake_trace("six", {}, {1: [0, 1], 2: (1, 0)}),  # list outputs inside the palette
+            fake_trace("save1", save1, {2: [0, 0], 3: [2, 0], 1: (0, 2)}),  # and outside it
+            fake_trace("buggy5", {}, {1: 0, 2: 4, 3: 5, 4: 1.0}),
+        ]
+        verdicts = [check_palette(trace) for trace in traces]
+        assert verdicts == [scan_palette(trace) for trace in traces]
+        assert [v.witness for v in verdicts if not v.ok] == [(2, (2, 0)), (1, (2, 0)), (3, [2, 0]), (3, 5)]
+        none = execute(build_graph("path:2"), Identity(), [(1, 2)])
+        for check in (check_palette, scan_palette):
+            with pytest.raises(ValueError, match="identity names no palette"):
+                check(none)
 
     @pytest.mark.parametrize(
         "name, graph_spec",

@@ -431,6 +431,17 @@ class TestTrimming:
         state = t.next((False, ()), [None])
         assert state[0] == "T" and state[1] == 0
 
+    def test_a_composed_rule_is_refused_at_once(self):
+        # Composed writes its rule on states, so trim could not call its next_views
+        algo = make_algorithm("linial+save1", id_bound=3, delta=2)
+        with pytest.raises(ValueError, match="^trim wraps a rule written on views, not a Composed$"):
+            trim(algo, 3)
+
+    def test_every_toy_still_trims(self):
+        for name, algo in toy_algorithms(3).items():
+            t = trim(algo, 3)
+            assert (t.inner, t.name) == (algo, f"trim:{algo.name}"), name
+
     def test_name_and_graph_guard(self):
         t = trim(ConstantOutput(0), 2)
         assert t.name == "trim:const0"

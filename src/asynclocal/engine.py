@@ -164,9 +164,10 @@ def _apply_block(readers, nxt, old, new, block: Iterable[int], reads=None):
     decided, which are the ones that ran, and ``decided`` maps those that
     decided during this block to their outputs, or is ``None`` when none
     did.  When ``reads`` is a dict, it gets each active node's snapshot.
-    Recorded runs, :func:`step` and :meth:`ConfigurationSpace.successor`
-    step through here, calling ``nxt`` on every activation; unrecorded runs
-    of :func:`execute` do the same work inline through a transition table.
+    Recorded runs, :func:`step` and :class:`ConfigurationSpace` step
+    through here, calling ``nxt`` on every activation; other unrecorded
+    runs of :func:`execute` do the same work inline through a transition
+    table.
     """
     active = []
     for v in block:
@@ -418,13 +419,20 @@ class _Start:
     node to its :func:`_snapshot_reader`.  ``table`` is the algorithm's
     transition table for unrecorded runs, ``(payload, snaps) -> state``
     (see :func:`execute`), handed on from each start of the object to the
-    next; recorded runs never read it.
+    next; recorded runs never read it.  ``space`` is the
+    :class:`ConfigurationSpace` of the start, built by the first
+    unrecorded run that steps through it: one on default inputs, on a graph
+    of at most ``_SPACE_MAX_NODES`` nodes, under a scheduling without crash
+    times.  It is not handed on, since its configurations belong to
+    ``graph``, and it holds the object weakly, so the start still dies with
+    its object.
     """
 
     graph: Graph
     dicts: tuple[dict, ...]
     readers: dict[int, Callable[[dict], tuple]]
     table: dict
+    space: ConfigurationSpace | None = None
 
 
 # The start of each algorithm object's last default-input runs.  Campaigns run a
@@ -437,16 +445,26 @@ _starts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # A table holding more entries than this when an unrecorded run starts is
 # replaced by a fresh one; a campaign on small graphs holds a few thousand.
 _TABLE_LIMIT = 2**14
+# A configuration space holding more configurations than this is replaced by a
+# fresh one: by a run, at its start, and by the periodic search, before a shape.
+# A C4 search or enumeration needs about 1,000, and the bound keeps memory flat.
+_SPACE_LIMIT = 2**12
+# The most nodes a graph may have for its explicit unrecorded runs to step through
+# the start's space, and for enumerate_schedulings to run unguarded.  On a large
+# graph a configuration is rarely met twice, and every miss copies and interns a
+# key of 2n states: through a space, an explicit run of 300 blocks of 1-3 nodes on
+# cycle:1000 took 13 times as long as through the table (34 ms against 2.6 ms).
+_SPACE_MAX_NODES = 5
 
 
 def _start(graph: Graph, algo, inputs) -> _Start:
     """The start every run of ``algo`` on ``graph`` copies its seven dicts from.
 
-    These are the resolved inputs, the initial registers (all Bottom) and
-    validated pending states, both in ``graph.nodes`` order, the outputs
-    decided at ``init`` with their decision step 0, a runtime of 0 per
-    node and ``algo.params()``; the start also holds every node's snapshot
-    reader and the object's transition table.  On default inputs
+    These are the resolved inputs, the outputs decided at ``init`` with
+    their decision step 0, a runtime of 0 per node, ``algo.params()``, and
+    last the initial registers (all Bottom) and validated pending states,
+    both in ``graph.nodes`` order; the start also holds every node's
+    snapshot reader and the object's transition table.  On default inputs
     (``inputs`` None) the start kept for ``algo`` is reused while
     ``graph`` is the same object.  Otherwise a new start is built with the
     kept start's table, and kept in its place on default inputs only:
@@ -461,7 +479,7 @@ def _start(graph: Graph, algo, inputs) -> _Start:
     cfg = initial_configuration(graph, algo, ins)
     decisions = cfg.decided()
     decision_steps, runtimes = dict.fromkeys(decisions, 0), dict.fromkeys(graph.nodes, 0)
-    dicts = (ins, cfg.old, cfg.new, decisions, decision_steps, runtimes, dict(algo.params()))
+    dicts = (ins, decisions, decision_steps, runtimes, dict(algo.params()), cfg.old, cfg.new)
     readers = {v: _snapshot_reader(nbrs, algo.arity) for v, nbrs in graph.adj.items()}
     start = _Start(graph, dicts, readers, {} if last is None else last.table)
     if inputs is None:
@@ -510,91 +528,130 @@ def execute(
     Every run reads each snapshot through the start's per-node
     :func:`_snapshot_reader`.  With ``record=False`` no per-step record is
     built, snapshots included (used for large campaigns); decisions,
-    runtimes and the final configuration are always kept.  Such a run does
-    each block's work in one inline pass: it publishes the block's
-    undecided nodes, then for each one looks ``(payload, snapshot)`` up in
-    the transition table of the ``algo`` object, and calls ``algo.next``
-    only for a pair that no earlier unrecorded run of ``algo`` met (see
-    :class:`~asynclocal.algorithms.Algorithm` for the purity this relies
+    runtimes and the final configuration are always kept.  Such a run on
+    default inputs, on a graph of at most ``_SPACE_MAX_NODES`` nodes, under
+    a scheduling without crash times (an explicit, ``replay:`` or
+    enumerated one), steps through the :class:`ConfigurationSpace` of its
+    start: each block is one memoised transition, computed only where no
+    earlier such run of ``algo`` on ``graph`` met it, which gives the
+    block's runtimes and new decisions, and the final registers are decoded
+    from the last configuration's key.  Schedules enumerated on a small
+    graph share most of their prefixes, so most of their blocks are dict
+    lookups; on a large graph a configuration rarely comes back, and a miss
+    costs more than the table below.  Every other unrecorded run does each
+    block's work in one inline pass: it publishes the block's undecided
+    nodes, then for each one looks ``(payload, snapshot)`` up in the
+    transition table of the ``algo`` object, and calls ``algo.next`` only
+    for a pair that no earlier unrecorded run of ``algo`` met (see
+    :class:`~asynclocal.algorithms.Algorithm` for the purity both rely
     on).  Recorded runs step through :func:`_apply_block`, which calls
-    ``algo.next`` on every activation and never touches the table, so they
-    are the reference the table is checked against.  Recorded or not, a run
+    ``algo.next`` on every activation and touches neither memo, so they are
+    the reference the memos are checked against.  Recorded or not, a run
     takes the same steps to the same results.
 
     On default inputs the validated start is built once per ``algo``
     object and reused by its default-input runs while they are of the
-    same ``graph`` object (see :func:`_start`), with its snapshot readers
-    and table, so ``algo`` must not change once it has run.
+    same ``graph`` object (see :func:`_start`), with its snapshot readers,
+    table and space, so ``algo`` must not change once it has run.  A
+    start's space holding more than ``_SPACE_LIMIT`` configurations when a
+    run begins is replaced by a fresh one, as a table past
+    ``_TABLE_LIMIT`` is.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     sched, block_iter = _block_source(graph, scheduling)
     start = _start(graph, algo, inputs)
-    # each dict of the start is copied, so no trace shares a mutable object with it
-    ins, old, new, decisions, decision_steps, runtimes, params = [d.copy() for d in start.dicts]
-    nxt = algo.next
     support = frozenset(sched.support_ever)
-
-    # live: the scheduled nodes that have neither decided nor crashed.
-    # crashes: the (step, node) crashes still to come, the next one last.
-    live = set(support.difference(decisions))
-    crashes = []  # explicit schedulings have no crash times and skip the sort
-    if sched.crash_times:
-        crashes = [(t, v) for v, t in sched.crash_times.items() if t is not None and v in live]
-        crashes.sort(reverse=True)
-
     steps: list[StepRecord] | None = None
-    readers = start.readers
-    if record:
-        steps = []
-    else:
-        table = start.table
-        if len(table) > _TABLE_LIMIT:
-            table = start.table = {}
-    del start  # a start for explicit inputs is in no cache: free its dicts before the run
 
-    step_index = 0
-    while step_index < max_steps and live:
-        while crashes and crashes[-1][0] <= step_index:
-            live.discard(crashes.pop()[1])
-        if not live:
-            break  # every still-undecided scheduled node has crashed
-        blk = next(block_iter, None)
-        if blk is None:
-            break
-        step_index += 1
-        if record:
-            reads = {}
-            active, decided_now = _apply_block(readers, nxt, old, new, blk, reads)
+    if not (record or sched.crash_times) and inputs is None and graph.n <= _SPACE_MAX_NODES:
+        # each dict of the start is copied, so no trace shares a mutable object with it
+        ins, decisions, decision_steps, runtimes, params = [d.copy() for d in start.dicts[:5]]
+        live = set(support.difference(decisions))  # the scheduled undecided nodes
+        space = start.space
+        if space is None or len(space.keys) > _SPACE_LIMIT:
+            space = start.space = ConfigurationSpace._of_start(start, algo)
+        successors, successor = space.successors, space.successor
+        cid = step_index = 0
+        for blk in block_iter if max_steps and live else ():
+            step_index += 1
+            hit = successors[cid].get(blk)  # space.successor's hit path, inlined
+            if hit is None:
+                successor(cid, blk)
+                hit = successors[cid][blk]
+            cid, active, decided = hit
             for v in active:
                 runtimes[v] += 1
-            if decided_now:
-                for v, out in decided_now.items():
-                    decisions[v] = out
-                    decision_steps[v] = step_index
-                    live.discard(v)
-            states = {v: new[v] for v in active}
-            steps.append(StepRecord(step_index, blk, reads, states, decided_now or {}))
-            continue
-        for v in blk:
-            st = new[v]
-            if st[0] != TERMINATED:
-                old[v] = st  # publish
-        # a block's nodes are distinct, so new[v] is still v's state from before the block
-        for v in blk:
-            st = new[v]
-            if st[0] == TERMINATED:
-                continue
-            key = (st[1], readers[v](old))
-            st = table.get(key)
-            if st is None:
-                st = table[key] = nxt(*key)
-            new[v] = st
-            runtimes[v] += 1
-            if st[0] == TERMINATED:
-                decisions[v] = st[1]
+            for v, out in decided:
+                decisions[v] = out
                 decision_steps[v] = step_index
                 live.discard(v)
+            if step_index == max_steps or not live:
+                break
+        nodes, key = graph.nodes, space.keys[cid]
+        old, new = dict(zip(nodes, key)), dict(zip(nodes, key[len(nodes):]))
+    else:
+        ins, decisions, decision_steps, runtimes, params, old, new = [d.copy() for d in start.dicts]
+        nxt = algo.next
+        # live: the scheduled nodes that have neither decided nor crashed.
+        # crashes: the (step, node) crashes still to come, the next one last.
+        live = set(support.difference(decisions))
+        crashes = []  # explicit schedulings have no crash times and skip the sort
+        if sched.crash_times:
+            crashes = [(t, v) for v, t in sched.crash_times.items() if t is not None and v in live]
+            crashes.sort(reverse=True)
+
+        readers = start.readers
+        if record:
+            steps = []
+        else:
+            table = start.table
+            if len(table) > _TABLE_LIMIT:
+                table = start.table = {}
+        del start  # a start for explicit inputs is in no cache: free its dicts before the run
+
+        step_index = 0
+        while step_index < max_steps and live:
+            while crashes and crashes[-1][0] <= step_index:
+                live.discard(crashes.pop()[1])
+            if not live:
+                break  # every still-undecided scheduled node has crashed
+            blk = next(block_iter, None)
+            if blk is None:
+                break
+            step_index += 1
+            if record:
+                reads = {}
+                active, decided_now = _apply_block(readers, nxt, old, new, blk, reads)
+                for v in active:
+                    runtimes[v] += 1
+                if decided_now:
+                    for v, out in decided_now.items():
+                        decisions[v] = out
+                        decision_steps[v] = step_index
+                        live.discard(v)
+                states = {v: new[v] for v in active}
+                steps.append(StepRecord(step_index, blk, reads, states, decided_now or {}))
+                continue
+            for v in blk:
+                st = new[v]
+                if st[0] != TERMINATED:
+                    old[v] = st  # publish
+            # a block's nodes are distinct, so new[v] is still v's state from before the block
+            for v in blk:
+                st = new[v]
+                if st[0] == TERMINATED:
+                    continue
+                key = (st[1], readers[v](old))
+                st = table.get(key)
+                if st is None:
+                    st = table[key] = nxt(*key)
+                new[v] = st
+                runtimes[v] += 1
+                if st[0] == TERMINATED:
+                    decisions[v] = st[1]
+                    decision_steps[v] = step_index
+                    live.discard(v)
 
     # positional, in field order: sixteen keywords would cost about 0.5 us a run
     return Trace(
@@ -641,12 +698,17 @@ class LivelockCertificate:
         }
 
 
-def _nonempty_subsets(nodes: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every nonempty subset of ``nodes``, in bit-mask order: item ``m - 1`` holds mask ``m``."""
+@functools.lru_cache(maxsize=256)
+def _nonempty_subsets(nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every nonempty subset of ``nodes``, in bit-mask order: item ``m - 1`` holds mask ``m``.
+
+    Cached, since :meth:`ConfigurationSpace.children` asks again for every
+    configuration with the same undecided nodes.
+    """
     out = [()]
     for v in nodes:  # the masks below 2^i, then the same masks with bit i set
         out += [s + (v,) for s in out]
-    return out[1:]
+    return tuple(out[1:])
 
 
 class ConfigurationSpace:
@@ -658,31 +720,73 @@ class ConfigurationSpace:
     id in ``ids``, the initial one being id 0, and held only as that key:
     ``keys[i]`` is the very tuple ``ids`` maps to ``i``, and the methods
     read slices of it.  ``successors[i]`` memoises the transitions out of
-    id ``i`` as ``{block: id}``, so a block is applied to a configuration
-    at most once (the state caching of explicit-state model checkers).
-    Only ``engine`` reads the two; walkers use :meth:`successor`,
+    id ``i`` as ``{block: (id, active, decided)}``, so a block is applied
+    to a configuration at most once (the state caching of explicit-state
+    model checkers): ``active`` holds the block's nodes that had not
+    decided, which are the ones that ran, and ``decided`` a ``(node,
+    output)`` pair for each of them that decided in the block, both in
+    block order.  ``active`` is the block itself when every node ran; a
+    shorter ``active`` and every ``decided`` are held once per space.  Only
+    ``engine`` reads the two; walkers use :meth:`successor`,
     :meth:`undecided`, :meth:`children` and :meth:`configuration`.  Blocks
     are trusted to be canonical (distinct nodes of ``graph``, ascending).
     ``len(space)`` counts the configurations; the space never drops one,
     so a caller that shares it across many executions bounds its memory by
     starting a fresh space.
+
+    Each default-input start of an algorithm object also keeps a space (see
+    :class:`_Start`), which the explicit unrecorded runs of :func:`execute`
+    on graphs of at most ``_SPACE_MAX_NODES`` nodes step through: a run then
+    computes a transition only where no earlier run of the object met it.
+    The bound keeps large graphs out, where configurations rarely repeat
+    and every miss copies and interns a key of ``2 * graph.n`` states.
     """
 
     def __init__(self, graph: Graph, algo, inputs: dict[int, Any] | None = None):
-        start = _start(graph, algo, inputs)
-        old, new = start.dicts[1:3]
+        self._set_up(_start(graph, algo, inputs), algo, algo.next)
+
+    @classmethod
+    def _of_start(cls, start: _Start, algo) -> "ConfigurationSpace":
+        """The space of ``start``, a start of ``algo``, naming ``algo`` through a weak proxy.
+
+        A start is kept in ``_starts`` under its algorithm object, so a
+        strong reference from its space would keep the object alive
+        forever: its ``algo`` is a weak proxy, and ``next`` is looked up
+        through it.  A miss reads the start's transition table first and
+        fills it, as the table path of :func:`execute` does, so equal
+        states in different configurations are one object; a table
+        replaced later is kept until the space is.
+        """
+        space = cls.__new__(cls)
+        proxy = weakref.proxy(algo)
+        table = start.table
+
+        def nxt(payload, snaps):
+            key = (payload, snaps)
+            st = table.get(key)
+            if st is None:
+                st = table[key] = proxy.next(payload, snaps)
+            return st
+
+        space._set_up(start, proxy, nxt)
+        return space
+
+    def _set_up(self, start: _Start, algo, nxt) -> None:
+        graph = start.graph
+        old, new = start.dicts[5:]
         key = (*old.values(), *new.values())  # Configuration.key()
         self.graph, self.algo = graph, algo
         self.ids: dict[tuple, int] = {key: 0}
         self.keys: list[tuple] = [key]
-        self.successors: list[dict[tuple[int, ...], int]] = [{}]
+        self.successors: list[dict[tuple[int, ...], tuple]] = [{}]
         self._undecided: dict[int, tuple[int, ...]] = {}
+        self._tuples: dict[tuple, tuple] = {}  # one copy of each memoised active or decided tuple
         # a key holds the nodes by position in graph.nodes, so the space steps lists
         # indexed by position, through readers of the neighbors' positions
         nodes, adj = graph.nodes, graph.adj
         self._pos = pos = {v: i for i, v in enumerate(nodes)}
         readers = [_snapshot_reader(tuple([pos[u] for u in adj[v]]), algo.arity) for v in nodes]
-        self._apply = functools.partial(_apply_block, readers, algo.next)
+        self._apply = functools.partial(_apply_block, readers, nxt)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -691,24 +795,39 @@ class ConfigurationSpace:
         """The id that ``block`` leads to from id ``cid``, computed on the first call only.
 
         A miss applies the block to lists of the registers and pending
-        states sliced from the key of ``cid``, and interns the result.
+        states copied from the key of ``cid``, interns the result, and
+        memoises the transition with the nodes that ran and decided.
         """
         memo = self.successors[cid]
-        nid = memo.get(block)
-        if nid is None:
-            key, n, pos = self.keys[cid], self.graph.n, self._pos
-            old, new = list(key[:n]), list(key[n:])
-            if not self._apply(old, new, [pos[v] for v in block])[0]:
-                nid = cid  # every node of the block had decided: nothing changed
+        hit = memo.get(block)
+        if hit is None:
+            nodes, pos = self.graph.nodes, self._pos
+            old = list(self.keys[cid])  # the registers, then the pending states
+            new = old[len(nodes):]
+            del old[len(nodes):]
+            active, decided = self._apply(old, new, [pos[v] for v in block])
+            if not active:
+                hit = (cid, (), ())  # every node of the block had decided: nothing changed
             else:
                 keys = self.keys
-                key = (*old, *new)  # Configuration.key()
+                key = tuple(old + new)  # Configuration.key()
                 nid = self.ids.setdefault(key, len(keys))
                 if nid == len(keys):
                     keys.append(key)
                     self.successors.append({})
-            memo[block] = nid
-        return nid
+                tuples = self._tuples
+                ran = block
+                if len(active) < len(block):
+                    ran = tuple([nodes[i] for i in active])
+                    ran = tuples.setdefault(ran, ran)
+                outs = ()
+                if decided is not None:  # a loop: a comprehension is a call on every miss
+                    for i, out in decided.items():
+                        outs += ((nodes[i], out),)
+                    outs = tuples.setdefault(outs, outs)
+                hit = (nid, ran, outs)
+            memo[block] = hit
+        return hit[0]
 
     def undecided(self, cid: int) -> tuple[int, ...]:
         """The undecided nodes of id ``cid`` in ``graph.nodes`` order, found on the first call."""
@@ -780,16 +899,18 @@ def detect_livelock(
     successors, successor = space.successors, space.successor
     cid = 0
     for blk in pre:
-        nid = successors[cid].get(blk)
-        cid = successor(cid, blk) if nid is None else nid
+        hit = successors[cid].get(blk)
+        cid = successor(cid, blk) if hit is None else hit[0]
 
     seen = {cid: 0}
     for k in range(1, bound + 1):
         for blk in per:
-            nid = successors[cid].get(blk)
-            cid = successor(cid, blk) if nid is None else nid
+            hit = successors[cid].get(blk)
+            cid = successor(cid, blk) if hit is None else hit[0]
         if cid in seen:
-            undecided = tuple(sorted(set().union(*per).intersection(space.undecided(cid))))
+            undecided = space.undecided(cid)
+            if undecided:  # else every node has decided, as half a search's shapes end
+                undecided = tuple(sorted(set().union(*per).intersection(undecided)))
             if not undecided:
                 return None
             return LivelockCertificate(

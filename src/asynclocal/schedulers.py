@@ -59,6 +59,8 @@ from .engine import (
     Scheduling,
     SchedulingError,
     Trace,
+    _SPACE_LIMIT,
+    _SPACE_MAX_NODES,
     _explicit,
     _nonempty_subsets,
     detect_livelock,
@@ -310,9 +312,9 @@ def enumerate_schedulings(nodes, depth: int, graph: Graph | None = None) -> Iter
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
     _guard(
-        len(nodes) <= 5 and depth <= 6,
+        len(nodes) <= _SPACE_MAX_NODES and depth <= 6,
         f"enumeration over {len(nodes)} nodes at depth {depth} is guarded "
-        "(limits: 5 nodes, depth 6)",
+        f"(limits: {_SPACE_MAX_NODES} nodes, depth 6)",
     )
     return _enumerated(nodes, depth)
 
@@ -341,9 +343,6 @@ SEARCH_PROPERTIES = ("proper", "palette", "periodic-termination")
 _SEARCH_P = (0.5, 0.3, 0.8, 1.0)
 _SEARCH_CRASH = (0.0, 0.1, 0.25)
 _PERIODIC_MAX_NODES = 12  # the periodic search lists every nonempty block first: 4,095 at 12
-# The periodic search's space is replaced once it holds more configurations than
-# this: a C4 search needs about 1,000, and the bound keeps a large ring's memory flat.
-_SPACE_LIMIT = 2**12
 
 
 @dataclass

@@ -29,6 +29,7 @@ from typing import Any, Iterable
 from .algorithms import Algorithm, make_algorithm
 from .engine import (
     Trace,
+    _lists_to_tuples,
     detect_livelock,
     execute,
     initial_configuration,
@@ -95,10 +96,25 @@ def check_proper(trace: Trace) -> Verdict:
     return Verdict(True, "proper", detail)
 
 
+def _in_palette(out, palette) -> bool:
+    """Whether ``out``, its lists read as tuples, is in ``palette``.
+
+    Lists become tuples at every depth, as
+    :func:`~asynclocal.engine.state_from_json` reads them; an output that
+    is still unhashable (a tuple holding a list, a dict) is outside.
+    """
+    try:
+        return _lists_to_tuples(out) in palette
+    except TypeError:
+        return False
+
+
 def check_palette(trace: Trace) -> Verdict:
     """Every decision lies in the palette the algorithm carried into the trace.
 
-    Raises ValueError for a trace of an algorithm that names no palette.
+    A list output is read as a tuple, at every depth; an output that is
+    still unhashable is outside.  Raises ValueError for a trace of an algorithm
+    that names no palette.
     """
     palette = trace.palette
     if palette is None:
@@ -109,9 +125,7 @@ def check_palette(trace: Trace) -> Verdict:
         within = False
     # decisions are scanned unsorted; only the offenders are ordered, to name the lowest
     outside = [] if within else [
-        (v, out)
-        for v, out in trace.decisions.items()
-        if (tuple(out) if isinstance(out, (list, tuple)) else out) not in palette
+        (v, out) for v, out in trace.decisions.items() if not _in_palette(out, palette)
     ]
     if outside:
         v, out = min(outside)  # node ids are distinct: the lowest node wins

@@ -1,13 +1,16 @@
+import dataclasses
+import gc
 import hashlib
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asynclocal import engine
+from asynclocal import engine, schedulers
 from asynclocal.algorithms import ALGORITHM_NAMES, Identity, SixColoring, make_algorithm
 from asynclocal.engine import (
     DEFAULT_MAX_STEPS,
@@ -515,7 +518,8 @@ class TestConfigurationSpace:
             fresh.configuration(i) for i in want.values()
         ]
         # the transitions are kept once, in the memo, which still holds the extra block
-        assert shared.successors[cid] == {**got, (1, 6): shared.successor(cid, (1, 6))}
+        memo = {blk: nid for blk, (nid, _, _) in shared.successors[cid].items()}
+        assert memo == {**got, (1, 6): shared.successor(cid, (1, 6))}
         shared.successor(cid, (1, 3))  # a block added after the first expansion
         assert shared.children(cid) == got
 
@@ -871,3 +875,128 @@ def test_unrecorded_runs_read_short_and_padded_snapshots_as_recorded_runs():
         algo = instances[0][1]
         if algo.arity is not None:
             assert {len(snaps) for _, snaps in engine._starts[algo].table} == {algo.arity}
+
+
+def _in_order(trace):
+    """Every field of ``trace`` but its steps, with each dict in its own order."""
+    fields = {f.name: getattr(trace, f.name) for f in dataclasses.fields(trace) if f.name != "steps"}
+    return repr({**fields, "final": (trace.final.old, trace.final.new, trace.final.step_index)})
+
+
+class TestStartSpace:
+    """Explicit unrecorded runs on default inputs and small graphs step through the start's space."""
+
+    def test_enumerated_runs_keep_every_field_and_dict_order_of_recorded_runs(self):
+        graph = build_graph("cycle:4", ids=(3, 1, 4, 2))
+        for algo in (make_algorithm("six"), make_algorithm("buggy5")):
+            for sched in enumerate_schedulings(graph.nodes, 3, graph=graph):
+                slim = execute(graph, algo, sched, record=False)
+                assert _in_order(slim) == _in_order(execute(graph, algo, sched)), sched.spec
+            space = engine._starts[algo].space
+            assert len(space) > 1
+            # equal decided tuples in the memo are one object
+            outs = [hit[2] for memo in space.successors for hit in memo.values() if hit[2]]
+            assert outs and len(set(outs)) == len({id(out) for out in outs})
+
+    def test_the_space_of_a_start_fills_and_shares_the_object_table(self):
+        graph, algo = build_graph("cycle:4"), make_algorithm("six")
+        slim = execute(graph, algo, [(1, 3), (2, 4), (1, 2, 3, 4)], record=False)
+        start = engine._starts[algo]
+        states = {id(st) for st in start.table.values()}
+        assert start.table and all(id(slim.final.new[v]) in states for v in graph.nodes)
+        # a second space of the start reads the table: no call of next for a known pair
+        start.space = None
+        calls = []
+        algo.next = lambda payload, snaps: calls.append(1) or SixColoring.next(algo, payload, snaps)
+        slim = execute(graph, algo, [(1, 3), (2, 4)], record=False)
+        assert start.space is not None and calls == []
+        assert _in_order(slim) == _in_order(execute(graph, algo, [(1, 3), (2, 4)])) and calls
+
+    def test_only_explicit_unrecorded_default_input_runs_on_small_graphs_build_a_space(self):
+        c4, c6 = build_graph("cycle:4"), build_graph("cycle:6")
+        explicit = [(1, 2), (3,), (2, 4)]
+        runs = [
+            (c4, make_scheduling("random:seed=3,p=0.5,crash=0.1", c4), None, False),
+            (c4, make_scheduling("random:seed=3", c4), None, False),
+            (c4, make_scheduling("sync", c4), None, False),
+            (c4, explicit_scheduling(explicit, c4.nodes), None, True),  # recorded
+            (c6, explicit_scheduling(explicit, c6.nodes), None, False),  # six nodes
+        ]
+        for graph, sched, inputs, record in runs:
+            algo = make_algorithm("six")
+            execute(graph, algo, sched, inputs=inputs, record=record)
+            assert engine._starts[algo].space is None, sched.spec
+        # explicit inputs keep no start, and leave the kept one's space alone
+        algo = make_algorithm("six")
+        execute(c4, algo, make_scheduling("sync", c4))
+        kept = engine._starts[algo]
+        execute(c4, algo, explicit_scheduling(explicit, c4.nodes), inputs={1: 7, 2: 8, 3: 9, 4: 6},
+                record=False)
+        assert engine._starts[algo] is kept and kept.space is None
+        # the run that takes the path builds the space once; later runs share it
+        for _ in range(2):
+            execute(c4, algo, explicit_scheduling(explicit, c4.nodes), record=False)
+            assert engine._starts[algo] is kept and kept.space is not None
+        space = kept.space
+        execute(c4, algo, [[1], [2, 3]], record=False)
+        assert kept.space is space and len(space) > 1
+        # one node bound for the path and for enumeration, one size bound for every space
+        assert schedulers._SPACE_MAX_NODES == engine._SPACE_MAX_NODES == 5
+        assert schedulers._SPACE_LIMIT == engine._SPACE_LIMIT
+
+    def test_a_start_with_a_space_dies_with_its_object(self):
+        graph, algo = build_graph("cycle:4"), make_algorithm("six")
+        execute(graph, algo, [[1, 3], [2, 4]], record=False)
+        space = engine._starts[algo].space
+        assert isinstance(space.algo, weakref.ProxyType) and space.algo.name == algo.name
+        ref = weakref.ref(algo)
+        del algo
+        gc.collect()
+        assert ref() is None
+
+    def test_a_start_space_past_its_limit_is_replaced_at_the_next_run(self, monkeypatch):
+        monkeypatch.setattr(engine, "_SPACE_LIMIT", 8)
+        graph, algo = build_graph("cycle:4", ids=(3, 1, 4, 2)), make_algorithm("six")
+        spaces, sizes = [], []
+        for sched in itertools.islice(enumerate_schedulings(graph.nodes, 3, graph=graph), 0, None, 7):
+            slim = execute(graph, algo, sched, record=False)
+            space = engine._starts[algo].space
+            assert len(space) <= engine._SPACE_LIMIT + slim.step_count
+            spaces.append(space)
+            sizes.append(len(space))
+            assert _outcome(slim) == _outcome(execute(graph, algo, sched))
+        assert max(sizes) > engine._SPACE_LIMIT  # the limit was reached
+        assert len({id(space) for space in spaces}) > 1  # and the space replaced
+        for a, b, size in zip(spaces, spaces[1:], sizes):
+            assert (b is a) == (size <= engine._SPACE_LIMIT)
+
+    @pytest.mark.parametrize(
+        "spec, ids, name, blocks, max_steps",
+        [
+            ("cycle:5", (3, 5, 4, 1, 6), "six", [(1, 3, 5), (3, 5), (4, 6)], 0),
+            ("cycle:5", (3, 5, 4, 1, 6), "six", [(1, 3, 5), (3, 5), (4, 6)], 1),
+            ("cycle:5", (3, 5, 4, 1, 6), "six", [], DEFAULT_MAX_STEPS),
+            # node 1 decides in the first block, so the second runs no node
+            ("cycle:5", (3, 5, 4, 1, 6), "six", [(1, 3, 5), (1,), (1,), (3, 4)], DEFAULT_MAX_STEPS),
+            # Table 2's prefix, then its period again and again: nodes 3 and 4 never decide
+            ("cycle:4", (3, 4, 2, 1), "buggy5", [(2, 3, 4), (1, 3, 4)] + [(3, 4)] * 40, 30),
+            ("cycle:4", (3, 4, 2, 1), "buggy5", [(2, 3, 4), (1, 3, 4)] + [(3, 4)] * 40, DEFAULT_MAX_STEPS),
+        ],
+        ids=["max-steps-0", "max-steps-1", "empty", "decided-only", "buggy5-cut", "buggy5-exhausted"],
+    )
+    def test_edge_runs_through_the_space_equal_recorded_runs(self, spec, ids, name, blocks, max_steps):
+        graph, algo = build_graph(spec, ids=ids), make_algorithm(name)
+        sched = explicit_scheduling(blocks, graph.nodes)
+        slim = execute(graph, algo, sched, max_steps=max_steps, record=False)
+        assert engine._starts[algo].space is not None
+        assert _in_order(slim) == _in_order(execute(graph, algo, sched, max_steps=max_steps))
+        if name == "buggy5":
+            assert not slim.complete and slim.step_count == min(max_steps, len(blocks))
+
+    def test_a_block_of_decided_nodes_keeps_the_id(self):
+        graph, algo = six_on_table_cycle()
+        execute(graph, algo, [(1, 3, 5), (1,)], record=False)
+        space = engine._starts[algo].space
+        cid = space.successor(0, (1, 3, 5))  # Table 1's first block decides node 1
+        assert space.successors[0][(1, 3, 5)][1:] == ((1, 3, 5), ((1, space.configuration(cid).decided()[1]),))
+        assert space.successors[cid][(1,)] == (cid, (), ())

@@ -692,8 +692,11 @@ class TestSearch:
         for cid, memo in enumerate(space.successors):
             cfg = space.configuration(cid)
             assert space.ids[cfg.key()] == cid
-            for blk, nid in memo.items():
-                assert space.configuration(nid).key() == step(graph, algo, cfg, blk).key()
+            for blk, (nid, active, decided) in memo.items():
+                want = step(graph, algo, cfg, blk)
+                assert space.configuration(nid).key() == want.key()
+                assert active == tuple(v for v in blk if cfg.new[v][0] != TERMINATED)
+                assert decided == tuple((v, want.new[v][1]) for v in active if want.new[v][0] == TERMINATED)
                 transitions += 1
         assert transitions > len(space)
 

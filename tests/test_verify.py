@@ -88,10 +88,18 @@ def scan_palette(trace):
     palette = trace.palette
     if palette is None:
         raise ValueError(f"algorithm {trace.algo_name} names no palette to check against")
+
+    def as_tuples(obj):  # lists at every depth, as a trace file's states are read
+        return tuple(as_tuples(x) for x in obj) if isinstance(obj, list) else obj
+
+    def outside_palette(out):
+        try:
+            return as_tuples(out) not in palette
+        except TypeError:  # still unhashable: outside
+            return True
+
     outside = sorted(
-        (v, out)
-        for v, out in trace.decisions.items()
-        if (tuple(out) if isinstance(out, (list, tuple)) else out) not in palette
+        ((v, out) for v, out in trace.decisions.items() if outside_palette(out)), key=lambda vo: vo[0]
     )
     if outside:
         v, out = outside[0]
@@ -176,10 +184,15 @@ class TestPalette:
             fake_trace("six", {}, {1: [0, 1], 2: (1, 0)}),  # list outputs inside the palette
             fake_trace("save1", save1, {2: [0, 0], 3: [2, 0], 1: (0, 2)}),  # and outside it
             fake_trace("buggy5", {}, {1: 0, 2: 4, 3: 5, 4: 1.0}),
+            fake_trace("save1", save1, {1: (0, [0]), 2: (0, 2)}),  # a list inside a tuple: outside
+            fake_trace("six", {}, {2: [0, [1]], 1: [[0], 1]}),  # lists at two depths, read as tuples
+            fake_trace("six", {}, {3: {"c": 0}, 2: (1, 0), 1: (0, {0})}),  # unhashable outputs
         ]
         verdicts = [check_palette(trace) for trace in traces]
         assert verdicts == [scan_palette(trace) for trace in traces]
-        assert [v.witness for v in verdicts if not v.ok] == [(2, (2, 0)), (1, (2, 0)), (3, [2, 0]), (3, 5)]
+        assert [v.witness for v in verdicts if not v.ok] == [
+            (2, (2, 0)), (1, (2, 0)), (3, [2, 0]), (3, 5), (1, (0, [0])), (1, [[0], 1]), (1, (0, {0})),
+        ]
         none = execute(build_graph("path:2"), Identity(), [(1, 2)])
         for check in (check_palette, scan_palette):
             with pytest.raises(ValueError, match="identity names no palette"):

@@ -227,7 +227,7 @@ class Scheduling:
     :func:`~asynclocal.schedulers.make_scheduling` works out once when it
     draws the crash times.  ``crash_times`` maps a node to the last step
     it may appear in (``None``: it never crashes) and is empty for an
-    explicit scheduling.
+    explicit scheduling, whose ``_forever`` is the one shared empty set.
 
     The constructors in :mod:`asynclocal.schedulers` and
     :func:`explicit_scheduling` make only canonical blocks (distinct nodes
@@ -255,10 +255,7 @@ class Scheduling:
         """
         if self._forever is not None:
             return self._forever
-        ct = self.crash_times
-        if not ct:  # explicit schedulings, enumerated by the thousand, skip the scan
-            return frozenset()
-        return frozenset([v for v, t in ct.items() if t is None])
+        return frozenset([v for v, t in self.crash_times.items() if t is None])
 
     def blocks(self) -> Iterator[tuple[int, ...]]:
         """Fresh block iterator; calling again restarts from the beginning."""
@@ -278,13 +275,19 @@ def explicit_scheduling(blocks, nodes) -> Scheduling:
     return _explicit(blocks, tuple(nodes), spec, support)
 
 
+# The never-crash set of every explicit scheduling: it has no crash times.
+_NEVER: frozenset[int] = frozenset()
+
+
 def _explicit(blocks, nodes: tuple[int, ...], spec: str, support: frozenset[int]) -> Scheduling:
     """A checked explicit scheduling of canonical ``blocks``, trusted as given.
 
     ``spec`` must be the canonical spec of ``blocks`` and ``support`` the
-    union of their nodes; callers guarantee both.
+    union of their nodes; callers guarantee both.  The fields go in by
+    position, since :func:`~asynclocal.schedulers.enumerate_schedulings`
+    builds tens of thousands of these.
     """
-    return Scheduling(spec, nodes, support, {}, None, blocks.__iter__, _checked=True)
+    return Scheduling(spec, nodes, support, {}, None, blocks.__iter__, True, _NEVER)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +537,10 @@ def execute(
     enumerated one), steps through the :class:`ConfigurationSpace` of its
     start: each block is one memoised transition, computed only where no
     earlier such run of ``algo`` on ``graph`` met it, which gives the
-    block's runtimes and new decisions, and the final registers are decoded
-    from the last configuration's key.  Schedules enumerated on a small
+    block's runtimes and new decisions, and the final registers and
+    pending states are copies of the space's one decode of the last
+    configuration (see :meth:`ConfigurationSpace.configuration`), so no
+    trace shares a dict with the space.  Schedules enumerated on a small
     graph share most of their prefixes, so most of their blocks are dict
     lookups; on a large graph a configuration rarely comes back, and a miss
     costs more than the table below.  Every other unrecorded run does each
@@ -582,14 +587,17 @@ def execute(
             cid, active, decided = hit
             for v in active:
                 runtimes[v] += 1
-            for v, out in decided:
-                decisions[v] = out
-                decision_steps[v] = step_index
-                live.discard(v)
-            if step_index == max_steps or not live:
+            if decided:  # live shrinks only when some node decided
+                for v, out in decided:
+                    decisions[v] = out
+                    decision_steps[v] = step_index
+                    live.discard(v)
+                if not live:
+                    break
+            if step_index == max_steps:
                 break
-        nodes, key = graph.nodes, space.keys[cid]
-        old, new = dict(zip(nodes, key)), dict(zip(nodes, key[len(nodes):]))
+        old, new = space._decoded(cid)
+        old, new = old.copy(), new.copy()
     else:
         ins, decisions, decision_steps, runtimes, params, old, new = [d.copy() for d in start.dicts]
         nxt = algo.next
@@ -719,7 +727,10 @@ class ConfigurationSpace:
     configuration is interned by its :meth:`Configuration.key` as a dense
     id in ``ids``, the initial one being id 0, and held only as that key:
     ``keys[i]`` is the very tuple ``ids`` maps to ``i``, and the methods
-    read slices of it.  ``successors[i]`` memoises the transitions out of
+    read slices of it.  An id's registers and pending states are decoded
+    from its key into dicts once, when first asked for, and kept while the
+    space lives; :meth:`configuration` and :func:`execute` hand out copies
+    of them.  ``successors[i]`` memoises the transitions out of
     id ``i`` as ``{block: (id, active, decided)}``, so a block is applied
     to a configuration at most once (the state caching of explicit-state
     model checkers): ``active`` holds the block's nodes that had not
@@ -780,6 +791,7 @@ class ConfigurationSpace:
         self.keys: list[tuple] = [key]
         self.successors: list[dict[tuple[int, ...], tuple]] = [{}]
         self._undecided: dict[int, tuple[int, ...]] = {}
+        self._dicts: dict[int, tuple[dict, dict]] = {}  # see _decoded
         self._tuples: dict[tuple, tuple] = {}  # one copy of each memoised active or decided tuple
         # a key holds the nodes by position in graph.nodes, so the space steps lists
         # indexed by position, through readers of the neighbors' positions
@@ -846,10 +858,27 @@ class ConfigurationSpace:
         """
         return {b: self.successor(cid, b) for b in _nonempty_subsets(self.undecided(cid))}
 
+    def _decoded(self, cid: int) -> tuple[dict, dict]:
+        """Id ``cid``'s registers and pending states, as two dicts in ``graph.nodes`` order.
+
+        Decoded from the key on the first call and kept while the space
+        lives, so each id is decoded once.  The dicts are shared: callers
+        hand out copies only.
+        """
+        d = self._dicts.get(cid)
+        if d is None:
+            nodes, key = self.graph.nodes, self.keys[cid]
+            d = self._dicts[cid] = (dict(zip(nodes, key)), dict(zip(nodes, key[len(nodes):])))
+        return d
+
     def configuration(self, cid: int) -> Configuration:
-        """A fresh copy of id ``cid``'s configuration, with step index 0."""
-        nodes, key = self.graph.nodes, self.keys[cid]
-        return Configuration(dict(zip(nodes, key)), dict(zip(nodes, key[len(nodes):])))
+        """A fresh copy of id ``cid``'s configuration, with step index 0.
+
+        Its dicts are copies of the space's one decode of ``cid``, so changing
+        them changes neither the space nor any other configuration it hands out.
+        """
+        old, new = self._decoded(cid)
+        return Configuration(old.copy(), new.copy())
 
 
 def detect_livelock(

@@ -302,13 +302,20 @@ def enumerate_schedulings(nodes, depth: int, graph: Graph | None = None) -> Iter
     each subset's spec fragment and support are made once per call.  With
     ``graph`` given, a node outside it raises :class:`ValueError`.  The
     arguments are checked when it is called, before any scheduling is drawn.
+    When ``nodes`` are all of ``graph``'s, the schedulings carry
+    ``graph.nodes`` itself as their ``nodes``, so
+    :func:`~asynclocal.engine.execute` runs their blocks on ``graph``
+    without a subset test.
     """
     nodes = tuple(sorted(set(nodes)))
     if not nodes:
         raise ValueError("enumeration needs at least one node")
-    if graph is not None and not graph.node_set.issuperset(nodes):
-        bad = next(v for v in nodes if v not in graph.node_set)
-        raise ValueError(f"enumerated node {bad} not in the graph")
+    if graph is not None:
+        if not graph.node_set.issuperset(nodes):
+            bad = next(v for v in nodes if v not in graph.node_set)
+            raise ValueError(f"enumerated node {bad} not in the graph")
+        if len(nodes) == graph.n:
+            nodes = graph.nodes  # ascending, as the sorted tuple is
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
     _guard(
@@ -461,7 +468,7 @@ def adversary_search(
             seeds = itertools.count(0 if seed0 is None else seed0)
             candidates = (make_scheduling(_seeded_spec(seed), graph) for seed in seeds)
         else:
-            candidates = enumerate_schedulings(graph.nodes, depth)
+            candidates = enumerate_schedulings(graph.nodes, depth, graph=graph)
         checker = _verify.check_palette if property == "palette" else _verify.check_proper
         steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
 

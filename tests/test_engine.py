@@ -1000,3 +1000,69 @@ class TestStartSpace:
         cid = space.successor(0, (1, 3, 5))  # Table 1's first block decides node 1
         assert space.successors[0][(1, 3, 5)][1:] == ((1, 3, 5), ((1, space.configuration(cid).decided()[1]),))
         assert space.successors[cid][(1,)] == (cid, (), ())
+
+    def test_runs_and_certificates_hand_out_copies_of_one_decode(self):
+        graph, algo = build_graph("cycle:4", ids=(3, 1, 4, 2)), make_algorithm("six")
+        blocks = [(1, 3), (2, 4), (1, 2, 3, 4)]
+        expected = execute(graph, algo, blocks).final
+        first = execute(graph, algo, blocks, record=False).final
+        space = engine._starts[algo].space
+        cid = space.ids[first.key()]
+        second = execute(graph, algo, blocks, record=False).final
+        assert first == second == expected
+        assert first.old is not second.old and first.new is not second.new
+        first.old[1] = first.new[1] = ("R", "changed")
+        first.new.clear()
+        assert execute(graph, algo, blocks, record=False).final == expected
+        assert space.configuration(cid) == Configuration(expected.old, expected.new)
+        assert second == expected
+        # a certificate's configuration is a copy of the same decode
+        graph, algo = build_graph("cycle:4", ids=(3, 4, 2, 1)), make_algorithm("buggy5")
+        prefix, period = ((2, 3, 4), (1, 3, 4)), ((3, 4),)
+        space = ConfigurationSpace(graph, algo)
+        one = detect_livelock(graph, algo, prefix, period, space=space)
+        two = detect_livelock(graph, algo, prefix, period, space=space)
+        cid = space.ids[one.configuration.key()]
+        want = space.configuration(cid)
+        assert one.configuration == two.configuration == want
+        assert one.configuration.old is not two.configuration.old
+        assert one.configuration.new is not two.configuration.new
+        one.configuration.old[3] = one.configuration.new[3] = None
+        assert detect_livelock(graph, algo, prefix, period, space=space).configuration == want
+        assert space.configuration(cid) == want == two.configuration
+        assert space.configuration(cid).old is not want.old
+
+    def test_enumerated_schedulings_share_the_node_tuple_of_the_graph_they_cover(self):
+        graph = build_graph("cycle:4", ids=(3, 1, 4, 2))
+        algo = make_algorithm("six")
+        for nodes, shared in (((4, 2, 3, 1), True), ((3, 1), False)):
+            for sched in enumerate_schedulings(nodes, 3, graph=graph):
+                assert (sched.nodes is graph.nodes) == shared
+                assert sched.nodes == tuple(sorted(nodes))
+                # the blocks run as they come, with no check per block
+                assert engine._block_source(graph, sched)[1].__class__ is iter(()).__class__
+                slim = execute(graph, algo, sched, record=False)
+                assert _in_order(slim) == _in_order(execute(graph, algo, sched)), sched.spec
+        assert engine._starts[algo].space is not None
+
+    @pytest.mark.parametrize(
+        "blocks, max_steps, complete",
+        [
+            ([(1, 3), (2, 4)] * 6, 4, True),  # nodes 2 and 4 decide in block 4
+            ([(1, 3), (2, 4)] * 6, 3, False),
+            ([(1,), (2,), (3,), (4,)] * 4, 8, True),  # node 4 decides last, in block 8
+            ([(1,), (2,), (3,), (4,)] * 4, 7, False),
+        ],
+        ids=["last-decision-at-max-steps", "cut-before-it", "sequential-at-max-steps", "sequential-cut"],
+    )
+    def test_max_steps_and_the_last_decision_stop_space_runs_as_recorded_runs(self, blocks, max_steps, complete):
+        graph, algo = build_graph("cycle:4", ids=(3, 1, 4, 2)), make_algorithm("six")
+        full = execute(graph, algo, blocks, max_steps=max_steps)
+        # more blocks follow, so a complete run of max_steps blocks decided last in the last one
+        assert full.complete == complete and full.step_count == max_steps < len(blocks)
+        slim = execute(graph, algo, blocks, max_steps=max_steps, record=False)
+        assert engine._starts[algo].space is not None
+        assert (slim.step_count, slim.complete) == (full.step_count, full.complete)
+        assert slim.decisions == full.decisions and slim.decision_steps == full.decision_steps
+        assert slim.final == full.final
+        assert _in_order(slim) == _in_order(full)

@@ -467,15 +467,16 @@ def _start(graph: Graph, algo, inputs) -> _Start:
     their decision step 0, a runtime of 0 per node, ``algo.params()``, and
     last the initial registers (all Bottom) and validated pending states,
     both in ``graph.nodes`` order; the start also holds every node's
-    snapshot reader and the object's transition table.  On default inputs
-    (``inputs`` None) the start kept for ``algo`` is reused while
-    ``graph`` is the same object.  Otherwise a new start is built with the
-    kept start's table, and kept in its place on default inputs only:
-    explicit inputs are never kept.  A failing ``validate`` or ``init``
+    snapshot reader and the object's transition table.  One probe of the
+    dict behind ``_starts`` finds the start kept for ``algo``; on default
+    inputs (``inputs`` None) it is reused while ``graph`` is the same
+    object.  Otherwise a new start is built with the kept start's table,
+    and kept in its place on default inputs only: explicit inputs are
+    never kept.  A failing ``validate`` or ``init``
     stores nothing.  The dicts are shared: callers copy them before
     handing them out and never change them.
     """
-    last = _starts.get(algo)
+    last = _starts.data.get(weakref.ref(algo))  # _starts.get(algo), without its method call
     if inputs is None and last is not None and last.graph is graph:
         return last
     ins = _resolve_inputs(graph, algo, inputs)
@@ -499,7 +500,7 @@ def _block_source(graph: Graph, scheduling):
     each of its blocks checked as it is drawn.
     """
     if type(scheduling) is Scheduling and scheduling._checked:
-        if scheduling.nodes is graph.nodes or graph.node_set.issuperset(scheduling.nodes):
+        if graph.node_set.issuperset(scheduling.nodes):
             return scheduling, scheduling.blocks()
     elif not callable(getattr(scheduling, "blocks", None)):
         scheduling = explicit_scheduling(scheduling, graph.nodes)
@@ -522,6 +523,8 @@ def execute(
     any object with a ``blocks()`` method and the attributes ``spec``,
     ``seed``, ``support_ever``, ``crash_times`` and ``support_forever``.
     A negative ``max_steps`` raises :class:`ValueError`; 0 runs no step.
+    A checked :class:`Scheduling` over ``graph.nodes`` itself runs its
+    blocks in place; every other source goes through :func:`_block_source`.
 
     Stops as soon as every node that appears in the scheduling has
     decided or crashed, when the scheduling itself is exhausted, or after
@@ -555,24 +558,31 @@ def execute(
     takes the same steps to the same results.
 
     On default inputs the validated start is built once per ``algo``
-    object and reused by its default-input runs while they are of the
-    same ``graph`` object (see :func:`_start`), with its snapshot readers,
-    table and space, so ``algo`` must not change once it has run.  A
-    start's space holding more than ``_SPACE_LIMIT`` configurations when a
-    run begins is replaced by a fresh one, as a table past
-    ``_TABLE_LIMIT`` is.
+    object, found by one dict probe, and reused by its default-input runs
+    while they are of the same ``graph`` object (see :func:`_start`), with
+    its snapshot readers, table and space, so ``algo`` must not change
+    once it has run.  A start's space holding more than ``_SPACE_LIMIT``
+    configurations when a run begins is replaced by a fresh one, as a
+    table past ``_TABLE_LIMIT`` is.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    sched, block_iter = _block_source(graph, scheduling)
+    if type(scheduling) is Scheduling and scheduling._checked and scheduling.nodes is graph.nodes:
+        sched, block_iter = scheduling, scheduling._factory()  # trusted: its blocks run as they come
+    else:
+        sched, block_iter = _block_source(graph, scheduling)
     start = _start(graph, algo, inputs)
-    support = frozenset(sched.support_ever)
+    support = sched.support_ever
+    if type(support) is not frozenset:
+        support = frozenset(support)
     steps: list[StepRecord] | None = None
+    # each dict of the start is copied, so no trace shares a mutable object with it
+    ins, decisions, decision_steps, runtimes, params = map(dict.copy, start.dicts[:5])
+    live = set(support)  # the scheduled nodes that have neither decided nor crashed
+    if decisions:
+        live.difference_update(decisions)
 
     if not (record or sched.crash_times) and inputs is None and graph.n <= _SPACE_MAX_NODES:
-        # each dict of the start is copied, so no trace shares a mutable object with it
-        ins, decisions, decision_steps, runtimes, params = [d.copy() for d in start.dicts[:5]]
-        live = set(support.difference(decisions))  # the scheduled undecided nodes
         space = start.space
         if space is None or len(space.keys) > _SPACE_LIMIT:
             space = start.space = ConfigurationSpace._of_start(start, algo)
@@ -599,11 +609,9 @@ def execute(
         old, new = space._decoded(cid)
         old, new = old.copy(), new.copy()
     else:
-        ins, decisions, decision_steps, runtimes, params, old, new = [d.copy() for d in start.dicts]
+        old, new = map(dict.copy, start.dicts[5:])
         nxt = algo.next
-        # live: the scheduled nodes that have neither decided nor crashed.
-        # crashes: the (step, node) crashes still to come, the next one last.
-        live = set(support.difference(decisions))
+        # crashes: the (step, node) crashes still to come, the next one last
         crashes = []  # explicit schedulings have no crash times and skip the sort
         if sched.crash_times:
             crashes = [(t, v) for v, t in sched.crash_times.items() if t is not None and v in live]
@@ -754,7 +762,7 @@ class ConfigurationSpace:
     """
 
     def __init__(self, graph: Graph, algo, inputs: dict[int, Any] | None = None):
-        self._set_up(_start(graph, algo, inputs), algo, algo.next)
+        self._set_up(_start(graph, algo, inputs), algo, algo.next, weakref.ref(algo))
 
     @classmethod
     def _of_start(cls, start: _Start, algo) -> "ConfigurationSpace":
@@ -779,14 +787,15 @@ class ConfigurationSpace:
                 st = table[key] = proxy.next(payload, snaps)
             return st
 
-        space._set_up(start, proxy, nxt)
+        space._set_up(start, proxy, nxt, weakref.ref(algo))
         return space
 
-    def _set_up(self, start: _Start, algo, nxt) -> None:
+    def _set_up(self, start: _Start, algo, nxt, referent: weakref.ref) -> None:
         graph = start.graph
         old, new = start.dicts[5:]
         key = (*old.values(), *new.values())  # Configuration.key()
-        self.graph, self.algo = graph, algo
+        # a proxy is not its object: detect_livelock compares the referent
+        self.graph, self.algo, self._referent = graph, algo, referent
         self.ids: dict[tuple, int] = {key: 0}
         self.keys: list[tuple] = [key]
         self.successors: list[dict[tuple[int, ...], tuple]] = [{}]
@@ -921,7 +930,7 @@ def detect_livelock(
         pre = tuple([_check_block(b, node_set) for b in pre])
         per = tuple([_check_block(b, node_set) for b in per])
         space = ConfigurationSpace(graph, algo, inputs)
-    elif space.graph is not graph or space.algo is not algo:
+    elif space.graph is not graph or space._referent() is not algo:
         raise ValueError("the configuration space was built for another graph or algorithm")
 
     # space.successor, with its hit path inlined in the hot loop

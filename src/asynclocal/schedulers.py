@@ -180,7 +180,7 @@ def make_scheduling(spec: str, graph: Graph, crashes: dict[int, int] | None = No
     """
     nodes = graph.nodes
     kind, _, rest = spec.partition(":")
-    crashes = _known_crashes(crashes or {}, graph)
+    crashes = _known_crashes(crashes, graph) if crashes else {}
 
     if kind == "replay":
         if not rest:

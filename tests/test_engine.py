@@ -251,6 +251,33 @@ class TestStartMemo:
         assert len(builds) == 4 and engine._starts[algo].graph is other
         assert engine._starts[algo].table is table
 
+    def test_one_object_keeps_one_start_until_it_dies(self, monkeypatch):
+        builds = []
+
+        def counted(graph, algo, inputs):
+            builds.append(algo)
+            return initial_configuration(graph, algo, inputs)
+
+        monkeypatch.setattr(engine, "initial_configuration", counted)
+        graph, algo = build_graph("cycle:5"), make_algorithm("six")
+        for seed in range(4):
+            execute(graph, algo, make_scheduling(f"random:seed={seed}", graph), record=False)
+            execute(graph, algo, [(1, 3), (2, 4)], record=False)
+            execute(graph, algo, make_scheduling("sync", graph))
+        assert builds == [algo]
+        # an object with equal parameters is another key, with a start of its own
+        twin = make_algorithm("six")
+        execute(graph, twin, make_scheduling("sync", graph), record=False)
+        assert len(builds) == 2 and builds[1] is twin
+        assert engine._starts[twin] is not engine._starts[algo]
+        gc.collect()
+        kept = len(engine._starts)
+        del builds[:], twin
+        gc.collect()
+        assert len(engine._starts) == kept - 1
+        execute(graph, algo, make_scheduling("sync", graph), record=False)
+        assert builds == []
+
     def test_explicit_inputs_build_afresh(self):
         graph, algo = build_graph("cycle:4"), CountingSix()
         execute(graph, algo, make_scheduling("sync", graph))
@@ -401,6 +428,24 @@ class TestDetectLivelock:
         space = ConfigurationSpace(graph, six, {v: v for v in graph.nodes})
         with pytest.raises(ValueError, match="another graph or algorithm"):
             detect_livelock(graph, make_algorithm("buggy5"), [], [(1,)], space=space)
+
+    def test_the_space_of_a_start_gives_the_one_shot_certificate(self):
+        graph = build_graph("cycle:4", ids=(3, 4, 2, 1))
+        algo = make_algorithm("buggy5")
+        prefix, period = ((2, 3, 4), (1, 3, 4)), ((3, 4),)
+        execute(graph, algo, [*prefix, *period], record=False)
+        space = engine._starts[algo].space
+        assert isinstance(space.algo, weakref.ProxyType)
+        shared = detect_livelock(graph, algo, prefix, period, space=space)
+        assert shared is not None
+        assert shared.to_json() == detect_livelock(graph, algo, prefix, period).to_json()
+        # the start space of an equal algorithm object is still another algorithm's
+        other = make_algorithm("buggy5")
+        execute(graph, other, [*prefix, *period], record=False)
+        with pytest.raises(ValueError, match="another graph or algorithm"):
+            detect_livelock(graph, algo, prefix, period, space=engine._starts[other].space)
+        with pytest.raises(ValueError, match="another graph or algorithm"):
+            detect_livelock(graph, other, prefix, period, space=space)
 
     def test_a_negative_bound_is_rejected(self):
         graph, algo = build_graph("cycle:4", ids=(3, 4, 2, 1)), make_algorithm("buggy5")
@@ -611,6 +656,37 @@ class TestBlockValidation:
         trace = execute(graph, algo, source([[5, 3, 1, 1], (5, 4)]))
         assert [rec.block for rec in trace.steps] == [(1, 3, 5), (4, 5)]
         assert trace.sched_spec == "custom"
+
+    def test_only_a_checked_scheduling_over_the_graph_node_tuple_skips_the_block_source(self, monkeypatch):
+        calls = []
+
+        def spied(graph, scheduling):
+            calls.append(scheduling)
+            return block_source(graph, scheduling)
+
+        block_source = engine._block_source
+        monkeypatch.setattr(engine, "_block_source", spied)
+        graph, algo = six_on_table_cycle()
+        equal = build_graph("cycle:5", ids=(3, 5, 4, 1, 6))
+        blocks = [(1, 3, 5), (4, 5), (3, 4), (6,)]
+        cases = [
+            (explicit_scheduling(blocks, graph.nodes), False),  # graph.nodes itself: in place
+            (explicit_scheduling(blocks[:2], (1, 3, 4, 5)), True),  # a strict subset
+            (explicit_scheduling(blocks, equal.nodes), True),  # an equal graph's own tuple
+            (make_scheduling("random:seed=4", equal), True),
+        ]
+        for sched, checked in cases:
+            assert (sched.nodes is graph.nodes) != checked and sched._checked
+            slim = execute(graph, algo, sched, record=False)
+            assert _in_order(slim) == _in_order(execute(graph, algo, sched)), sched.spec
+            assert calls == [sched, sched] * checked
+            calls.clear()
+        # an unchecked Scheduling over graph.nodes itself still has each block checked
+        sched = Scheduling("custom", graph.nodes, graph.node_set, {}, None, lambda: iter([(1, 3), (1, 99)]))
+        for record in (True, False):
+            with pytest.raises(SchedulingError, match="scheduled node 99 not in the graph"):
+                execute(graph, algo, sched, record=record)
+        assert calls == [sched, sched]
 
     def test_a_scheduling_of_another_graph_is_checked(self):
         graph, algo = six_on_table_cycle()

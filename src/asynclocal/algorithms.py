@@ -296,7 +296,15 @@ class Algorithm:
         return node
 
     def validate(self, graph, inputs: dict[int, Any] | None) -> None:
-        """Reject instances outside the algorithm's preconditions."""
+        """Reject instances outside the algorithm's preconditions.
+
+        A degree bound above ``max(graph.n, 2)`` is refused as well: no
+        graph of n nodes needs it, and the palette and the padded snapshots
+        grow with it.
+        """
+        bound = max(graph.n, 2)
+        if self.delta is not None and self.delta > bound:
+            raise ValueError(f"{self.name} requires delta <= max(n, 2) = {bound}, got {self.delta}")
         if self.delta is not None and graph.max_degree > self.delta:
             raise ValueError(
                 f"{self.name} requires degree <= {self.delta}, graph has degree {graph.max_degree}"

@@ -168,10 +168,12 @@ def _color_sets(q: int) -> dict[int, frozenset[int]]:
     return {}
 
 
-def _field_sizes() -> Iterator[int]:
-    """Usable field orders in ascending order: 2,3,4,5,7,8,9,...,32, then primes."""
-    yield from _SMALL_ORDERS
-    q = _SMALL_ORDERS[-1]
+def _field_sizes(above: int = 0) -> Iterator[int]:
+    """Usable field orders above ``above`` in ascending order, of 2,3,4,5,7,8,9,...,32, then primes."""
+    for q in _SMALL_ORDERS:
+        if q > above:
+            yield q
+    q = max(above, _SMALL_ORDERS[-1])
     while True:
         q += 1
         if _is_prime(q):
@@ -292,9 +294,9 @@ def construct_family(k: int, m: int) -> CoverFreeFamily:
         raise ValueError(f"cover-freeness parameter must be positive, got {k}")
     if m < 1:
         raise ValueError(f"family size must be positive, got {m}")
-    for q in _field_sizes():
+    for q in _field_sizes(k):  # no order q <= k admits a degree d >= 1
         d = (q - 1) // k
-        if d >= 1 and q ** (d + 1) >= m:
+        if q ** (d + 1) >= m:
             return CoverFreeFamily(k, m, q, d)
     raise AssertionError("unreachable: field orders are unbounded")
 

@@ -419,16 +419,16 @@ class _Start:
     """What every run of one algorithm object on ``graph`` starts from (see :func:`_start`).
 
     ``dicts`` are the seven dicts a run copies and ``readers`` maps each
-    node to its :func:`_snapshot_reader`.  ``table`` is the algorithm's
-    transition table for unrecorded runs, ``(payload, snaps) -> state``
-    (see :func:`execute`), handed on from each start of the object to the
-    next; recorded runs never read it.  ``space`` is the
-    :class:`ConfigurationSpace` of the start, built by the first
-    unrecorded run that steps through it: one on default inputs, on a graph
-    of at most ``_SPACE_MAX_NODES`` nodes, under a scheduling without crash
-    times.  It is not handed on, since its configurations belong to
-    ``graph``, and it holds the object weakly, so the start still dies with
-    its object.
+    node to its :func:`_snapshot_reader`.  ``table`` is the object's
+    transition table ``(payload, snaps) -> state``, read by its unrecorded
+    runs and by every :class:`ConfigurationSpace` of it, and handed on from
+    each start of the object to the next; recorded runs never read it.
+    ``space`` is the start's own space, built by the first unrecorded run
+    that steps through it: one on default inputs, on a graph of at most
+    ``_SPACE_MAX_NODES`` nodes, under a scheduling without crash times.  It
+    is not handed on, since its configurations belong to ``graph``, and
+    :func:`execute` drops its hold on the object, so the start still dies
+    with its object.
     """
 
     graph: Graph
@@ -550,7 +550,7 @@ def execute(
     block's work in one inline pass: it publishes the block's undecided
     nodes, then for each one looks ``(payload, snapshot)`` up in the
     transition table of the ``algo`` object, and calls ``algo.next`` only
-    for a pair that no earlier unrecorded run of ``algo`` met (see
+    for a pair that no earlier unrecorded run or space of ``algo`` met (see
     :class:`~asynclocal.algorithms.Algorithm` for the purity both rely
     on).  Recorded runs step through :func:`_apply_block`, which calls
     ``algo.next`` on every activation and touches neither memo, so they are
@@ -585,7 +585,8 @@ def execute(
     if not (record or sched.crash_times) and inputs is None and graph.n <= _SPACE_MAX_NODES:
         space = start.space
         if space is None or len(space.keys) > _SPACE_LIMIT:
-            space = start.space = ConfigurationSpace._of_start(start, algo)
+            space = start.space = ConfigurationSpace(graph, algo)
+            space._held = None  # the start, kept under algo, must not keep it alive
         successors, successor = space.successors, space.successor
         cid = step_index = 0
         for blk in block_iter if max_steps and live else ():
@@ -730,8 +731,11 @@ def _nonempty_subsets(nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 class ConfigurationSpace:
     """The configurations reached from one initial configuration, each stored once.
 
-    Built from a graph, an algorithm and its inputs (``None``: the
-    defaults), resolved and validated here as :func:`execute` does.  Every
+    Built on the start :func:`execute` runs from (see :func:`_start`), so
+    the inputs (``None``: the defaults) are resolved and validated as a
+    run's are, and a miss reads and fills the object's transition table:
+    ``algo.next`` sees a pair once per object.  ``algo`` is a weak proxy;
+    a space a caller builds also holds the object itself.  Every
     configuration is interned by its :meth:`Configuration.key` as a dense
     id in ``ids``, the initial one being id 0, and held only as that key:
     ``keys[i]`` is the very tuple ``ids`` maps to ``i``, and the methods
@@ -756,46 +760,27 @@ class ConfigurationSpace:
     Each default-input start of an algorithm object also keeps a space (see
     :class:`_Start`), which the explicit unrecorded runs of :func:`execute`
     on graphs of at most ``_SPACE_MAX_NODES`` nodes step through: a run then
-    computes a transition only where no earlier run of the object met it.
+    applies a block only where no earlier run of the object met it.
     The bound keeps large graphs out, where configurations rarely repeat
     and every miss copies and interns a key of ``2 * graph.n`` states.
     """
 
     def __init__(self, graph: Graph, algo, inputs: dict[int, Any] | None = None):
-        self._set_up(_start(graph, algo, inputs), algo, algo.next, weakref.ref(algo))
+        start = _start(graph, algo, inputs)
+        table, proxy = start.table, weakref.proxy(algo)
 
-    @classmethod
-    def _of_start(cls, start: _Start, algo) -> "ConfigurationSpace":
-        """The space of ``start``, a start of ``algo``, naming ``algo`` through a weak proxy.
-
-        A start is kept in ``_starts`` under its algorithm object, so a
-        strong reference from its space would keep the object alive
-        forever: its ``algo`` is a weak proxy, and ``next`` is looked up
-        through it.  A miss reads the start's transition table first and
-        fills it, as the table path of :func:`execute` does, so equal
-        states in different configurations are one object; a table
-        replaced later is kept until the space is.
-        """
-        space = cls.__new__(cls)
-        proxy = weakref.proxy(algo)
-        table = start.table
-
-        def nxt(payload, snaps):
+        def nxt(payload, snaps):  # the table path of execute, through the proxy
             key = (payload, snaps)
             st = table.get(key)
             if st is None:
                 st = table[key] = proxy.next(payload, snaps)
             return st
 
-        space._set_up(start, proxy, nxt, weakref.ref(algo))
-        return space
-
-    def _set_up(self, start: _Start, algo, nxt, referent: weakref.ref) -> None:
-        graph = start.graph
         old, new = start.dicts[5:]
         key = (*old.values(), *new.values())  # Configuration.key()
-        # a proxy is not its object: detect_livelock compares the referent
-        self.graph, self.algo, self._referent = graph, algo, referent
+        # _held keeps the object alive until execute clears it; a proxy is not its
+        # object, so detect_livelock compares the referent
+        self.graph, self.algo, self._held, self._referent = graph, proxy, algo, weakref.ref(algo)
         self.ids: dict[tuple, int] = {key: 0}
         self.keys: list[tuple] = [key]
         self.successors: list[dict[tuple[int, ...], tuple]] = [{}]

@@ -423,7 +423,7 @@ def _check_records(path, numbered: Iterable[tuple[int, bytes]]) -> tuple[dict | 
 
 
 def _check_header(path, header: dict) -> None:
-    """Every field a replay reads is present with its JSON type; params and inputs are integers."""
+    """Every field a replay reads has its JSON type; params, inputs and input nodes are integers."""
     if header.get("format") != 1:
         raise ValueError(f"{path}: unsupported trace format {header.get('format')!r}")
     missing = [key for key in _HEADER_TYPES if key not in header]
@@ -437,8 +437,12 @@ def _check_header(path, header: dict) -> None:
     for key in ("params", "inputs"):  # every registry algorithm takes integers in both
         for name, value in header.get(key, {}).items():
             if type(value) is not int:
-                field = f"{key}[{json.dumps(name)}]"
-                raise ValueError(f"{path}: trace header {field} must be an integer, got {value!r}")
+                problem = f"must be an integer, got {value!r}"
+            elif key == "inputs" and not name.removeprefix("-").isdecimal():
+                problem = "must be keyed by an integer node"
+            else:
+                continue
+            raise ValueError(f"{path}: trace header {key}[{json.dumps(name)}] {problem}")
     if header["sched"].partition(":")[0] == "replay":  # a trace records blocks, never a file to read
         raise ValueError(f"{path}: trace header sched may not name a file, got {header['sched']!r}")
 

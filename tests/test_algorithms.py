@@ -488,6 +488,16 @@ class TestRegistry:
         execute(build_graph("cycle:4"), algo, [(1,)])  # degree 2 is accepted
 
     @pytest.mark.parametrize("name", ["save", "save1", "linial", "linial+save", "linial+save1"])
+    def test_a_degree_bound_above_max_n_2_is_refused(self, name):
+        for spec, bound in (("cycle:5", 5), ("clique:1", 2), ("path:2", 2)):
+            graph = build_graph(spec)
+            execute(graph, make_algorithm(name, id_bound=5, delta=bound), [(1,)])
+            algo = make_algorithm(name, id_bound=5, delta=bound + 1)
+            want = rf"requires delta <= max\(n, 2\) = {bound}, got {bound + 1}$"
+            with pytest.raises(ValueError, match=want):
+                execute(graph, algo, [(1,)])
+
+    @pytest.mark.parametrize("name", ["save", "save1", "linial", "linial+save", "linial+save1"])
     def test_coloring_inputs_must_be_proper(self, name):
         graph = build_graph("path:3")
         algo = make_algorithm(name, id_bound=3, delta=2)

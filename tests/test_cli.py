@@ -623,6 +623,38 @@ class TestUsageErrors:
         assert err.splitlines() == ["error: max_steps must be non-negative, got -2"]
 
     @pytest.mark.parametrize(
+        "name, delta",
+        [("save", 20000), ("save1", 20000), ("linial", 10**7), ("linial+save1", 10**7)],
+    )
+    def test_a_degree_bound_past_the_graph_is_refused_at_once(self, capsys, name, delta):
+        argv = ("run", "--algo", name, "--graph", "cycle:5", "--delta", str(delta))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == []
+        refused = name.split("+")[0]  # a composition names the phase that refused
+        assert err.splitlines() == [f"error: {refused} requires delta <= max(n, 2) = 5, got {delta}"]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("params", {"delta": 20000}, "save1 requires delta <= max(n, 2) = 5, got 20000"),
+            ("inputs", {"x": 1}, '{path}: trace header inputs["x"] must be keyed by an integer node'),
+        ],
+        ids=["delta", "input-key"],
+    )
+    def test_verify_rejects_an_edited_header_at_once(self, capsys, tmp_path, field, value, message):
+        path = tmp_path / "run.jsonl"
+        run_cli(capsys, "run", "--algo", "save1", "--graph", "cycle:5", "--trace", str(path))
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header[field].update(value)
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        code, out, err = run_cli(capsys, "verify", "--trace", str(path))
+        assert code == 2
+        assert out == []
+        assert err.splitlines() == ["error: " + message.format(path=path)]
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("search", "--algo", "six", "--graph", "cycle:4", "--property", "proper-coloring"),

@@ -401,6 +401,28 @@ class TestPrimes:
             139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241,
         ]  # fmt: skip
 
+    def test_the_scan_from_above_k_picks_the_order_of_a_scan_from_2(self):
+        orders = [q for q in range(2, 200) if _is_prime(q) or q in TABULATED_ORDERS]
+
+        def straight(k, m):  # every usable order from 2 up
+            for q in orders:
+                d = (q - 1) // k
+                if d >= 1 and q ** (d + 1) >= m:
+                    return q, d
+            raise AssertionError(f"no order below 200 for k={k}, m={m}")
+
+        for k in range(1, 41):
+            for m in range(1, 5001):
+                fam = construct_family(k, m)
+                assert (fam.q, fam.d) == straight(k, m), (k, m)
+
+    def test_a_huge_k_scans_no_order_below_it(self):
+        began = time.perf_counter()
+        fam = construct_family(10**7, 100)
+        assert time.perf_counter() - began < 1.0
+        assert (fam.q, fam.d) == (next(q for q in itertools.count(10**7 + 1) if _is_prime(q)), 1)
+        assert list(itertools.islice(_field_sizes(30), 4)) == [31, 32, 37, 41]
+
     @pytest.mark.parametrize("q", TABULATED_ORDERS)
     def test_tabulated_characteristic_is_the_least_prime_factor(self, q):
         assert field(q).p == {4: 2, 8: 2, 9: 3, 16: 2, 25: 5, 27: 3, 32: 2}[q]

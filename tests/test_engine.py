@@ -174,10 +174,14 @@ class TestExecute:
 
 
 class CountingSix(SixColoring):
-    """The 6-coloring, counting its set-up calls."""
+    """The 6-coloring, counting its set-up calls and its transitions."""
 
     def __init__(self):
-        self.validations = self.inits = 0
+        self.validations = self.inits = self.nexts = 0
+
+    def next(self, payload, snaps):
+        self.nexts += 1
+        return super().next(payload, snaps)
 
     def validate(self, graph, inputs):
         self.validations += 1
@@ -526,8 +530,9 @@ class TestConfigurationSpace:
         [
             ("cycle:4", (7, 900, 31, 402), make_algorithm("six")),
             ("path:5", (60, 3, 815, 42, 7), make_algorithm("save1", delta=3)),  # padded
+            ("cycle:4", (3, 4, 2, 1), make_algorithm("buggy5")),  # Table 2's ring, which livelocks
         ],
-        ids=["six-cycle", "save1-path"],
+        ids=["six-cycle", "save1-path", "buggy5-cycle"],
     )
     def test_every_child_is_the_step_of_its_block_on_spread_ids(self, spec, ids, algo):
         # ids out of node order and far from the positions 0..n-1, so a position read
@@ -544,6 +549,36 @@ class TestConfigurationSpace:
                 edges += 1
             cid += 1
         assert edges > len(space) > 100
+
+    def test_a_space_built_on_a_temporary_object_keeps_it_and_steps(self):
+        graph = build_graph("cycle:5", ids=(3, 5, 4, 1, 6))
+        space = ConfigurationSpace(graph, make_algorithm("six"))
+        gc.collect()
+        assert space.algo.name == "six"
+        cid = space.successor(0, (1, 3, 5))
+        want = step(graph, make_algorithm("six"), space.configuration(0), (1, 3, 5))
+        assert space.configuration(cid) == Configuration(want.old, want.new)
+        assert len(space.children(cid)) == 15
+
+    def test_a_second_space_of_an_object_reads_the_transitions_of_the_first(self):
+        graph, algo = build_graph("cycle:4"), CountingSix()
+
+        def walk(space):  # the first 30 ids and all their children
+            for cid in range(30):
+                space.children(cid)
+            return space
+
+        first = walk(ConfigurationSpace(graph, algo))
+        computed = algo.nexts
+        assert computed > 0
+        # a second space on the same graph, and one on an equal graph, as wsb builds per count
+        for other in (graph, build_graph("cycle:4")):
+            second = walk(ConfigurationSpace(other, algo))
+            assert algo.nexts == computed
+            assert second.keys[:30] == first.keys[:30]
+        # step reads no memo: it calls next for every node it runs
+        step(graph, algo, first.configuration(1), graph.nodes)
+        assert algo.nexts > computed
 
     def test_children_keep_their_order_whatever_stepped_the_id_first(self):
         graph = build_graph("cycle:5", ids=(3, 5, 4, 1, 6))
@@ -1021,14 +1056,18 @@ class TestStartSpace:
         assert schedulers._SPACE_LIMIT == engine._SPACE_LIMIT
 
     def test_a_start_with_a_space_dies_with_its_object(self):
-        graph, algo = build_graph("cycle:4"), make_algorithm("six")
-        execute(graph, algo, [[1, 3], [2, 4]], record=False)
+        graph, algo = build_graph("cycle:5"), make_algorithm("six")
+        execute(graph, algo, [[1, 3], [2, 4], [5]], record=False)
         space = engine._starts[algo].space
         assert isinstance(space.algo, weakref.ProxyType) and space.algo.name == algo.name
-        ref = weakref.ref(algo)
+        assert space._held is None
+        ref, space = weakref.ref(algo), weakref.ref(space)
+        gc.collect()
+        kept = len(engine._starts)
         del algo
         gc.collect()
-        assert ref() is None
+        assert ref() is None and space() is None
+        assert len(engine._starts) == kept - 1
 
     def test_a_start_space_past_its_limit_is_replaced_at_the_next_run(self, monkeypatch):
         monkeypatch.setattr(engine, "_SPACE_LIMIT", 8)

@@ -418,6 +418,18 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match="not a JSON record"):
             load_trace(path)
 
+    @pytest.mark.parametrize("key", ["x", "", "1.5", "--1", " 1"])
+    def test_an_input_keyed_by_no_integer_is_refused_by_name(self, tmp_path, key):
+        _, path = self.run_and_dump(tmp_path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["inputs"][key] = 3
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        field = f"inputs[{json.dumps(key)}]"
+        with pytest.raises(ValueError) as err:
+            load_trace(path)
+        assert str(err.value) == f"{path}: trace header {field} must be keyed by an integer node"
+
     def test_a_header_naming_a_scheduling_file_is_refused_unread(self, tmp_path, monkeypatch):
         _, path = self.run_and_dump(tmp_path)
         sched = tmp_path / "sched.txt"
